@@ -6,9 +6,11 @@ The package is organised in layers:
   incomplete gamma and its inverse) used throughout.
 - :mod:`kcut.series` -- exact rational power-series expansions that produce
   the coefficient tables feeding the moment asymptotics.
-- :mod:`kcut.cutsim` -- simulators for the cutting process itself, for the
-  equivalent record construction, and a brute-force distribution for tiny
-  trees.
+- :mod:`kcut.cutsim` -- vectorized batch simulators for the cutting
+  process itself and for the equivalent record construction (node and
+  edge variants), with one draw order per (seed, sample index) and one
+  memory rule for chunk sizes; a plain single-sample process run as the
+  reference; and a brute-force distribution for tiny trees.
 - :mod:`kcut.exactmean` -- exact (quadrature-based) and asymptotic moments
   of record counts.
 - :mod:`kcut.limitdist` -- the infinitely divisible limit law: Levy density,

@@ -98,8 +98,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.variant == "edge"
         else cutsim.simulate_records_batch
     )
-    chunk = max(16, (1 << 22) // max(args.n, 1))
-    counts = batch(tree, args.k, args.seed, args.samples, chunk=chunk)
+    counts = batch(tree, args.k, args.seed, args.samples)
     lines = ["sample_index,r,count"]
     for i in range(counts.shape[0]):
         for r in range(1, args.k + 1):

@@ -1,28 +1,33 @@
 """Simulators for the k-cut process on complete binary trees.
 
-Three views of the same law are implemented:
+Two views of the same law are implemented:
 
-- ``simulate_process``       -- the literal cutting procedure: repeatedly
+- ``simulate_process_batch`` -- the literal cutting procedure: repeatedly
   pick a uniform node still connected to the root, increase its counter,
   and detach its subtree once the counter reaches ``k``; stop when the
-  root is removed.  Returns the number of cuts.
-- ``simulate_records``       -- the equivalent clock/record construction:
+  root is removed.  Returns the number of cuts.  ``simulate_process``
+  runs one sample the plain, non-vectorized way and is the reference
+  the batch is tested against.
+- ``simulate_records_batch`` -- the equivalent clock/record construction:
   each node ``v`` carries cumulative exponential clock sums ``T_{1,v} <
   ... < T_{k,v}``; ``v`` is an ``r``-record iff ``T_{r,v}`` is below the
   minimum ``k``-th clock sum over its proper ancestors.  The total
   record count across ``r`` has the same law as the cut count.
-- ``simulate_edge_records``  -- the edge variant: only non-root nodes
-  can be records and the ancestor minimum skips the root (equivalently,
-  the root's ``k``-th clock is conditioned to be infinite).
+- ``simulate_edge_records_batch`` -- the edge variant: only non-root
+  nodes can be records and the ancestor minimum skips the root
+  (equivalently, the root's ``k``-th clock is conditioned to be
+  infinite, which is how it is computed).
 
 ``brute_force_distribution`` computes the exact cut-count law for tiny
 trees by dynamic programming and serves as the verification oracle for
-both simulators.  ``rescale_sample`` applies the affine normalization
+both simulators.  ``rescale_counts`` applies the affine normalization
 under which record counts converge in law.
 
 Randomness is counter-based: sample ``i`` of seed ``s`` always draws
 from a Philox generator keyed ``(s, i)``, so results are reproducible
-and independent of how samples are partitioned across threads.
+and independent of how samples are partitioned across threads or
+chunks.  Batches run in chunks of samples sized by one rule,
+:func:`_chunk_rows`, unless the caller passes ``chunk``.
 """
 
 from __future__ import annotations
@@ -38,17 +43,12 @@ from . import series
 
 __all__ = [
     "CompleteTree",
-    "ClockAssignment",
-    "SimSample",
     "simulate_process",
-    "simulate_records",
-    "simulate_edge_records",
     "simulate_process_batch",
     "simulate_records_batch",
     "simulate_edge_records_batch",
     "brute_force_distribution",
     "rescale_counts",
-    "rescale_sample",
     "substream",
 ]
 
@@ -115,136 +115,25 @@ class CompleteTree:
         return size
 
 
-@dataclass(frozen=True)
-class ClockAssignment:
-    """Cumulative clock sums for every node of a tree.
-
-    ``t[v - 1, r - 1]`` holds ``T_{r,v}``, the sum of the first ``r``
-    unit-mean exponential draws of node ``v``; rows are strictly
-    increasing and ``T_{k,v}`` is Gamma(k, 1)-distributed.
-    """
-
-    t: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.t.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.t.shape[1]
-
-    @staticmethod
-    def draw(n: int, k: int, rng: np.random.Generator) -> "ClockAssignment":
-        e = rng.standard_exponential((n, k))
-        return ClockAssignment(np.cumsum(e, axis=1))
-
-
-@dataclass(frozen=True)
-class SimSample:
-    """One simulated outcome.
-
-    ``per_r`` maps record order ``r`` to the count ``X_{n,r}`` (``None``
-    for the process view, which observes only the total).  ``variant``
-    is ``"node"`` or ``"edge"``.  ``seed``/``sample_index`` record the
-    substream that produced the draw.
-    """
-
-    n: int
-    k: int
-    variant: str
-    total: int
-    per_r: dict[int, int] | None
-    seed: int
-    sample_index: int
-
-
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
+def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
+    """Samples per chunk of a batch: ``chunk`` if given, else as many as
+    keep the largest per-sample scratch array within 2**22 float64
+    values (32 MB).  Draws never depend on the chunk."""
+    if chunk is None:
+        return max(1, (1 << 22) // floats_per_row)
+    if chunk < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
+    return chunk
+
+
 # ---------------------------------------------------------------------------
 # Record-based simulation (node and edge variants).
 # ---------------------------------------------------------------------------
-
-
-def simulate_records(
-    tree: CompleteTree, k: int, seed: int, sample_index: int = 0
-) -> SimSample:
-    """Count ``r``-records for all ``r <= k`` in one clock assignment.
-
-    Depth-first traversal carrying the running minimum of ancestor
-    ``k``-th clocks, so auxiliary space is O(height).  A node whose
-    ``r``-th clock sum ties an ancestor minimum exactly (a
-    probability-zero event in exact arithmetic) is *not* a record: the
-    ancestor, which has the smaller node index, wins the tie.
-    """
-    _check_k(k)
-    rng = substream(seed, sample_index)
-    per_r = {r: 0 for r in range(1, k + 1)}
-    # Stack of (node, min over proper ancestors of their k-th clocks).
-    stack: list[tuple[int, float]] = [(1, math.inf)]
-    while stack:
-        v, anc_min = stack.pop()
-        t = np.cumsum(rng.standard_exponential(k))
-        # T is increasing in r, so the records of v are r = 1..j with j
-        # the number of entries below the ancestor minimum.
-        j = int(np.searchsorted(t, anc_min, side="left"))
-        for r in range(1, j + 1):
-            per_r[r] += 1
-        child_min = min(anc_min, float(t[-1]))
-        for c in (2 * v, 2 * v + 1):
-            if c <= tree.n:
-                stack.append((c, child_min))
-    return SimSample(
-        n=tree.n,
-        k=k,
-        variant="node",
-        total=sum(per_r.values()),
-        per_r=per_r,
-        seed=seed,
-        sample_index=sample_index,
-    )
-
-
-def simulate_edge_records(
-    tree: CompleteTree, k: int, seed: int, sample_index: int = 0
-) -> SimSample:
-    """Edge-variant record counts: cutting an edge is identified with
-    cutting its endpoint farther from the root, so only non-root nodes
-    count and the ancestor minimum skips the root (the root's clock is
-    treated as infinite).
-
-    The same substream as :func:`simulate_records` is used with the same
-    draw order, so the two variants are coupled per sample.
-    """
-    _check_k(k)
-    rng = substream(seed, sample_index)
-    per_r = {r: 0 for r in range(1, k + 1)}
-    stack: list[tuple[int, float]] = [(1, math.inf)]
-    while stack:
-        v, anc_min = stack.pop()
-        t = np.cumsum(rng.standard_exponential(k))
-        if v != 1:
-            j = int(np.searchsorted(t, anc_min, side="left"))
-            for r in range(1, j + 1):
-                per_r[r] += 1
-        # The root's own clock is excluded from every descendant's
-        # ancestor minimum in this variant.
-        child_min = anc_min if v == 1 else min(anc_min, float(t[-1]))
-        for c in (2 * v, 2 * v + 1):
-            if c <= tree.n:
-                stack.append((c, child_min))
-    return SimSample(
-        n=tree.n,
-        k=k,
-        variant="edge",
-        total=sum(per_r.values()),
-        per_r=per_r,
-        seed=seed,
-        sample_index=sample_index,
-    )
 
 
 def _records_batch(
@@ -254,46 +143,47 @@ def _records_batch(
     n_samples: int,
     first_index: int,
     edge: bool,
-    chunk: int,
+    chunk: int | None,
 ) -> np.ndarray:
     """Per-order record counts for samples ``first_index ..
     first_index + n_samples - 1`` as an ``(n_samples, k)`` int64 array.
 
-    Clocks for each sample come from its own substream (node-major draw
-    order, matching the array layout rather than the DFS order of the
-    single-sample routines).  The ancestor minima are then computed by a
-    level sweep vectorized across the chunk.
+    Each sample draws its ``(n, k)`` exponentials node-major from its own
+    substream; the ancestor minima come from a level sweep vectorized
+    across the chunk.  A node whose ``r``-th clock sum ties an ancestor
+    minimum exactly (a probability-zero event) is not a record.  The
+    edge variant is the node sweep with the root's ``k``-th clock set to
+    infinity and the root's row dropped.
     """
+    _check_k(k)
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
     n = tree.n
+    chunk = _chunk_rows(n * k, chunk)
     out = np.empty((n_samples, k), dtype=np.int64)
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
         t = np.empty((c, n, k))
         for i in range(c):
             rng = substream(seed, first_index + done + i)
-            e = rng.standard_exponential((n, k))
-            t[i] = np.cumsum(e, axis=1)
-        tk = t[:, :, k - 1]
-        # anc[:, v-1] = min of k-th clocks over proper ancestors of v
-        # (skipping the root in the edge variant).
-        anc = np.full((c, n), np.inf)
-        for h in range(1, tree.max_height + 1):
-            lo = 1 << h
-            hi = min((lo << 1) - 1, n)
-            idx = np.arange(lo, hi + 1)
-            parents = idx >> 1
-            parent_clock = (
-                np.where(parents[None, :] == 1, np.inf, tk[:, parents - 1])
-                if edge
-                else tk[:, parents - 1]
-            )
-            anc[:, idx - 1] = np.minimum(anc[:, parents - 1], parent_clock)
-        is_record = t < anc[:, :, None]
+            rng.standard_exponential(out=t[i])
+        for r in range(1, k):
+            t[:, :, r] += t[:, :, r - 1]
         if edge:
-            is_record[:, 0, :] = False
-        out[done : done + c] = is_record.sum(axis=1)
-        done += c
+            t[:, 0, k - 1] = np.inf
+        tk = t[:, :, k - 1]
+        # anc[:, v-1] = min of k-th clocks over proper ancestors of v.
+        # Level h holds nodes 2**h .. 2**(h+1) - 1, children of the
+        # level above taken in order, two apiece.
+        anc = np.empty((c, n))
+        anc[:, 0] = np.inf
+        for h in range(1, tree.max_height + 1):
+            lo, hi = 1 << h, min(2 << h, n + 1)
+            up = slice(lo // 2 - 1, lo - 1)
+            above = np.minimum(anc[:, up], tk[:, up])
+            anc[:, lo - 1 : hi - 1] = np.repeat(above, 2, axis=1)[:, : hi - lo]
+        is_record = t < anc[:, :, None]
+        out[done : done + c] = is_record[:, int(edge) :].sum(axis=1)
     return out
 
 
@@ -303,17 +193,15 @@ def simulate_records_batch(
     seed: int,
     n_samples: int,
     first_index: int = 0,
-    chunk: int = 4096,
+    chunk: int | None = None,
 ) -> np.ndarray:
-    """Vectorized node-variant record counts, shape ``(n_samples, k)``.
+    """Node-variant record counts, shape ``(n_samples, k)``.
 
     Column ``r - 1`` holds ``X_{n,r}``.  Sample ``i`` uses substream
     ``(seed, first_index + i)``, so disjoint ranges computed anywhere
-    assemble into the same sequence.
+    assemble into the same sequence.  ``chunk`` (samples per pass)
+    defaults to the package's 32 MB scratch budget.
     """
-    _check_k(k)
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
     return _records_batch(tree, k, seed, n_samples, first_index, False, chunk)
 
 
@@ -323,12 +211,10 @@ def simulate_edge_records_batch(
     seed: int,
     n_samples: int,
     first_index: int = 0,
-    chunk: int = 4096,
+    chunk: int | None = None,
 ) -> np.ndarray:
-    """Vectorized edge-variant record counts, shape ``(n_samples, k)``."""
-    _check_k(k)
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
+    """Edge-variant record counts, shape ``(n_samples, k)``; otherwise
+    as :func:`simulate_records_batch`, and coupled with it per sample."""
     return _records_batch(tree, k, seed, n_samples, first_index, True, chunk)
 
 
@@ -339,13 +225,16 @@ def simulate_edge_records_batch(
 
 def simulate_process(
     tree: CompleteTree, k: int, seed: int, sample_index: int = 0
-) -> SimSample:
-    """Run the cutting procedure once and count cuts until the root dies.
+) -> int:
+    """Run the cutting procedure once and return the number of cuts
+    until the root dies.
 
-    Each step selects uniformly among nodes whose own counter and all of
-    whose ancestors' counters are still below ``k`` (reachability is
-    evaluated lazily from the counters; detached subtrees are never
-    updated).  One uniform variate is consumed per cut.
+    This is the plain reference that :func:`simulate_process_batch` is
+    tested against row for row.  Each step selects uniformly among nodes
+    whose own counter and all of whose ancestors' counters are still
+    below ``k`` (reachability is evaluated lazily from the counters;
+    detached subtrees are never updated).  One uniform variate is
+    consumed per cut.
     """
     _check_k(k)
     rng = substream(seed, sample_index)
@@ -363,15 +252,7 @@ def simulate_process(
         cnt[pick] += 1
         total += 1
         if pick == 1 and cnt[1] == k:
-            return SimSample(
-                n=n,
-                k=k,
-                variant="node",
-                total=total,
-                per_r=None,
-                seed=seed,
-                sample_index=sample_index,
-            )
+            return total
 
 
 def simulate_process_batch(
@@ -380,7 +261,7 @@ def simulate_process_batch(
     seed: int,
     n_samples: int,
     first_index: int = 0,
-    chunk: int = 32768,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """Vectorized cut-count totals from the direct process, shape
     ``(n_samples,)``.
@@ -390,18 +271,20 @@ def simulate_process_batch(
     every unfinished sample picks one uniform connected node.  Sample
     ``i`` consumes the uniforms of substream ``(seed, first_index + i)``
     in cut order, one per cut, exactly like :func:`simulate_process`.
+    ``chunk`` (samples per pass) defaults to the package's 32 MB scratch
+    budget for the ``k * n`` uniforms of a sample.
     """
     _check_k(k)
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     n = tree.n
+    chunk = _chunk_rows(k * n, chunk)
     out = np.empty(n_samples, dtype=np.int64)
     levels = [
         np.arange(1 << h, min((1 << (h + 1)) - 1, n) + 1)
         for h in range(1, tree.max_height + 1)
     ]
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
         # Every cut consumes exactly one uniform, and there are at most
         # k*n cuts, so the whole per-sample stream can be drawn up front.
@@ -431,7 +314,6 @@ def simulate_process_batch(
                 out[done + sel] = totals[sel]
                 active = active[~finished]
             step += 1
-        done += c
     return out
 
 
@@ -520,32 +402,3 @@ def rescale_counts(
         raise ValueError(f"table was built for r={table.r}, got r={r!r}")
     scale = lg ** (r / k + 1.0) / (n * table.c2)
     return counts * scale - series.mu(r, k, n)
-
-
-def rescale_sample(
-    sample: SimSample,
-    r: int | None,
-    table: series.ConstantTable,
-    n: int,
-) -> float:
-    """Apply :func:`rescale_counts` to one :class:`SimSample`.
-
-    ``r = None`` rescales the total; otherwise the order-``r`` count is
-    used (requiring a record-view sample).  The sample's ``k`` must
-    match the constant table's.
-    """
-    if sample.k != table.k:
-        raise ValueError(
-            f"sample has k={sample.k} but table has k={table.k}"
-        )
-    if sample.n != n:
-        raise ValueError(f"sample has n={sample.n}, asked to rescale at {n}")
-    if r is None:
-        value = sample.total
-    else:
-        if sample.per_r is None:
-            raise ValueError("per-order rescaling needs a record-view sample")
-        if r not in sample.per_r:
-            raise ValueError(f"sample has no order-{r} count")
-        value = sample.per_r[r]
-    return float(rescale_counts(float(value), r, table, n))

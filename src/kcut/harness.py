@@ -179,16 +179,14 @@ def subsequence_select(
 
 def ks_statistic(samples, cdf) -> float:
     """Sup-norm distance between the empirical CDF of ``samples`` and
-    the reference ``cdf`` (a callable accepting scalars or arrays)."""
+    the reference ``cdf``, a vectorized callable that is called once on
+    the sorted samples and must return an array of the same shape."""
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("ks_statistic needs at least one sample")
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        f = np.array([float(cdf(v)) for v in x])
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise ValueError(f"cdf returned shape {f.shape} for {x.shape}")
     n = x.size
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
@@ -399,8 +397,6 @@ def _simulate_blocks(
         if config.variant == "edge"
         else cutsim.simulate_records_batch
     )
-    # Keep per-chunk scratch arrays near 32 MB whatever the tree size.
-    chunk = max(16, (1 << 22) // max(n, 1))
     blocks = [
         (start, min(_SAMPLE_BLOCK, config.samples - start))
         for start in range(0, config.samples, _SAMPLE_BLOCK)
@@ -410,9 +406,7 @@ def _simulate_blocks(
 
     def run(block: tuple[int, int]) -> np.ndarray:
         start, size = block
-        return batch(
-            tree, config.k, config.seed, size, first_index=start, chunk=chunk
-        )
+        return batch(tree, config.k, config.seed, size, first_index=start)
 
     if threads <= 1 or len(blocks) == 1:
         parts = [run(b) for b in blocks]
@@ -437,7 +431,6 @@ def _one_size(
     config: ExperimentConfig,
     p: limitdist.LimitParams,
     limit_table: series.ConstantTable,
-    rescale_table: series.ConstantTable,
     threads: int,
 ) -> NResult:
     exact = _exact_mean(n, config)
@@ -460,7 +453,7 @@ def _one_size(
     raw = (
         counts.sum(axis=1) if config.r is None else counts[:, config.r - 1]
     ).astype(float)
-    rescaled = cutsim.rescale_counts(raw, config.r, rescale_table, n)
+    rescaled = cutsim.rescale_counts(raw, config.r, limit_table, n)
     ks = ks_statistic(
         rescaled, lambda w: limitdist.limit_cdf(w, p, limit_table)
     )
@@ -503,14 +496,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     sizes = config.sizes()
     r_eff = 1 if config.r is None else config.r
     limit_table = series.constants(config.k, r_eff)
-    rescale_table = limit_table
     p = limitdist.LimitParams(r_eff, config.k, config.gamma_target)
     threads = resolve_threads(config.threads)
     results = []
     for n in sizes:
         try:
             results.append(
-                _one_size(n, config, p, limit_table, rescale_table, threads)
+                _one_size(n, config, p, limit_table, threads)
             )
         except Exception as exc:
             exc.args = (f"n={n}, seed={config.seed}: {exc}",)

@@ -28,7 +28,7 @@ Provided here:
   Filon-type quadrature so one transform evaluation serves arbitrarily
   many points;
 - ``xi_sampler`` / ``xi_sampler_batch`` -- the fast triangular-array
-  sampler at cost polylog(n) per draw (for ``n < 2**1024``).  Its sums
+  sampler at cost polylog(n) per draw, for any ``n``.  Its sums
   are centred by the array's exact truncated mean, one quadrature per
   weight class, and converge in law to the same limit.  Along the
   fixed-gamma ladder ``n = 2**40, 2**80, 2**160`` the KS distance to
@@ -52,7 +52,7 @@ from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from . import series, specfun
-from .cutsim import CompleteTree, substream
+from .cutsim import _chunk_rows, substream
 
 __all__ = [
     "LimitParams",
@@ -872,17 +872,24 @@ def limit_cdf(
 def _xi_weights(scale: ScaleParams) -> np.ndarray:
     """``m * n_v / n`` for all nodes of height at most L, in index order.
 
-    Subtree sizes are converted to float, so this needs ``n < 2**1024``;
-    beyond that the conversion raises ``OverflowError``.
+    The last level holds ``n - 2**m + 1`` nodes, filled from the left,
+    and a node at height ``h`` spans ``s = 2**(m - h)`` of its slots.  So
+    a level holds, left to right, subtrees of ``2 s - 1`` nodes, at most
+    one partly filled subtree, and subtrees of ``s - 1`` nodes.  The
+    three weights are exact ratios of Python ints, so any ``n`` works.
     """
-    tree = CompleteTree(scale.n)
-    count = (1 << (scale.L + 1)) - 1
-    if count > scale.n:
+    n, m = scale.n, scale.m
+    if (1 << (scale.L + 1)) - 1 > n:
         raise ValueError("height cutoff exceeds the tree; n too small")
-    sizes = np.array(
-        [tree.subtree_size(v) for v in range(1, count + 1)], dtype=float
-    )
-    return scale.m * sizes / float(scale.n)
+    last = n - (1 << m) + 1
+    levels = []
+    for h in range(scale.L + 1):
+        s = 1 << (m - h)
+        full, part = divmod(last, s)
+        sizes = (2 * s - 1, s - 1 + part, s - 1)
+        counts = (full, int(part > 0), (1 << h) - full - int(part > 0))
+        levels.append(np.repeat([m * size / n for size in sizes], counts))
+    return np.concatenate(levels)
 
 
 def _upper_gamma_reg(a: float, z: np.ndarray) -> np.ndarray:
@@ -984,8 +991,7 @@ def xi_sampler(
     nodes is itself far from the limit: its Levy mass above 1 is 1.312
     against ``levy_tail(1) = 1.466``.
 
-    Cost is O(2**L) = polylog(n) per draw, but the weights need ``n <
-    2**1024`` (see :func:`_xi_weights`).
+    Cost is O(2**L) = polylog(n) per draw.
     """
     return float(
         xi_sampler_batch(scale, p, table, seed, 1, first_index=sample_index)[0]
@@ -999,10 +1005,11 @@ def xi_sampler_batch(
     seed: int = 0,
     n_samples: int = 1,
     first_index: int = 0,
-    chunk: int = 2048,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`xi_sampler`; sample ``i`` uses substream
-    ``(seed, first_index + i)``."""
+    ``(seed, first_index + i)``.  ``chunk`` (samples per pass) defaults
+    to the package's 32 MB scratch budget for one row of clocks."""
     if table is None:
         table = series.constants(p.k, p.r)
     if table.k != p.k or table.r != p.r:
@@ -1016,9 +1023,9 @@ def xi_sampler_batch(
     kfact = float(math.factorial(p.k))
     weights = _xi_weights(scale)
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
+    chunk = _chunk_rows(weights.size, chunk)
     out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
         clocks = np.empty((c, weights.size))
         for i in range(c):
@@ -1027,5 +1034,4 @@ def xi_sampler_batch(
         z = scale.m * clocks**p.k / kfact
         xi = weights[None, :] * (ga * _upper_gamma_reg(a, z))
         out[done : done + c] = shift - table.c3 * xi.sum(axis=1)
-        done += c
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -65,23 +66,6 @@ def test_subtree_size_whole_tree() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Clocks.
-# ---------------------------------------------------------------------------
-
-
-def test_clock_assignment_shape_and_monotonicity() -> None:
-    rng = cutsim.substream(5, 0)
-    clocks = cutsim.ClockAssignment.draw(50, 3, rng)
-    assert clocks.n == 50 and clocks.k == 3
-    assert (np.diff(clocks.t, axis=1) > 0).all()
-    # T_{k,v} is Gamma(k,1): mean k with sd sqrt(k)/sqrt(n).
-    big = cutsim.ClockAssignment.draw(20_000, 3, rng)
-    assert big.t[:, 2].mean() == pytest.approx(
-        3.0, abs=5 * math.sqrt(3 / 20_000)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Brute-force oracle.
 # ---------------------------------------------------------------------------
 
@@ -124,16 +108,15 @@ def test_brute_force_caps() -> None:
 
 def test_records_root_always_counts() -> None:
     for seed in range(20):
-        s = cutsim.simulate_records(CompleteTree(9), 3, seed=seed)
-        assert s.variant == "node"
-        assert all(s.per_r[r] >= 1 for r in (1, 2, 3))
-        assert 3 <= s.total <= 3 * 9
+        (counts,) = cutsim.simulate_records_batch(CompleteTree(9), 3, seed, 1)
+        assert (counts >= 1).all()
+        assert 3 <= counts.sum() <= 3 * 9
 
 
 def test_records_single_node_tree() -> None:
-    s = cutsim.simulate_records(CompleteTree(1), 4, seed=0)
-    assert s.per_r == {r: 1 for r in range(1, 5)}
-    assert s.total == 4
+    counts = cutsim.simulate_records_batch(CompleteTree(1), 4, 0, 1)
+    assert counts.tolist() == [[1, 1, 1, 1]]
+    assert counts.sum() == 4
 
 
 def test_records_mean_two_nodes() -> None:
@@ -146,11 +129,13 @@ def test_records_mean_two_nodes() -> None:
 
 
 def test_edge_records_degenerate_cases() -> None:
-    assert cutsim.simulate_edge_records(CompleteTree(1), 2, seed=0).total == 0
+    single = cutsim.simulate_edge_records_batch(CompleteTree(1), 2, 0, 1)
+    assert single.sum() == 0
     for seed in range(10):
-        s = cutsim.simulate_edge_records(CompleteTree(2), 3, seed=seed)
-        assert s.variant == "edge"
-        assert s.total == 3
+        counts = cutsim.simulate_edge_records_batch(
+            CompleteTree(2), 3, seed, 1
+        )
+        assert counts.sum() == 3
 
 
 def test_edge_records_bounds() -> None:
@@ -172,6 +157,48 @@ def test_records_batch_split_invariance() -> None:
         tree, 2, seed=7, n_samples=100, chunk=13
     )
     assert np.array_equal(whole, again)
+
+
+def test_records_batch_matches_naive_sweep() -> None:
+    """Both variants equal a per-node loop over the same node-major
+    draws: ``v`` is an r-record iff ``T_{r,v}`` is below the least k-th
+    clock of its proper ancestors, the root excluded in the edge
+    variant, where the root itself never counts."""
+    tree, k, seed, first = CompleteTree(21), 3, 4, 5
+    node = cutsim.simulate_records_batch(tree, k, seed, 12, first)
+    edge = cutsim.simulate_edge_records_batch(tree, k, seed, 12, first)
+    for i in range(12):
+        e = cutsim.substream(seed, first + i).standard_exponential((tree.n, k))
+        t = np.cumsum(e, axis=1)
+        want_node, want_edge = np.zeros(k, int), np.zeros(k, int)
+        for v in range(1, tree.n + 1):
+            above = [t[(v >> s) - 1, k - 1] for s in range(1, v.bit_length())]
+            want_node += t[v - 1] < min(above, default=math.inf)
+            if v > 1:
+                want_edge += t[v - 1] < min(above[:-1], default=math.inf)
+        assert node[i].tolist() == want_node.tolist()
+        assert edge[i].tolist() == want_edge.tolist()
+
+
+def test_batch_chunk_must_be_positive() -> None:
+    tree = CompleteTree(7)
+    for chunk in (0, -3):
+        with pytest.raises(ValueError):
+            cutsim.simulate_records_batch(tree, 2, 0, 5, chunk=chunk)
+        with pytest.raises(ValueError):
+            cutsim.simulate_process_batch(tree, 2, 0, 5, chunk=chunk)
+
+
+def test_records_batch_default_chunk_bounds_memory() -> None:
+    """With the default chunk a batch holds about 32 MB of clocks at a
+    time, however many samples it is asked for."""
+    tracemalloc.start()
+    try:
+        cutsim.simulate_records_batch(CompleteTree(2**15 - 1), 2, 0, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_records_mean_monotone_in_n() -> None:
@@ -196,7 +223,7 @@ def test_records_mean_monotone_in_n() -> None:
 
 def test_process_single_node() -> None:
     for k in (1, 2, 5):
-        assert cutsim.simulate_process(CompleteTree(1), k, seed=0).total == k
+        assert cutsim.simulate_process(CompleteTree(1), k, seed=0) == k
 
 
 def test_process_determinism_and_batch_agreement() -> None:
@@ -205,7 +232,7 @@ def test_process_determinism_and_batch_agreement() -> None:
     b = cutsim.simulate_process(tree, 2, seed=10, sample_index=4)
     assert a == b
     singles = [
-        cutsim.simulate_process(tree, 2, seed=10, sample_index=i).total
+        cutsim.simulate_process(tree, 2, seed=10, sample_index=i)
         for i in range(25)
     ]
     batch = cutsim.simulate_process_batch(tree, 2, seed=10, n_samples=25)
@@ -303,21 +330,14 @@ def test_rescale_total_mode_weights() -> None:
     )
 
 
-def test_rescale_sample_validation() -> None:
+def test_rescale_counts_validation() -> None:
     table = series.constants(2, 1)
-    sample = cutsim.simulate_records(CompleteTree(16), 2, seed=0)
-    cutsim.rescale_sample(sample, 1, table, 16)
+    counts = cutsim.simulate_records_batch(CompleteTree(16), 2, 0, 1)
+    order1 = cutsim.rescale_counts(float(counts[0, 0]), 1, table, 16)
+    assert math.isfinite(order1)
     with pytest.raises(ValueError):
-        cutsim.rescale_sample(sample, 1, table, 32)
-    with pytest.raises(ValueError):
-        cutsim.rescale_sample(sample, 2, table, 16)  # table built for r=1
-    bad_k = cutsim.simulate_records(CompleteTree(16), 1, seed=0)
-    with pytest.raises(ValueError):
-        cutsim.rescale_sample(bad_k, 1, table, 16)
-    process = cutsim.simulate_process(CompleteTree(16), 2, seed=0)
-    with pytest.raises(ValueError):
-        cutsim.rescale_sample(process, 1, table, 16)
-    total_ok = cutsim.rescale_sample(process, None, table, 16)
-    assert math.isfinite(total_ok)
+        cutsim.rescale_counts(1.0, 2, table, 16)  # table built for r=1
+    total = cutsim.simulate_process(CompleteTree(16), 2, seed=0)
+    assert math.isfinite(cutsim.rescale_counts(float(total), None, table, 16))
     with pytest.raises(ValueError):
         cutsim.rescale_counts(1.0, 1, table, 3)

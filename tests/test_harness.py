@@ -115,13 +115,23 @@ def test_ks_calibration_scale() -> None:
     assert 0.3 < scaled < 1.95
 
 
-def test_ks_scalar_cdf_fallback() -> None:
+def test_ks_wrong_shape_cdf_raises() -> None:
     # The sup is reached just below the smallest sample, where the
     # empirical CDF is still 0 but the reference is already 0.25.
-    stat = harness.ks_statistic(
-        [0.25, 0.5, 0.75], lambda v: min(max(float(v), 0.0), 1.0)
-    )
+    x = [0.25, 0.5, 0.75]
+    stat = harness.ks_statistic(x, lambda v: np.clip(v, 0.0, 1.0))
     assert stat == pytest.approx(0.25)
+    # A scalar-only CDF returns one value for the whole sorted array.
+    with pytest.raises(ValueError):
+        harness.ks_statistic(x, lambda v: min(max(float(v[0]), 0.0), 1.0))
+
+
+def test_ks_cdf_type_error_propagates() -> None:
+    def broken(v):
+        raise TypeError("bug inside the CDF")
+
+    with pytest.raises(TypeError, match="bug inside the CDF"):
+        harness.ks_statistic([0.25, 0.5, 0.75], broken)
 
 
 def test_ks_empty_inputs_raise() -> None:
@@ -332,8 +342,7 @@ def test_total_and_r1_modes_share_limit_family() -> None:
     for e in (14, 18):
         n = 1 << e
         tree = cutsim.CompleteTree(n)
-        chunk = max(16, (1 << 22) // n)
-        counts = cutsim.simulate_records_batch(tree, 2, 4242, 1500, chunk=chunk)
+        counts = cutsim.simulate_records_batch(tree, 2, 4242, 1500)
         tot = cutsim.rescale_counts(
             counts.sum(axis=1).astype(float), None, table, n
         )

@@ -4,12 +4,14 @@ function, CDF inversion, and the triangular-array sampler."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from kcut import limitdist, series, specfun
+from kcut.cutsim import CompleteTree
 from kcut.limitdist import LimitParams, ScaleParams
 
 RNG = np.random.default_rng(20260825)
@@ -384,6 +386,33 @@ def test_xi_weights_shape_and_values() -> None:
     assert w[1] + w[2] == pytest.approx(sc.m * (1.0 - 1.0 / sc.n))
 
 
+def test_xi_weights_match_per_node_sizes() -> None:
+    """The per-level weights equal ``m * subtree_size(v) / n`` node by
+    node, at a size whose last level is partly filled."""
+    sc = ScaleParams.from_n((1 << 40) + 12345, 2)
+    tree = CompleteTree(sc.n)
+    count = (1 << (sc.L + 1)) - 1
+    want = np.array(
+        [sc.m * tree.subtree_size(v) / sc.n for v in range(1, count + 1)]
+    )
+    got = limitdist._xi_weights(sc)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_xi_weights_beyond_float_range() -> None:
+    """n above 2**1024 cannot be converted to float; the weights are
+    exact ratios of ints and stay finite."""
+    n = (1 << 1100) + 1
+    sc = ScaleParams.from_n(n, 1)
+    w = limitdist._xi_weights(sc)
+    assert w.size == (1 << (sc.L + 1)) - 1
+    assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+    assert w[0] == sc.m
+    # Level 1 holds every node but the root: m * (n - 1) / n in sum.
+    assert w[1] + w[2] == pytest.approx(sc.m)
+
+
 def test_xi_sampler_bounds_and_determinism() -> None:
     sc = ScaleParams.from_n(1 << 30, 2)
     p = LimitParams(1, 2, 0.0)
@@ -417,6 +446,33 @@ def test_xi_sampler_split_invariance() -> None:
         sc, p, table, seed=9, n_samples=20, first_index=12
     )
     assert np.array_equal(whole[12:], tail)
+
+
+def test_xi_sampler_chunk_invariance() -> None:
+    sc = ScaleParams.from_n(1 << 20, 2)
+    p = LimitParams(1, 2, 0.0)
+    table = series.constants(2, 1)
+    whole = limitdist.xi_sampler_batch(sc, p, table, seed=3, n_samples=30)
+    rechunked = limitdist.xi_sampler_batch(
+        sc, p, table, seed=3, n_samples=30, chunk=7
+    )
+    assert np.array_equal(whole, rechunked)
+
+
+def test_xi_sampler_default_chunk_bounds_memory() -> None:
+    """At n = 2**160, k = 2 a row has 8191 clocks, so the default chunk
+    of 512 rows keeps each chunk-sized temporary near 32 MB."""
+    sc = ScaleParams.from_n(1 << 160, 2)
+    p = LimitParams(1, 2, sc.gamma)
+    table = series.constants(2, 1)
+    limitdist.xi_sampler_batch(sc, p, table, seed=1, n_samples=1)
+    tracemalloc.start()
+    try:
+        limitdist.xi_sampler_batch(sc, p, table, seed=1, n_samples=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
 
 
 def test_xi_sampler_k_mismatch() -> None:
