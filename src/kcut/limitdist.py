@@ -83,18 +83,13 @@ class LimitParams:
     because a subsequence with fractional parts near both ends is
     ambiguous between them).  ``s_max`` caps the log-periodic series;
     terms are always cut adaptively once the analytic bound on the
-    remainder is below 1e-14 of the running sum.  ``quad_tol`` is the
-    absolute tolerance of non-oscillatory quadratures and ``t_osc`` the
-    frequency beyond which folded-block integrals switch from panel
-    quadrature to integration-by-parts asymptotics.
+    remainder is below 1e-14 of the running sum.
     """
 
     r: int
     k: int
     gamma: float
     s_max: int = 80
-    quad_tol: float = 1.0e-11
-    t_osc: float = 2000.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
@@ -283,11 +278,12 @@ def levy_block_mean(p: LimitParams, lo: float, hi: float) -> float:
     return sum(_piece_mean(p, c0, c1) for c0, c1 in segments)
 
 
+_QUAD_TOL = 1.0e-11  # absolute tolerance of non-oscillatory quadratures
+
+
 def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
     """``integral_lo^hi x**2 d nu`` by adaptive quadrature of the scalar
     density (no closed antiderivative exists for this moment)."""
-    from scipy import integrate
-
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     ga = specfun.gamma(p.a)
@@ -307,13 +303,14 @@ def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
         epsrel=1.0e-12,
         limit=200,
     )
-    if abserr > max(p.quad_tol, 1.0e-9 * abs(value)):
+    if abserr > max(_QUAD_TOL, 1.0e-9 * abs(value)):
         raise NumericError(
             f"moment quadrature error {abserr:.2e} above tolerance"
         )
     return value
 
 
+@lru_cache(maxsize=8)
 def f_constant(p: LimitParams) -> float:
     """Drift constant of the limit law.
 
@@ -377,7 +374,6 @@ class _Profile:
         a = p.a
         self.a = a
         self.ga = specfun.gamma(a)
-        self.g1pa = specfun.gamma(1.0 + a)
         cgrid = np.linspace(0.0, 1.0, _GRID + 1)
         smax = p.s_max
         s = np.arange(2, smax + 1)
@@ -521,6 +517,7 @@ def _profile(p: LimitParams) -> _Profile:
 # ---------------------------------------------------------------------------
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+_T_OSC = 2000.0  # block frequency where quadrature gives way to IBP
 
 
 class _CfMachine:
@@ -535,7 +532,7 @@ class _CfMachine:
     ``V(tau) = integral_1^2 (e^{i tau y} - 1) d nu``.  Low frequencies
     use panel Gauss-Legendre quadrature split at the profile's kink;
     ``Vm`` at tiny ``tau`` uses a Taylor branch in the block moments;
-    ``V`` at frequencies above ``t_osc`` uses integration by parts with
+    ``V`` at frequencies above ``_T_OSC`` uses integration by parts with
     exact boundary data (two terms where the density is smooth enough,
     one term otherwise), and the far-block tail sums to
     ``-2**(1-J) * nu([1,2])`` in closed form.
@@ -579,7 +576,7 @@ class _CfMachine:
         return complex(np.dot(real, d), np.dot(imag, d))
 
     def _v_ibp(self, tau: float) -> complex:
-        """V(tau) for tau beyond t_osc, by integration by parts."""
+        """V(tau) for tau beyond _T_OSC, by integration by parts."""
         b = self.bnd
         y = b["kink"]
         i_tau = 1j * tau
@@ -600,7 +597,7 @@ class _CfMachine:
         return complex(total)
 
     def v_plus(self, tau: float) -> complex:
-        if tau <= self.p.t_osc:
+        if tau <= _T_OSC:
             return self._v_quad(tau, compensated=False)
         return self._v_ibp(tau)
 
@@ -611,7 +608,7 @@ class _CfMachine:
                 -0.5 * tau * tau * m2 + tau**4 / 24.0 * m4,
                 -(tau**3) / 6.0 * m3,
             )
-        if tau <= self.p.t_osc:
+        if tau <= _T_OSC:
             return self._v_quad(tau, compensated=True)
         return self._v_ibp(tau) - 1j * tau * self.prof.mean12
 
@@ -664,7 +661,20 @@ def char_fn(t: float, p: LimitParams) -> complex:
 _T_FLOOR = 1.0e-10
 _GEO_RATIO = 1.1
 _PANEL_H = 0.25
+# Upper end of the inversion integral.  |psi(16)| < 1e-12 for every shape
+# r/k with k <= 8, so the panels past _T_MAX / 2 move the CDF far less
+# than _CDF_TOL; _CdfCache measures that move as its certificate.
+_T_MAX = 32.0
 _CDF_TOL = 1.0e-4
+_CDF_FLOATS_PER_POINT = 48  # held at once by _cdf_chunk; 47 by tracemalloc
+# Probe grid of the CDF certificate, in omega = x - f.
+_PROBE_OMEGA = np.concatenate(
+    [
+        -np.geomspace(40.0, 0.05, 25),
+        np.linspace(-0.04, 0.04, 9),
+        np.geomspace(0.05, 400.0, 40),
+    ]
+)
 
 
 def _filon_moments(omega: np.ndarray, h: float) -> np.ndarray:
@@ -712,39 +722,22 @@ class _CdfCache:
     part integrates in closed form (exponential integrals), the second
     is interpolated by panelwise cubics whose oscillatory moments are
     exact (a Filon rule).  One pass over the panels therefore prices the
-    CDF at any batch of points, however far in the tails.  ``t_max``
-    doubles until a probe grid of CDF values moves less than 1e-5.
+    CDF at any batch of points, however far in the tails.  The panels
+    run to ``_T_MAX``.  ``err_estimate`` is the largest change on a
+    probe grid between the CDF summed over the panels that end at or
+    below ``_T_MAX / 2`` and over all panels, plus the bound on the
+    omitted tail beyond ``_T_MAX``; it needs no further ``psi`` value.
     """
 
     def __init__(self, p: LimitParams) -> None:
         self.p = p
         self.f = f_constant(p)
-        machine = _machine(p)
-        self.err_estimate = math.inf
-        t_max = 16.0
-        prev = None
-        for _ in range(5):
-            self._build(machine, t_max)
-            probe = self._probe_points()
-            vals = self.cdf_w(probe)
-            if prev is not None:
-                move = float(np.max(np.abs(vals - prev)))
-                tail = self._tail_bound()
-                self.err_estimate = move + tail
-                if self.err_estimate <= 1.0e-5:
-                    break
-            prev = vals
-            t_max *= 2.0
-
-    def _probe_points(self) -> np.ndarray:
-        f = self.f
-        return np.concatenate(
-            [
-                f - np.geomspace(40.0, 0.05, 25),
-                np.linspace(f - 0.04, f + 0.04, 9),
-                f + np.geomspace(0.05, 400.0, 40),
-            ]
+        self._build(_machine(p))
+        half = int(np.searchsorted(self.edges, 0.5 * _T_MAX, side="right")) - 1
+        move = self._cdf_chunk(_PROBE_OMEGA, half) - self._cdf_chunk(
+            _PROBE_OMEGA, len(self.coeffs)
         )
+        self.err_estimate = float(np.max(np.abs(move))) + self._tail_bound()
 
     def _tail_bound(self) -> float:
         psi_end = abs(self.psi_end)
@@ -752,65 +745,60 @@ class _CdfCache:
         if psi_end <= 0.0:
             return 0.0
         decay = (
-            math.log(psi_mid / psi_end) / (0.5 * self.t_max)
+            math.log(psi_mid / psi_end) / (0.5 * _T_MAX)
             if 0.0 < psi_end < psi_mid
             else 1.0
         )
         decay = max(decay, 1.0e-3)
-        return psi_end / (math.pi * decay * self.t_max)
+        return psi_end / (math.pi * decay * _T_MAX)
 
-    def _build(self, machine: _CfMachine, t_max: float) -> None:
+    def _build(self, machine: _CfMachine) -> None:
         edges = [_T_FLOOR]
         while edges[-1] < 2.0:
             edges.append(edges[-1] * _GEO_RATIO)
         t = edges[-1]
-        while t < t_max:
-            t = min(t + _PANEL_H, t_max)
+        while t < _T_MAX:
+            t = min(t + _PANEL_H, _T_MAX)
             edges.append(t)
-        edges_arr = np.array(edges)
-        starts = edges_arr[:-1]
-        widths = np.diff(edges_arr)
-        # Four equispaced nodes per panel (endpoints shared in spirit,
-        # but evaluated per panel for simplicity).
+        self.edges = np.array(edges)
+        self.widths = np.diff(self.edges)
+        # Four equispaced nodes per panel; a panel's last node is the
+        # next panel's first, and psi is computed once per distinct node.
         offs = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-        nodes = starts[:, None] + widths[:, None] * offs[None, :]
-        flat = np.unique(nodes.ravel())
-        psi_map = {}
-        for tv in flat:
-            psi_map[tv] = np.exp(machine.exponent(float(tv)))
-        psi_nodes = np.vectorize(lambda tv: psi_map[tv])(nodes)
-        g2 = (psi_nodes - 1.0) / nodes
-        # Panelwise cubic coefficients in u = t - start (scaled by h).
-        coeff_s = np.einsum("ij,pj->pi", _V4_INV, g2)
-        self.starts = starts
-        self.widths = widths
-        self.coeffs = coeff_s  # coefficients in s = u/h
-        self.t_max = float(t_max)
-        self.psi_end = complex(psi_map[flat[-1]])
-        mid_idx = np.searchsorted(flat, 0.5 * t_max)
-        self.psi_mid = complex(psi_map[flat[min(mid_idx, len(flat) - 1)]])
+        nodes = self.edges[:-1, None] + self.widths[:, None] * offs[None, :]
+        flat, where = np.unique(nodes, return_inverse=True)
+        psi = np.array([np.exp(machine.exponent(float(tv))) for tv in flat])
+        g2 = (psi[where].reshape(nodes.shape) - 1.0) / nodes
+        # Panelwise cubic coefficients in s = (t - start) / h.
+        self.coeffs = np.einsum("ij,pj->pi", _V4_INV, g2)
+        self.psi_end = complex(psi[-1])
+        mid_idx = np.searchsorted(flat, 0.5 * _T_MAX)
+        self.psi_mid = complex(psi[min(mid_idx, len(flat) - 1)])
 
     def cdf_w(self, x: np.ndarray) -> np.ndarray:
         """CDF of W at the points ``x`` (vectorized)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         omega = x - self.f
         out = np.empty_like(omega)
-        chunk = 4096
+        chunk = _chunk_rows(_CDF_FLOATS_PER_POINT)
         for i in range(0, omega.size, chunk):
-            out[i : i + chunk] = self._cdf_chunk(omega[i : i + chunk])
+            out[i : i + chunk] = self._cdf_chunk(omega[i : i + chunk], len(self.coeffs))
         return out
 
-    def _cdf_chunk(self, omega: np.ndarray) -> np.ndarray:
+    def _cdf_chunk(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
+        """CDF at ``omega = x - f`` from the first ``n_panels`` panels,
+        with the closed-form 1/t part taken to the end of the last."""
+        t_end = self.edges[n_panels]
         j_total = np.zeros(omega.shape, dtype=complex)
         # Closed-form 1/t part.
         w_nz = np.where(omega == 0.0, 1.0, omega)
         e1_lo = special.exp1(1j * w_nz * _T_FLOOR)
-        e1_hi = special.exp1(1j * w_nz * self.t_max)
+        e1_hi = special.exp1(1j * w_nz * t_end)
         j_total += np.where(
-            omega == 0.0, math.log(self.t_max / _T_FLOOR), e1_lo - e1_hi
+            omega == 0.0, math.log(t_end / _T_FLOOR), e1_lo - e1_hi
         )
         # Filon panels for (psi - 1)/t.
-        for start, h, coeff in zip(self.starts, self.widths, self.coeffs):
+        for start, h, coeff in zip(self.edges[:n_panels], self.widths, self.coeffs):
             m = _filon_moments(omega, float(h))
             # coefficients are in s = u/h: the u**p term scales by h**-p
             acc = (
@@ -841,8 +829,9 @@ def limit_cdf(
 
     ``C3`` comes from the constant table for ``(k, r)``.  Raises
     :class:`NumericError` if the inversion's internal error estimate
-    (probe-grid movement under truncation doubling plus the bound on
-    the omitted tail) exceeds 1e-4.
+    (the largest probe-grid change between truncating the inversion
+    integral at ``_T_MAX / 2`` and at ``_T_MAX``, plus the bound on the
+    omitted tail) exceeds 1e-4.
     """
     if table is None:
         table = series.constants(p.k, p.r)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_tail_matches_density_derivative() -> None:
             want = limitdist.levy_tail(lo, p) - limitdist.levy_tail(hi, p)
             assert quad == pytest.approx(want, rel=1e-6, abs=1e-9)
             assert err < 1e-7 * max(1.0, abs(want))
+
+
+def test_profile_matches_scalar_density() -> None:
+    # The spline profile that the CF and the CDF use, against the scalar
+    # series on the package's own kernels, on both sides of the kink.
+    for r, k, g in ((1, 1, 0.0), (1, 2, 0.3), (2, 3, 0.9), (1, 8, 0.5), (8, 8, 0.7)):
+        p = LimitParams(r, k, g)
+        prof = limitdist._profile(p)
+        x = np.concatenate(
+            [np.geomspace(0.05, 40.0, 301), prof.kink + np.array([-1e-9, 1e-9])]
+        )
+        want = np.array([limitdist.levy_density(float(v), p) for v in x])
+        np.testing.assert_allclose(prof.dens(x), want, rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +361,40 @@ def test_limit_cdf_numeric_error_guard(monkeypatch) -> None:
     monkeypatch.setattr(limitdist, "_cdf_cache", lambda _: Bad())
     with pytest.raises(limitdist.NumericError):
         limitdist.limit_cdf(0.0, p)
+
+
+def test_cdf_cache_one_exponent_call_per_node(monkeypatch) -> None:
+    # One build at the fixed t_max: three new nodes per panel plus the
+    # first, each evaluated once.
+    calls = []
+    exponent = limitdist._CfMachine.exponent
+
+    def counted(self, t: float) -> complex:
+        calls.append(t)
+        return exponent(self, t)
+
+    monkeypatch.setattr(limitdist._CfMachine, "exponent", counted)
+    cache = limitdist._CdfCache(LimitParams(1, 2, 0.3))
+    assert len(cache.coeffs) == 369
+    assert len(calls) == len(set(calls)) == 3 * 369 + 1
+    assert cache.err_estimate < 1e-10
+
+
+def test_psi_negligible_at_half_t_max() -> None:
+    # The evidence behind the fixed t_max: for every shape a = r/k with
+    # k <= MAX_K, |psi| at t_max / 2 is far below the CDF tolerance, so
+    # the panels past it only confirm convergence.
+    shapes = {
+        Fraction(r, k)
+        for k in range(1, series.MAX_K + 1)
+        for r in range(1, k + 1)
+    }
+    assert len(shapes) == 22
+    for a in sorted(shapes):
+        for g in (0.0, 0.5):
+            p = LimitParams(a.numerator, a.denominator, g)
+            psi = np.exp(limitdist._machine(p).exponent(0.5 * limitdist._T_MAX))
+            assert abs(psi) < 1e-12, (a, g, abs(psi))
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
