@@ -280,6 +280,8 @@ def simulate_process_batch(
     n = tree.n
     chunk = _chunk_rows(k * n, chunk)
     out = np.empty(n_samples, dtype=np.int64)
+    # A node's counter reaches k, so int16 holds it only for k < 2**15.
+    counter = np.int16 if k < 1 << 15 else np.int64
     levels = [
         np.arange(1 << h, min((1 << (h + 1)) - 1, n) + 1)
         for h in range(1, tree.max_height + 1)
@@ -291,7 +293,7 @@ def simulate_process_batch(
         u = np.empty((c, k * n))
         for i in range(c):
             u[i] = substream(seed, first_index + done + i).random(k * n)
-        cnt = np.zeros((c, n + 1), dtype=np.int16)
+        cnt = np.zeros((c, n + 1), dtype=counter)
         totals = np.zeros(c, dtype=np.int64)
         active = np.arange(c)
         step = 0

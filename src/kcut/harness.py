@@ -324,6 +324,9 @@ class ExperimentReport:
     config: ExperimentConfig
     results: tuple[NResult, ...]
     versions: dict
+    # Certificate of the limit CDF the KS column used (None if no size
+    # drew samples); JSON only, so the CSV is unchanged.
+    numerics: dict | None
 
     def csv_text(self) -> str:
         """Deterministic CSV: header row, LF endings, 17-significant-
@@ -346,6 +349,7 @@ class ExperimentReport:
             "config": self.config.to_dict(),
             "versions": dict(self.versions),
             "results": [dataclasses.asdict(r) for r in self.results],
+            "numerics": self.numerics,
         }
 
     def json_text(self) -> str:
@@ -508,7 +512,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             exc.args = (f"n={n}, seed={config.seed}: {exc}",)
             raise
     return ExperimentReport(
-        config=config, results=tuple(results), versions=_versions()
+        config=config,
+        results=tuple(results),
+        versions=_versions(),
+        numerics=limitdist.cdf_certificate(p) if config.samples else None,
     )
 
 

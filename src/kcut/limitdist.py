@@ -22,11 +22,13 @@ Provided here:
 - ``levy_block_moment2``            -- quadrature ``integral x**2 d nu``;
 - ``f_constant``                    -- the drift series;
 - ``char_fn``                       -- the characteristic function,
-  assembled from dyadic blocks of the folded integrals;
+  assembled from dyadic blocks of the folded integrals, which are
+  priced for a whole array of frequencies in one pass;
 - ``limit_cdf``                     -- CDF of the limit ``1 - C3*W`` by
   characteristic-function inversion (Gil-Pelaez), with a cached
   Filon-type quadrature so one transform evaluation serves arbitrarily
-  many points;
+  many points, each block of points costing a few matrix products;
+- ``cdf_certificate``               -- the accuracy data of that cache;
 - ``xi_sampler`` / ``xi_sampler_batch`` -- the fast triangular-array
   sampler at cost polylog(n) per draw, for any ``n``.  Its sums
   are centred by the array's exact truncated mean, one quadrature per
@@ -65,6 +67,7 @@ __all__ = [
     "f_constant",
     "char_fn",
     "limit_cdf",
+    "cdf_certificate",
     "xi_sampler",
     "xi_sampler_batch",
 ]
@@ -518,6 +521,31 @@ def _profile(p: LimitParams) -> _Profile:
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _T_OSC = 2000.0  # block frequency where quadrature gives way to IBP
+# Entries per array in one pass of the quadrature or of the CDF
+# evaluation (512 kB of float64): small enough to stay in the L2 cache.
+_PASS_SIZE = 1 << 16
+
+
+def _gl_nodes(
+    pieces: list[tuple[float, float]], keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 8-point Gauss-Legendre rules on equal panels:
+    ``keys[g, q]`` panels on piece ``q`` for group ``g``, group by group
+    and piece by piece.  Panel edges are those of ``np.linspace``."""
+    lo = np.tile([piece[0] for piece in pieces], len(keys))
+    hi = np.tile([piece[1] for piece in pieces], len(keys))
+    counts = keys.ravel()
+    step = (hi - lo) / counts
+    pair = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = k * step[pair] + lo[pair]
+    right = np.where(
+        k + 1 == counts[pair], hi[pair], (k + 1) * step[pair] + lo[pair]
+    )
+    mid = 0.5 * (left + right)
+    half = (0.5 * ((step + lo) - lo))[pair]
+    nodes = (mid[:, None] + half[:, None] * _GL8[0][None, :]).ravel()
+    return nodes, (half[:, None] * _GL8[1][None, :]).ravel()
 
 
 class _CfMachine:
@@ -546,37 +574,72 @@ class _CfMachine:
 
     # -- folded block integrals --------------------------------------------
 
-    def _quad_nodes(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        xs, ws = [], []
-        for lo, hi in self.prof._pieces():
-            length = hi - lo
-            panels = max(2, int(math.ceil(length * max(tau, 1.0) / math.pi)))
-            edges = np.linspace(lo, hi, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            xs.append((mid[:, None] + half * _GL8[0][None, :]).ravel())
-            ws.append(np.broadcast_to(half * _GL8[1], (panels, 8)).ravel())
-        return np.concatenate(xs), np.concatenate(ws)
+    def _v_quad(
+        self, tau: np.ndarray, compensated: np.ndarray | bool
+    ) -> np.ndarray:
+        """``Vm`` where ``compensated`` and ``V`` elsewhere, at every
+        ``tau``, by panel Gauss-Legendre quadrature.
 
-    def _v_quad(self, tau: float, compensated: bool) -> complex:
-        y, w = self._quad_nodes(tau)
-        d = self.prof.dens(y) * w
-        arg = tau * y
-        s_half = np.sin(0.5 * arg)
-        real = -2.0 * s_half * s_half
-        if compensated:
-            small = np.abs(arg) < 1.0e-3
-            imag = np.where(
-                small,
-                -(arg**3) / 6.0 * (1.0 - arg * arg / 20.0),
-                np.sin(arg) - arg,
+        Each piece of [1, 2] gets ``max(2, ceil(length * max(tau, 1) /
+        pi))`` equal panels, so the frequencies with equal panel counts
+        form a group that shares its nodes.  Consecutive groups share one
+        density evaluation while their nodes fit in one pass, and each
+        group's sums are row sums over its (tau, node) array.
+        """
+        compensated = np.broadcast_to(compensated, tau.shape)
+        pieces = self.prof._pieces()
+        counts = np.stack(
+            [
+                np.maximum(2.0, np.ceil((hi - lo) * np.maximum(tau, 1.0) / math.pi))
+                for lo, hi in pieces
+            ],
+            axis=1,
+        ).astype(np.int64)
+        keys, group = np.unique(counts, axis=0, return_inverse=True)
+        group = group.ravel()
+        order = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[order], np.arange(len(keys) + 1))
+        sizes = 8 * keys.sum(axis=1)
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        out = np.empty(tau.shape, dtype=complex)
+        first = 0
+        while first < len(keys):
+            start = begins[first]
+            last = max(
+                first + 1,
+                int(np.searchsorted(ends, start + _PASS_SIZE, side="right")),
             )
-        else:
-            imag = np.sin(arg)
-        return complex(np.dot(real, d), np.dot(imag, d))
+            y_all, w_all = _gl_nodes(pieces, keys[first:last])
+            d_all = self.prof.dens(y_all) * w_all
+            for g in range(first, last):
+                nodes = slice(begins[g] - start, ends[g] - start)
+                y, d = y_all[nodes], d_all[nodes]
+                rows = order[bounds[g] : bounds[g + 1]]
+                # Row sums rather than BLAS products keep each tau's value
+                # independent of the other rows in its group.
+                step = max(1, _PASS_SIZE // y.size)
+                for i in range(0, rows.size, step):
+                    sel = rows[i : i + step]
+                    arg = np.multiply.outer(tau[sel], y)
+                    s_half = np.sin(0.5 * arg)
+                    real = -2.0 * (s_half * s_half * d).sum(axis=1)
+                    imag = np.sin(arg)
+                    comp = compensated[sel]
+                    if comp.any():
+                        a = arg[comp]
+                        imag[comp] = np.where(
+                            np.abs(a) < 1.0e-3,
+                            -(a**3) / 6.0 * (1.0 - a * a / 20.0),
+                            imag[comp] - a,
+                        )
+                    out[sel] = real + 1j * (imag * d).sum(axis=1)
+            first = last
+        return out
 
-    def _v_ibp(self, tau: float) -> complex:
-        """V(tau) for tau beyond _T_OSC, by integration by parts."""
+    def _v_ibp(self, tau: np.ndarray) -> np.ndarray:
+        """``V`` at every ``tau`` beyond ``_T_OSC``, by integration by
+        parts."""
         b = self.bnd
         y = b["kink"]
         i_tau = 1j * tau
@@ -594,42 +657,70 @@ class _CfMachine:
                 * (b["drho_kink_left"] - b["drho_kink_right"])
             ) / (i_tau * i_tau)
             total -= second
-        return complex(total)
+        return total
 
-    def v_plus(self, tau: float) -> complex:
-        if tau <= _T_OSC:
-            return self._v_quad(tau, compensated=False)
-        return self._v_ibp(tau)
-
-    def v_minus(self, tau: float) -> complex:
-        if tau <= 0.005:
+    def _v(self, tau: np.ndarray, compensated: np.ndarray) -> np.ndarray:
+        """``Vm`` where ``compensated`` and ``V`` elsewhere, at every ``tau
+        > 0``: Taylor branch (``Vm`` only), quadrature, or integration by
+        parts."""
+        out = np.empty(tau.shape, dtype=complex)
+        taylor = compensated & (tau <= 0.005)
+        ibp = tau > _T_OSC
+        quad = ~(taylor | ibp)
+        if taylor.any():
             m2, m3, m4 = self.prof._ref_moments
-            return complex(
-                -0.5 * tau * tau * m2 + tau**4 / 24.0 * m4,
-                -(tau**3) / 6.0 * m3,
+            ts = tau[taylor]
+            out[taylor] = (-0.5 * ts * ts * m2 + ts**4 / 24.0 * m4) + 1j * (
+                -(ts**3) / 6.0 * m3
             )
-        if tau <= _T_OSC:
-            return self._v_quad(tau, compensated=True)
-        return self._v_ibp(tau) - 1j * tau * self.prof.mean12
+        if quad.any():
+            out[quad] = self._v_quad(tau[quad], compensated[quad])
+        if ibp.any():
+            out[ibp] = self._v_ibp(tau[ibp])
+            shift = ibp & compensated
+            out[shift] -= 1j * tau[shift] * self.prof.mean12
+        return out
 
     # -- assembled exponent -------------------------------------------------
 
-    def exponent(self, t: float) -> complex:
-        """I(t) for t >= 0."""
-        if t == 0.0:
-            return 0.0 + 0.0j
+    def exponent(self, t) -> np.ndarray:
+        """I(t) for every ``t >= 0`` of the array ``t`` (same shape out).
+
+        All folded frequencies, ``t / 2**j`` for ``j = 1..j_lo(t)`` and
+        ``t * 2**j`` for ``j = 0..24``, are gathered with their weights
+        into one table, priced in one pass per branch, and summed per
+        ``t``.
+        """
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
         m2 = max(self.prof._ref_moments[0], 1.0e-12)
-        j_lo = max(
-            1, int(math.ceil(math.log2(max(t * t * m2, 1.0e-30) / 1.0e-13)))
-        )
-        total = 0.0 + 0.0j
-        for j in range(1, j_lo + 1):
-            total += (2.0**j) * self.v_minus(t / 2.0**j)
+        j_lo = np.maximum(
+            1.0,
+            np.ceil(np.log2(np.maximum(flat * flat * m2, 1.0e-30) / 1.0e-13)),
+        ).astype(np.int64)
         j_hi = 24
-        for j in range(0, j_hi + 1):
-            total += (2.0**-j) * self.v_plus(t * 2.0**j)
-        total += -(2.0 ** (-j_hi)) * self.prof.mass12
-        return total
+        live = flat != 0.0
+        # Row r scales t by folds[r]: 2**-(r+1) for the first j_max rows
+        # (Vm, used while r < j_lo(t)), then 2**j for j = 0..j_hi (V).
+        j_max = int(j_lo.max(initial=1))
+        folds = np.concatenate(
+            [2.0 ** -np.arange(1, j_max + 1), 2.0 ** np.arange(0, j_hi + 1)]
+        )[:, None]
+        row = np.arange(folds.size)[:, None]
+        minus = row < j_max
+        use = live & (~minus | (row < j_lo))
+        taus = folds * flat
+        terms = np.zeros(taus.shape, dtype=complex)
+        terms[use] = self._v(
+            taus[use], np.broadcast_to(minus, taus.shape)[use]
+        ) * np.broadcast_to(1.0 / folds, taus.shape)[use]
+        # Adding the folds row by row, in order, gives each t the same
+        # value whatever else is in the batch.
+        total = np.zeros(flat.size, dtype=complex)
+        for fold in terms:
+            total += fold
+        total -= np.where(live, 2.0 ** (-j_hi) * self.prof.mass12, 0.0)
+        return total.reshape(t.shape)
 
 
 @lru_cache(maxsize=8)
@@ -666,7 +757,6 @@ _PANEL_H = 0.25
 # than _CDF_TOL; _CdfCache measures that move as its certificate.
 _T_MAX = 32.0
 _CDF_TOL = 1.0e-4
-_CDF_FLOATS_PER_POINT = 48  # held at once by _cdf_chunk; 47 by tracemalloc
 # Probe grid of the CDF certificate, in omega = x - f.
 _PROBE_OMEGA = np.concatenate(
     [
@@ -675,36 +765,8 @@ _PROBE_OMEGA = np.concatenate(
         np.geomspace(0.05, 400.0, 40),
     ]
 )
-
-
-def _filon_moments(omega: np.ndarray, h: float) -> np.ndarray:
-    """``integral_0^h u**p e^{-i omega u} du`` for p = 0..3, vectorized.
-
-    Uses the exact recurrence ``m_p = (h**p e^{zh} - p m_{p-1})/z`` with
-    ``z = -i omega`` where it is well conditioned and an 18-term power
-    series where ``|omega| h < 1/2`` (the recurrence cancels there).
-    """
-    z = -1j * omega
-    zh = z * h
-    small = np.abs(zh) < 0.5
-    z_safe = np.where(small, 1.0, z)
-    ezh = np.exp(zh)
-    out = np.empty((4,) + omega.shape, dtype=complex)
-    out[0] = (ezh - 1.0) / z_safe
-    for pw in range(1, 4):
-        out[pw] = (h**pw * ezh - pw * out[pw - 1]) / z_safe
-    if np.any(small):
-        zh_s = zh[small]
-        acc = np.zeros((4,) + zh_s.shape, dtype=complex)
-        term = np.ones(zh_s.shape, dtype=complex)
-        for j in range(18):
-            for pw in range(4):
-                acc[pw] += term / (pw + j + 1)
-            term = term * zh_s / (j + 1)
-        for pw in range(4):
-            out[pw][small] = h ** (pw + 1) * acc[pw]
-    return out
-
+# Terms of the power series of a panel's moments where |omega h| < 1/2.
+_SERIES_TERMS = 18
 
 # Inverse of the Vandermonde matrix on nodes {0, 1/3, 2/3, 1}: maps four
 # samples to monomial coefficients in the scaled variable s = u/h.
@@ -713,20 +775,47 @@ _V4_INV = np.linalg.inv(
 )
 
 
+def _im_table(table: np.ndarray) -> np.ndarray:
+    """Real ``(m, 2 * panels)`` table whose columns ``2j`` and ``2j + 1``,
+    times ``Re E_j`` and ``Im E_j``, sum to ``Im(E_j * table[j])``."""
+    out = np.empty((table.shape[1], 2 * table.shape[0]))
+    out[:, 0::2] = table.imag.T
+    out[:, 1::2] = table.real.T
+    return out
+
+
 class _CdfCache:
     """Cached Gil-Pelaez inversion data for one parameter set.
 
     The integrand ``Im[char_fn(t) e^{-itx}]/t`` is rewritten with
     ``char_fn(t) = e^{itf} psi(t)`` so the oscillation frequency is
     ``omega = x - f``, and is split as ``1/t + (psi(t)-1)/t``; the first
-    part integrates in closed form (exponential integrals), the second
-    is interpolated by panelwise cubics whose oscillatory moments are
-    exact (a Filon rule).  One pass over the panels therefore prices the
-    CDF at any batch of points, however far in the tails.  The panels
-    run to ``_T_MAX``.  ``err_estimate`` is the largest change on a
-    probe grid between the CDF summed over the panels that end at or
-    below ``_T_MAX / 2`` and over all panels, plus the bound on the
-    omitted tail beyond ``_T_MAX``; it needs no further ``psi`` value.
+    part integrates in closed form (the sine integral), the second is
+    interpolated by panelwise cubics ``g_j`` whose oscillatory integrals
+    are exact (a Filon rule).  The panels run to ``_T_MAX``, and ``psi``
+    comes from one :meth:`_CfMachine.exponent` call on all distinct
+    nodes.
+
+    The build stores, per panel ``j`` of width ``h_j``, the power-series
+    coefficients ``beta[j, n] = h_j**(n+1)/n! * sum_p c_jp/(p+n+1)`` of
+    ``integral_0^h_j g_j(u) e^{zu} du`` in ``z = -i omega``, ``n < 18``,
+    and the derivatives ``g_j^(k)`` at both panel ends, ``k <= 3``.  With
+    one complex exponential ``E_j = exp(-i omega t_j)`` per (point,
+    edge), a block of points then costs matrix products: ``E @ beta``
+    plus Horner in ``z`` on the panels with ``|omega h_j| < 1/2``, and
+    the exact four-term integration by parts ``sum_k (-1)**k z**-(k+1)
+    (E_{j+1} g_j^(k)(h_j) - E_j g_j^(k)(0))`` on the others.  Only the
+    imaginary part enters the CDF and ``z`` is imaginary, so the tables
+    are kept real: each power of ``z`` picks the real or imaginary part
+    of its coefficient (:func:`_im_table`).  So the CDF at any batch of
+    points, however far in the tails, needs no further ``psi``.
+
+    ``err_estimate`` is the largest change on a probe grid between the
+    CDF summed over the panels that end at or below ``_T_MAX / 2`` and
+    over all panels, plus the bound on the omitted tail beyond
+    ``_T_MAX``.  It covers the truncation of the inversion integral
+    only, not the cubic interpolation of ``psi`` or the error of
+    ``psi`` itself.
     """
 
     def __init__(self, p: LimitParams) -> None:
@@ -734,7 +823,7 @@ class _CdfCache:
         self.f = f_constant(p)
         self._build(_machine(p))
         half = int(np.searchsorted(self.edges, 0.5 * _T_MAX, side="right")) - 1
-        move = self._cdf_chunk(_PROBE_OMEGA, half) - self._cdf_chunk(
+        move = self._cdf_block(_PROBE_OMEGA, half) - self._cdf_block(
             _PROBE_OMEGA, len(self.coeffs)
         )
         self.err_estimate = float(np.max(np.abs(move))) + self._tail_bound()
@@ -767,51 +856,85 @@ class _CdfCache:
         offs = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
         nodes = self.edges[:-1, None] + self.widths[:, None] * offs[None, :]
         flat, where = np.unique(nodes, return_inverse=True)
-        psi = np.array([np.exp(machine.exponent(float(tv))) for tv in flat])
+        psi = np.exp(machine.exponent(flat))
         g2 = (psi[where].reshape(nodes.shape) - 1.0) / nodes
         # Panelwise cubic coefficients in s = (t - start) / h.
         self.coeffs = np.einsum("ij,pj->pi", _V4_INV, g2)
         self.psi_end = complex(psi[-1])
         mid_idx = np.searchsorted(flat, 0.5 * _T_MAX)
         self.psi_mid = complex(psi[min(mid_idx, len(flat) - 1)])
+        h = self.widths[:, None]
+        n = np.arange(_SERIES_TERMS)
+        powers = np.arange(4)
+        beta = (h ** (n + 1) / special.factorial(n)) * (
+            self.coeffs @ (1.0 / (powers[:, None] + n[None, :] + 1))
+        )
+        # g_j^(k) at u = 0 and u = h_j, with falling[k, p] = p!/(p-k)!.
+        falling = np.array([[math.perm(pw, k) for pw in powers] for k in powers])
+        scale = h ** -powers
+        g_lo = self.coeffs * np.diag(falling) * scale
+        g_hi = (self.coeffs @ falling.T) * scale
+        # Each column times its unit phase: z**n = (-i)**n omega**n and
+        # (-1)**k z**-(k+1) = (-1)**k i**(k+1) omega**-(k+1).
+        self.series = _im_table(beta * np.array([1, -1j, -1, 1j])[n % 4])
+        ibp_phase = np.array([1j, 1, -1j, -1])
+        self.ibp_hi = _im_table(g_hi * ibp_phase)
+        self.ibp_lo = _im_table(g_lo * ibp_phase)
 
     def cdf_w(self, x: np.ndarray) -> np.ndarray:
         """CDF of W at the points ``x`` (vectorized)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         omega = x - self.f
         out = np.empty_like(omega)
-        chunk = _chunk_rows(_CDF_FLOATS_PER_POINT)
+        chunk = max(1, _PASS_SIZE // len(self.edges))
         for i in range(0, omega.size, chunk):
-            out[i : i + chunk] = self._cdf_chunk(omega[i : i + chunk], len(self.coeffs))
+            out[i : i + chunk] = self._cdf_block(
+                omega[i : i + chunk], len(self.coeffs)
+            )
         return out
 
-    def _cdf_chunk(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
+    def _cdf_block(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
         """CDF at ``omega = x - f`` from the first ``n_panels`` panels,
-        with the closed-form 1/t part taken to the end of the last."""
+        with the closed-form 1/t part taken to the end of the last.
+
+        Raises :class:`NumericError` for a value outside ``[-_CDF_TOL, 1 +
+        _CDF_TOL]``; values inside that band are clipped to [0, 1].
+        """
         t_end = self.edges[n_panels]
-        j_total = np.zeros(omega.shape, dtype=complex)
-        # Closed-form 1/t part.
-        w_nz = np.where(omega == 0.0, 1.0, omega)
-        e1_lo = special.exp1(1j * w_nz * _T_FLOOR)
-        e1_hi = special.exp1(1j * w_nz * t_end)
-        j_total += np.where(
-            omega == 0.0, math.log(t_end / _T_FLOOR), e1_lo - e1_hi
-        )
-        # Filon panels for (psi - 1)/t.
-        for start, h, coeff in zip(self.edges[:n_panels], self.widths, self.coeffs):
-            m = _filon_moments(omega, float(h))
-            # coefficients are in s = u/h: the u**p term scales by h**-p
-            acc = (
-                coeff[0] * m[0]
-                + coeff[1] * m[1] / h
-                + coeff[2] * m[2] / h**2
-                + coeff[3] * m[3] / h**3
+        # Filon panels for (psi - 1)/t, with E[:, j] = exp(-i omega t_j).
+        # Each point's sums over panels are a matrix-vector product of
+        # their own, so no point's value depends on the other points of
+        # its block.
+        def panel_sums(mask, e_part, table):
+            masked = np.where(mask, e_part, 0.0).view(float)
+            return (table[:, : 2 * n_panels] @ masked[:, :, None])[:, :, 0]
+
+        theta = np.multiply.outer(-omega, self.edges[: n_panels + 1])
+        e = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=e.real)
+        np.sin(theta, out=e.imag)
+        small = np.abs(omega)[:, None] * self.widths[None, :n_panels] < 0.5
+        large = ~small
+        # terms[:, n] = Im((-i)**n S_n) for the series S_n of the small
+        # panels, and ibp[:, k] likewise, so Horner in omega and in 1/omega
+        # gives Im J of the panels.
+        terms = panel_sums(small, e[:, :-1], self.series)
+        im_j = terms[:, -1]
+        for col in range(_SERIES_TERMS - 2, -1, -1):
+            im_j = im_j * omega + terms[:, col]
+        ibp = panel_sums(large, e[:, 1:], self.ibp_hi)
+        ibp -= panel_sums(large, e[:, :-1], self.ibp_lo)
+        u = 1.0 / np.where(large.any(axis=1), omega, 1.0)
+        im_j += u * (ibp[:, 0] + u * (ibp[:, 1] + u * (ibp[:, 2] + u * ibp[:, 3])))
+        # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
+        vals = 0.5 + (special.sici(omega * t_end)[0] - im_j) / math.pi
+        outside = (vals < -_CDF_TOL) | (vals > 1.0 + _CDF_TOL)
+        if outside.any():
+            worst = float(vals[outside][np.argmax(np.abs(vals[outside] - 0.5))])
+            raise NumericError(
+                f"CDF value {worst:.3e} lies outside [0, 1] by more than "
+                f"{_CDF_TOL:.0e}"
             )
-            j_total += np.exp(-1j * omega * start) * acc
-        # Sub-floor sine-integral piece of the 1/t part.
-        z = omega * _T_FLOOR
-        si = z - z**3 / 18.0
-        vals = 0.5 - (np.imag(j_total) - si) / math.pi
         return np.clip(vals, 0.0, 1.0)
 
 
@@ -831,7 +954,11 @@ def limit_cdf(
     :class:`NumericError` if the inversion's internal error estimate
     (the largest probe-grid change between truncating the inversion
     integral at ``_T_MAX / 2`` and at ``_T_MAX``, plus the bound on the
-    omitted tail) exceeds 1e-4.
+    omitted tail) exceeds 1e-4, or if a computed value lies outside
+    [0, 1] by more than 1e-4.  The estimate covers the truncation of the
+    inversion integral only, not the discretization of ``psi`` by
+    panelwise cubics nor the error of ``psi`` itself; values are clipped
+    to [0, 1] within the 1e-4 band.
     """
     if table is None:
         table = series.constants(p.k, p.r)
@@ -851,6 +978,18 @@ def limit_cdf(
     if np.isscalar(w) or np.ndim(w) == 0:
         return float(vals[0])
     return vals
+
+
+def cdf_certificate(p: LimitParams) -> dict:
+    """Accuracy data of the cached inversion behind :func:`limit_cdf`:
+    its truncation ``err_estimate``, the upper end ``t_max`` of the
+    inversion integral and the number of Filon panels."""
+    cache = _cdf_cache(p)
+    return {
+        "cdf_err_estimate": cache.err_estimate,
+        "cdf_t_max": float(cache.edges[-1]),
+        "cdf_panels": len(cache.coeffs),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -881,14 +1020,17 @@ def _xi_weights(scale: ScaleParams) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def _upper_gamma_reg(a: float, z: np.ndarray) -> np.ndarray:
+def _upper_gamma_reg(
+    a: float, z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Regularized upper incomplete gamma, vectorized; the common shapes
-    a = 1 and a = 1/2 reduce to exp and erfc."""
+    a = 1 and a = 1/2 reduce to exp and erfc.  ``out`` (which may be
+    ``z`` itself) receives the result without a temporary."""
     if a == 1.0:
-        return np.exp(-z)
+        return np.exp(np.negative(z, out=out), out=out)
     if a == 0.5:
-        return special.erfc(np.sqrt(z))
-    return special.gammaincc(a, z)
+        return special.erfc(np.sqrt(z, out=out), out=out)
+    return special.gammaincc(a, z, out=out)
 
 
 # Breakpoints of the centring quadrature, in units of the clock scale
@@ -998,7 +1140,8 @@ def xi_sampler_batch(
 ) -> np.ndarray:
     """Vectorized :func:`xi_sampler`; sample ``i`` uses substream
     ``(seed, first_index + i)``.  ``chunk`` (samples per pass) defaults
-    to the package's 32 MB scratch budget for one row of clocks."""
+    to the package's 32 MB scratch budget for one row of clocks; the
+    whole chunk is computed in place in one such buffer."""
     if table is None:
         table = series.constants(p.k, p.r)
     if table.k != p.k or table.r != p.r:
@@ -1014,13 +1157,19 @@ def xi_sampler_batch(
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
     chunk = _chunk_rows(weights.size, chunk)
     out = np.empty(n_samples)
+    buf = np.empty((min(chunk, n_samples), weights.size))
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
-        clocks = np.empty((c, weights.size))
+        xi = buf[:c]
         for i in range(c):
             rng = substream(seed, first_index + done + i)
-            clocks[i] = rng.standard_gamma(p.k, weights.size)
-        z = scale.m * clocks**p.k / kfact
-        xi = weights[None, :] * (ga * _upper_gamma_reg(a, z))
+            rng.standard_gamma(p.k, out=xi[i])
+        # xi_v = weights * ga * Q(a, m T**k / k!), built in place.
+        np.power(xi, p.k, out=xi)
+        np.multiply(xi, scale.m, out=xi)
+        np.divide(xi, kfact, out=xi)
+        _upper_gamma_reg(a, xi, out=xi)
+        np.multiply(xi, ga, out=xi)
+        np.multiply(xi, weights, out=xi)
         out[done : done + c] = shift - table.c3 * xi.sum(axis=1)
     return out

@@ -243,6 +243,17 @@ def test_process_determinism_and_batch_agreement() -> None:
     assert np.array_equal(batch, rechunked)
 
 
+def test_process_batch_counts_past_int16() -> None:
+    # k = 2**15 + 1 overflows an int16 counter; the batch must still
+    # match the plain reference.
+    k = 2**15 + 1
+    batch = cutsim.simulate_process_batch(CompleteTree(1), k, 3, 2)
+    assert batch.tolist() == [
+        cutsim.simulate_process(CompleteTree(1), k, 3, sample_index=i)
+        for i in range(2)
+    ]
+
+
 def test_process_total_bounds() -> None:
     totals = cutsim.simulate_process_batch(
         CompleteTree(7), 2, seed=2, n_samples=400

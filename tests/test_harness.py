@@ -306,6 +306,18 @@ def test_report_thread_count_invariance() -> None:
     assert one.json_dict()["results"] == eight.json_dict()["results"]
 
 
+def test_report_json_carries_cdf_certificate() -> None:
+    base = _smoke_config(samples=200)
+    one = harness.run_experiment(dataclasses.replace(base, threads=1))
+    two = harness.run_experiment(dataclasses.replace(base, threads=2))
+    numerics = one.json_dict()["numerics"]
+    assert numerics == two.json_dict()["numerics"]
+    assert set(numerics) == {"cdf_err_estimate", "cdf_t_max", "cdf_panels"}
+    assert 0.0 < numerics["cdf_err_estimate"] < 1e-4
+    assert numerics["cdf_t_max"] == 32.0 and numerics["cdf_panels"] == 369
+    assert one.csv_text() == two.csv_text()
+
+
 def test_report_json_mirrors_csv(tmp_path) -> None:
     cfg = _smoke_config(
         samples=100,

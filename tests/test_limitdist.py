@@ -299,10 +299,25 @@ def test_char_fn_quad_ibp_seam() -> None:
     # The panel-quadrature and integration-by-parts routes agree near
     # the switchover frequency.
     m = limitdist._machine(LimitParams(1, 2, 0.3))
-    for tau in (1500.0, 2500.0):
-        q = m._v_quad(tau, compensated=False)
-        i = m._v_ibp(tau)
-        assert abs(q - i) <= 1e-7
+    tau = np.array([1500.0, 2500.0])
+    gap = np.abs(m._v_quad(tau, compensated=False) - m._v_ibp(tau))
+    assert np.all(gap <= 1e-7)
+
+
+def test_exponent_array_equals_per_element_calls() -> None:
+    # One array call prices every branch (t = 0, Taylor folds, shared
+    # quadrature groups, integration by parts) exactly as calls made one
+    # t at a time do.
+    t = np.concatenate(
+        [[0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 32.0, 40), [700.0, 2500.0]]
+    )
+    for p in (LimitParams(1, 2, 0.3), LimitParams(2, 3, 0.9)):
+        m = limitdist._machine(p)
+        whole = m.exponent(t)
+        assert whole.shape == t.shape
+        singles = np.array([m.exponent(float(v)) for v in t])
+        assert np.array_equal(whole, singles)
+        assert m.exponent(0.0) == 0.0
 
 
 def test_char_fn_regression_value() -> None:
@@ -364,20 +379,116 @@ def test_limit_cdf_numeric_error_guard(monkeypatch) -> None:
 
 
 def test_cdf_cache_one_exponent_call_per_node(monkeypatch) -> None:
-    # One build at the fixed t_max: three new nodes per panel plus the
-    # first, each evaluated once.
+    # One build at the fixed t_max, one exponent call on all its nodes:
+    # three new nodes per panel plus the first, each passed once.
     calls = []
     exponent = limitdist._CfMachine.exponent
 
-    def counted(self, t: float) -> complex:
-        calls.append(t)
+    def counted(self, t):
+        calls.append(np.array(t, dtype=float).ravel())
         return exponent(self, t)
 
     monkeypatch.setattr(limitdist._CfMachine, "exponent", counted)
     cache = limitdist._CdfCache(LimitParams(1, 2, 0.3))
     assert len(cache.coeffs) == 369
-    assert len(calls) == len(set(calls)) == 3 * 369 + 1
+    assert len(calls) == 1
+    assert calls[0].size == np.unique(calls[0]).size == 3 * 369 + 1
     assert cache.err_estimate < 1e-10
+
+
+def _filon_moments(omega: np.ndarray, h: float) -> np.ndarray:
+    """``integral_0^h u**p e^{-i omega u} du`` for p = 0..3: the exact
+    recurrence ``m_p = (h**p e^{zh} - p m_{p-1})/z``, ``z = -i omega``,
+    or an 18-term power series where ``|omega| h < 1/2``."""
+    z = -1j * omega
+    zh = z * h
+    small = np.abs(zh) < 0.5
+    z_safe = np.where(small, 1.0, z)
+    ezh = np.exp(zh)
+    out = np.empty((4,) + omega.shape, dtype=complex)
+    out[0] = (ezh - 1.0) / z_safe
+    for pw in range(1, 4):
+        out[pw] = (h**pw * ezh - pw * out[pw - 1]) / z_safe
+    if np.any(small):
+        zh_s = zh[small]
+        acc = np.zeros((4,) + zh_s.shape, dtype=complex)
+        term = np.ones(zh_s.shape, dtype=complex)
+        for j in range(18):
+            for pw in range(4):
+                acc[pw] += term / (pw + j + 1)
+            term = term * zh_s / (j + 1)
+        for pw in range(4):
+            out[pw][small] = h ** (pw + 1) * acc[pw]
+    return out
+
+
+def _per_panel_cdf(cache, omega: np.ndarray) -> np.ndarray:
+    """CDF of W at ``omega = x - f`` by a loop over the cache's panels,
+    one set of Filon moments per panel: the oracle of the matrix-product
+    evaluator."""
+    t_end = cache.edges[-1]
+    w_nz = np.where(omega == 0.0, 1.0, omega)
+    j_total = np.where(
+        omega == 0.0,
+        math.log(t_end / limitdist._T_FLOOR),
+        special.exp1(1j * w_nz * limitdist._T_FLOOR)
+        - special.exp1(1j * w_nz * t_end),
+    )
+    for start, h, coeff in zip(cache.edges[:-1], cache.widths, cache.coeffs):
+        m = _filon_moments(omega, float(h))
+        acc = (
+            coeff[0] * m[0]
+            + coeff[1] * m[1] / h
+            + coeff[2] * m[2] / h**2
+            + coeff[3] * m[3] / h**3
+        )
+        j_total = j_total + np.exp(-1j * omega * start) * acc
+    z = omega * limitdist._T_FLOOR
+    vals = 0.5 - (np.imag(j_total) - (z - z**3 / 18.0)) / math.pi
+    return np.clip(vals, 0.0, 1.0)
+
+
+def test_cdf_matches_per_panel_filon_loop() -> None:
+    grid = np.linspace(-400.0, 8.0, 4097)
+    for r, k, g in ((1, 1, 0.0), (1, 2, (-math.log2(5.0)) % 1.0), (2, 3, 0.9)):
+        p = LimitParams(r, k, g)
+        cache = limitdist._cdf_cache(p)
+        x = (1.0 - grid) / series.constants(k, r).c3
+        want = _per_panel_cdf(cache, x - cache.f)
+        assert np.max(np.abs(cache.cdf_w(x) - want)) <= 1e-13
+    # 100k points over several evaluation blocks, with omega = 0 exactly,
+    # |omega| < 1e-9 and |omega| near 1e4.
+    omega = np.concatenate(
+        [
+            [0.0, 1e-10, -3e-12, 5e-10, 1e4, -1e4, 9.5e3, -1.2e4],
+            np.random.default_rng(3).uniform(-60.0, 4.0, 99_992),
+        ]
+    )
+    got = cache.cdf_w(omega + cache.f)
+    want = _per_panel_cdf(cache, (omega + cache.f) - cache.f)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_limit_cdf_fails_loudly_outside_unit_interval(monkeypatch) -> None:
+    # series[0, 0] multiplies Re E_0 = cos(1e-10 omega), about 1, in Im of
+    # the first panel's integral of (psi - 1)/t; raising it by delta
+    # lowers every CDF value of W by delta/pi, and in the light left
+    # tail that pushes values below 0.
+    p = LimitParams(1, 1, 0.0)
+    table = series.constants(1, 1)
+    cache = limitdist._cdf_cache(p)
+    w = np.linspace(20.0, 40.0, 5)
+    assert np.all(limitdist.limit_cdf(w, p, table) > 1.0 - 1e-5)
+    for delta, fails in ((5e-5, False), (2e-4, True)):
+        perturbed = cache.series.copy()
+        perturbed[0, 0] += math.pi * delta
+        monkeypatch.setattr(cache, "series", perturbed)
+        if fails:
+            with pytest.raises(limitdist.NumericError, match="outside"):
+                limitdist.limit_cdf(w, p, table)
+        else:
+            # Inside the band the excursion is clipped.
+            assert np.all(limitdist.limit_cdf(w, p, table) == 1.0)
 
 
 def test_psi_negligible_at_half_t_max() -> None:
@@ -509,7 +620,7 @@ def test_xi_sampler_chunk_invariance() -> None:
 
 def test_xi_sampler_default_chunk_bounds_memory() -> None:
     """At n = 2**160, k = 2 a row has 8191 clocks, so the default chunk
-    of 512 rows keeps each chunk-sized temporary near 32 MB."""
+    of 512 rows fills one 32 MB buffer, and every step works in it."""
     sc = ScaleParams.from_n(1 << 160, 2)
     p = LimitParams(1, 2, sc.gamma)
     table = series.constants(2, 1)
@@ -520,7 +631,7 @@ def test_xi_sampler_default_chunk_bounds_memory() -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200 * 2**20
+    assert peak < 64 * 2**20
 
 
 def test_xi_sampler_k_mismatch() -> None:
