@@ -2,8 +2,9 @@
 
 The package is organised in layers:
 
-- :mod:`kcut.specfun` -- scalar gamma-family kernels (regularized upper
-  incomplete gamma and its inverse) used throughout.
+- :mod:`kcut.specfun` -- the regularized upper incomplete gamma ``Q`` and
+  its inverse, scalar or array, on ``scipy.special``: the one route to
+  both used throughout.
 - :mod:`kcut.series` -- exact rational power-series expansions that produce
   the coefficient tables feeding the moment asymptotics.
 - :mod:`kcut.cutsim` -- vectorized batch simulators for the cutting

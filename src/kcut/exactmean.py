@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from . import series
-from .cutsim import CompleteTree
+from .cutsim import CompleteTree, _check_k
 
 __all__ = [
     "MeanQuery",
@@ -68,8 +68,7 @@ class MeanQuery:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        _check_k(self.k)
         if not isinstance(self.r, int) or not 1 <= self.r <= self.k:
             raise ValueError(f"r must lie in [1, k={self.k}], got {self.r!r}")
         if not self.y > 0.0:

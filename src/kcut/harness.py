@@ -239,8 +239,7 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        series._check_k(self.k)
         if self.r is not None and (
             not isinstance(self.r, int) or not 1 <= self.r <= self.k
         ):

@@ -37,10 +37,8 @@ Provided here:
   ``limit_cdf`` falls as 0.073, 0.045, 0.028 for (r, k) = (1, 1) and
   0.092, 0.062, 0.041 for (1, 2) (seed 20260825, 100k draws).
 
-Scalar entry points use the package's own gamma kernels
-(:mod:`kcut.specfun`); the vectorized internals use the equivalent
-scipy special functions for speed, and the test suite pins the two
-routes against each other.
+Every evaluation of ``Q`` and ``Q^{-1}``, scalar or vectorized, goes
+through :mod:`kcut.specfun`, the package's one scipy-backed route.
 """
 
 from __future__ import annotations
@@ -95,8 +93,7 @@ class LimitParams:
     s_max: int = 80
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        series._check_k(self.k)
         if not isinstance(self.r, int) or not 1 <= self.r <= self.k:
             raise ValueError(f"r must lie in [1, k={self.k}], got {self.r!r}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -132,8 +129,7 @@ class ScaleParams:
     def from_n(n: int, k: int) -> "ScaleParams":
         if n < 16:
             raise ValueError(f"scale parameters need n >= 16, got {n!r}")
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
+        series._check_k(k)
         lg = math.log2(n)
         lglg = math.log2(lg)
         m = n.bit_length() - 1
@@ -178,7 +174,7 @@ def levy_density(x: float, p: LimitParams) -> float:
     if x <= 0.0:
         raise ValueError(f"density is supported on x > 0, got {x!r}")
     a = p.a
-    ga = specfun.gamma(a)
+    ga = math.gamma(a)
     c = _frac(p.gamma + math.log2(x / ga))
     total = 0.0
     for s in range(1, p.s_max + 1):
@@ -204,7 +200,7 @@ def levy_tail(x: float, p: LimitParams) -> float:
     if x <= 0.0:
         raise ValueError(f"tail function needs x > 0, got {x!r}")
     a = p.a
-    ga = specfun.gamma(a)
+    ga = math.gamma(a)
     c = _frac(p.gamma + math.log2(x / ga))
     total = 0.0
     ln2 = math.log(2.0)
@@ -223,12 +219,13 @@ def _mean_antiderivative(a: float, c: float, s: int) -> float:
 
     On a stretch where the integer part of ``gamma + lg(x/gamma(a))``
     is constant, each series term of ``x * density`` has the exact
-    antiderivative ``upper_gamma(1+a, theta) - gamma(a) * 2**(c-s) *
+    antiderivative ``gamma(1+a) * Q(1+a, theta) - gamma(a) * 2**(c-s) *
     theta`` with ``theta = q_inv(a, 2**(c-s))``.
     """
     y = 2.0 ** (c - s)
     theta = specfun.q_inv(a, y)
-    return specfun.upper_gamma(1.0 + a, theta) - specfun.gamma(a) * y * theta
+    lead = math.gamma(1.0 + a) * specfun.q(1.0 + a, theta)
+    return lead - math.gamma(a) * y * theta
 
 
 def _piece_mean(p: LimitParams, c_lo: float, c_hi: float) -> float:
@@ -261,7 +258,7 @@ def levy_block_mean(p: LimitParams, lo: float, hi: float) -> float:
     """
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    ga = specfun.gamma(p.a)
+    ga = math.gamma(p.a)
 
     def c_of(x: float) -> float:
         return _frac(p.gamma + math.log2(x / ga))
@@ -289,7 +286,7 @@ def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
     density (no closed antiderivative exists for this moment)."""
     if not 0.0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    ga = specfun.gamma(p.a)
+    ga = math.gamma(p.a)
     k_lo = math.floor(p.gamma + math.log2(lo / ga))
     k_hi = math.floor(p.gamma + math.log2(hi / ga))
     pts = [
@@ -330,10 +327,10 @@ def f_constant(p: LimitParams) -> float:
     log(a/y)`` to bound the omitted tail below 1e-12.
     """
     a = p.a
-    ga = specfun.gamma(a)
+    ga = math.gamma(a)
     c = _frac(p.gamma - math.log2(ga))
     ln2 = math.log(2.0)
-    lower_scale = specfun.gamma(1.0 + a) ** (1.0 / a)
+    lower_scale = math.gamma(1.0 + a) ** (1.0 / a)
     total = 0.0
     for t in range(1, p.s_max + 1):
         y = 2.0 ** (c - t)
@@ -346,13 +343,11 @@ def f_constant(p: LimitParams) -> float:
         ) * up_next
         if t >= 4 and 4.0 * bound_next < 1.0e-12:
             break
-    return total + specfun.gamma(1.0 + a) * (
-        2.0**c - c - math.log2(ga) - 1.0
-    )
+    return total + math.gamma(1.0 + a) * (2.0**c - c - math.log2(ga) - 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Fast vectorized density profile (library-kernel route, spline-backed).
+# Fast vectorized density profile (spline-backed).
 # ---------------------------------------------------------------------------
 
 _GRID = 4096
@@ -366,27 +361,27 @@ class _Profile:
     algebraically as ``c -> 1``) and the smooth remainder.  ``P2`` is
     cubic-splined on a fine grid; ``G1`` goes through a spline of
     ``theta_1**a`` (a nearly linear function of ``c``), keeping the
-    algebraic endpoint behavior exact in form.  Fast evaluations use
-    scipy's gamma kernels; the scalar series (:func:`levy_density`)
-    built on the package's own kernels is the reference the tests pin
-    this against.
+    algebraic endpoint behavior exact in form.  The grid values of
+    ``Q^{-1}`` come from :func:`kcut.specfun.q_inv` in one array call;
+    the scalar series (:func:`levy_density`) is the reference the tests
+    pin the splines against.
     """
 
     def __init__(self, p: LimitParams) -> None:
         self.p = p
         a = p.a
         self.a = a
-        self.ga = specfun.gamma(a)
+        self.ga = math.gamma(a)
         cgrid = np.linspace(0.0, 1.0, _GRID + 1)
         smax = p.s_max
         s = np.arange(2, smax + 1)
         y = 2.0 ** (cgrid[:, None] - s[None, :])
-        theta = special.gammainccinv(a, y)
+        theta = specfun.q_inv(a, y)
         terms = np.exp((2.0 * math.log(2.0)) * (cgrid[:, None] - s) + theta)
         terms *= theta ** (1.0 - a)
         self._p2 = CubicSpline(cgrid, terms.sum(axis=1))
         self._dp2 = self._p2.derivative()
-        theta1 = special.gammainccinv(a, 2.0 ** (cgrid - 1.0))
+        theta1 = specfun.q_inv(a, 2.0 ** (cgrid - 1.0))
         u1 = theta1**a
         u1[-1] = 0.0  # exact limit at c = 1
         self._u1 = CubicSpline(cgrid, u1)
@@ -1020,19 +1015,6 @@ def _xi_weights(scale: ScaleParams) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def _upper_gamma_reg(
-    a: float, z: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Regularized upper incomplete gamma, vectorized; the common shapes
-    a = 1 and a = 1/2 reduce to exp and erfc.  ``out`` (which may be
-    ``z`` itself) receives the result without a temporary."""
-    if a == 1.0:
-        return np.exp(np.negative(z, out=out), out=out)
-    if a == 0.5:
-        return special.erfc(np.sqrt(z, out=out), out=out)
-    return special.gammaincc(a, z, out=out)
-
-
 # Breakpoints of the centring quadrature, in units of the clock scale
 # (k!/m)**(1/k) past the truncation point, and the clock span covered.
 _XI_SPLITS = (0.5, 2.0, 8.0, 32.0)
@@ -1055,14 +1037,14 @@ def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
     """
     a = p.a
     k = p.k
-    ga = specfun.gamma(a)
+    ga = math.gamma(a)
     kfact = math.factorial(k)
     h = 2.0 ** (scale.beta - scale.alpha) * ga
     width = (kfact / scale.m) ** (1.0 / k)
     log_gk = math.lgamma(k)
 
     def integrand(t: float) -> float:
-        q = _upper_gamma_reg(a, scale.m * t**k / kfact)
+        q = specfun.q(a, scale.m * t**k / kfact)
         return float(q) * t ** (k - 1) * math.exp(-t - log_gk)
 
     total = 0.0
@@ -1108,7 +1090,7 @@ def xi_sampler(
     Draws i.i.d. Gamma(k, 1) clocks ``T_v`` for every node of height at
     most ``L`` and returns ``1 - C3 * (sum_v xi_v - centre)`` with
 
-        xi_v   = (m n_v / n) * gamma(a) * upper_gamma_reg(a, m T_v**k / k!),
+        xi_v   = (m n_v / n) * gamma(a) * Q(a, m T_v**k / k!),
         centre = sum_v E[xi_v 1[xi_v <= h]] - f + integral_h^1 x dnu,
         h      = 2**(beta - alpha) * gamma(a),
 
@@ -1151,7 +1133,7 @@ def xi_sampler_batch(
             f"scale has k={scale.k} but limit params have k={p.k}"
         )
     a = p.a
-    ga = specfun.gamma(a)
+    ga = math.gamma(a)
     kfact = float(math.factorial(p.k))
     weights = _xi_weights(scale)
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
@@ -1168,7 +1150,7 @@ def xi_sampler_batch(
         np.power(xi, p.k, out=xi)
         np.multiply(xi, scale.m, out=xi)
         np.divide(xi, kfact, out=xi)
-        _upper_gamma_reg(a, xi, out=xi)
+        specfun.q(a, xi, out=xi)
         np.multiply(xi, ga, out=xi)
         np.multiply(xi, weights, out=xi)
         out[done : done + c] = shift - table.c3 * xi.sum(axis=1)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import specfun
 
 __all__ = [
     "BiSeries",
@@ -341,14 +340,14 @@ def constants(k: int, r: int) -> ConstantTable:
         raise ValueError(f"r must be an integer in [1, k={k}], got {r!r}")
     kf = float(math.factorial(k))
     a = r / k
-    gamma_a = specfun.gamma(a)
-    c2 = kf**a * specfun.gamma(1.0 + a) / (k * specfun.gamma(float(r)))
-    c3 = 1.0 / specfun.gamma(1.0 + a)
+    gamma_a = math.gamma(a)
+    c2 = kf**a * math.gamma(1.0 + a) / (k * math.gamma(float(r)))
+    c3 = 1.0 / math.gamma(1.0 + a)
     c7 = {
         i: ((-1) ** i)
         * k
         * kf ** (i / k)
-        * specfun.gamma((i + r) / k)
+        * math.gamma((i + r) / k)
         / (r * math.factorial(i) * gamma_a)
         for i in range(1, k + 1)
     }
@@ -357,7 +356,7 @@ def constants(k: int, r: int) -> ConstantTable:
         (j, b): k
         * kf ** (b / k)
         * float(c6[(j, b)])
-        * specfun.gamma((b + r) / k)
+        * math.gamma((b + r) / k)
         / (r * gamma_a)
         for (j, b) in c6
     }

@@ -1,192 +1,40 @@
-"""Gamma-family special functions.
+"""The regularized upper incomplete gamma function and its inverse.
 
-This module provides the small set of scalar kernels the rest of the
-package is built on:
-
-- ``gamma(a)``           -- Euler gamma function, ``a > 0``.
-- ``upper_gamma(a, x)``  -- upper incomplete gamma ``Gamma(a, x) =
-  integral_x^inf t**(a-1) * exp(-t) dt``.
-- ``q(a, x)``            -- regularized upper incomplete gamma
-  ``Q(a, x) = Gamma(a, x) / Gamma(a)``, decreasing from 1 to 0 in ``x``.
-- ``q_inv(a, y)``        -- inverse of ``q`` in its second argument,
-  extended by ``q_inv(a, y) = 0`` for ``y >= 1``.
-
-``Q`` is evaluated by the classic split: a power series for the lower
-regularized function when ``x < a + 1``, and a modified-Lentz continued
-fraction for the upper function otherwise.  Both converge to near machine
-precision on the domains where they are used.  The inverse is a
-safeguarded Newton iteration on a maintained bracket with a bisection
-fallback, so it cannot diverge.
-
-Everything here is pure-Python scalar code; hot loops elsewhere use
-vectorized equivalents.
+``Q(a, x) = Gamma(a, x) / Gamma(a)`` decreases from 1 to 0 in ``x``.
+These two functions are the package's one route to Q and Q^{-1}, built
+on ``scipy.special``; both take a scalar or an array in their second
+argument.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
+from scipy import special
 
-__all__ = ["gamma", "upper_gamma", "q", "q_inv"]
-
-# Relative tolerance for the series / continued-fraction evaluations.
-_EPS = 1.0e-16
-# Smallest admissible magnitude in the modified Lentz recurrence.
-_FPMIN = 1.0e-300
-_MAX_ITER = 500
+__all__ = ["q", "q_inv"]
 
 
-def gamma(a: float) -> float:
-    """Gamma function for positive real ``a``."""
-    if a <= 0.0:
-        raise ValueError(f"gamma requires a > 0, got {a!r}")
-    return math.gamma(a)
-
-
-def _lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma ``P(a, x)`` by power series.
-
-    Uses ``P(a, x) = x**a * exp(-x) / Gamma(a+1) * sum_{n>=0}
-    x**n / ((a+1)...(a+n))``; reliable for ``x < a + 1``.
-    """
-    term = 1.0
-    total = 1.0
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    log_front = a * math.log(x) - x - math.lgamma(a + 1.0)
-    return total * math.exp(log_front)
-
-
-def _upper_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma ``Q(a, x)`` by continued fraction.
-
-    Modified Lentz evaluation of ``Gamma(a, x) = exp(-x) * x**a *
-    (1/(x+1-a- 1*(1-a)/(x+3-a- ...)))``; reliable for ``x >= a + 1``.
-    """
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    log_front = a * math.log(x) - x - math.lgamma(a)
-    return math.exp(log_front) * h
-
-
-def q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma ``Q(a, x)``.
-
-    ``Q(a, 0) = 1`` and ``Q(a, x)`` decreases to 0 as ``x`` grows.
+def q(
+    a: float, x: float | np.ndarray, out: np.ndarray | None = None
+) -> float | np.ndarray:
+    """``Q(a, x)`` for ``a > 0`` and ``x >= 0``.  The shapes ``a = 1`` and
+    ``a = 1/2`` reduce to ``exp(-x)`` and ``erfc(sqrt(x))``.  ``out``
+    (which may be ``x`` itself) receives the result without a temporary.
     """
     if a <= 0.0:
         raise ValueError(f"q requires a > 0, got {a!r}")
-    if x < 0.0:
-        raise ValueError(f"q requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        p = _lower_series(a, x)
-        return 1.0 - p
-    return _upper_cf(a, x)
+    if np.asarray(x).min(initial=0.0) < 0.0:
+        raise ValueError("q requires x >= 0")
+    if a == 1.0:
+        return np.exp(np.negative(x, out=out), out=out)
+    if a == 0.5:
+        return special.erfc(np.sqrt(x, out=out), out=out)
+    return special.gammaincc(a, x, out=out)
 
 
-def upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma ``Gamma(a, x)`` (unregularized)."""
-    return gamma(a) * q(a, x)
-
-
-def _q_derivative(a: float, x: float, lg_a: float) -> float:
-    """Derivative ``dQ/dx = -x**(a-1) * exp(-x) / Gamma(a)``."""
-    if x <= 0.0:
-        # The derivative is -inf for a < 1 and -1/Gamma(a) in the limit
-        # a >= 1; callers only use it through a safeguarded step, so a
-        # finite surrogate merely forces the bisection fallback.
-        return -math.inf if a < 1.0 else -math.exp(-lg_a)
-    return -math.exp((a - 1.0) * math.log(x) - x - lg_a)
-
-
-def q_inv(a: float, y: float) -> float:
-    """Inverse of ``q`` in its second argument.
-
-    Returns the ``x >= 0`` with ``q(a, x) = y`` for ``0 < y < 1``; by the
-    monotone extension, returns ``0.0`` for ``y >= 1`` and ``inf`` for
-    ``y <= 0``.
-    """
+def q_inv(a: float, y: float | np.ndarray) -> float | np.ndarray:
+    """Inverse of :func:`q` in its second argument, extended by
+    ``q_inv(a, y) = 0`` for ``y >= 1`` and ``inf`` for ``y <= 0``."""
     if a <= 0.0:
         raise ValueError(f"q_inv requires a > 0, got {a!r}")
-    if y >= 1.0:
-        return 0.0
-    if y <= 0.0:
-        return math.inf
-
-    lg_a = math.lgamma(a)
-
-    # Initial guess from the two regimes of Q: near 0, Q(a, x) is about
-    # 1 - x**a / Gamma(a+1); for large x it is about
-    # x**(a-1) * exp(-x) / Gamma(a).
-    if y > 0.5:
-        guess = math.exp((math.log1p(-y) + math.lgamma(a + 1.0)) / a)
-    else:
-        t = -math.log(y) - lg_a
-        if t <= 1.0:
-            guess = max(a, 0.5)
-        else:
-            # One fixed-point pass on x = t + (a-1)*log(x).
-            guess = t + (a - 1.0) * math.log(t) if t > 1.0 else t
-            if guess <= 0.0:
-                guess = t
-    if guess <= 0.0 or not math.isfinite(guess):
-        guess = max(a, 1.0)
-
-    # Establish a bracket [lo, hi] with q(lo) >= y >= q(hi).
-    lo, hi = 0.0, guess
-    q_hi = q(a, hi)
-    doublings = 0
-    while q_hi > y:
-        lo = hi
-        hi *= 2.0
-        q_hi = q(a, hi)
-        doublings += 1
-        if doublings > 200:  # pragma: no cover - 2**200 exceeds any root
-            raise ArithmeticError("q_inv failed to bracket the root")
-
-    x = min(max(guess, lo + 0.25 * (hi - lo) if lo > 0.0 else guess), hi)
-    if not (lo < x < hi) and hi > 0.0:
-        x = 0.5 * (lo + hi)
-
-    for _ in range(100):
-        f = q(a, x) - y
-        if f > 0.0:
-            lo = x
-        else:
-            hi = x
-        df = _q_derivative(a, x, lg_a)
-        step_ok = df < 0.0 and math.isfinite(df)
-        if step_ok:
-            x_new = x - f / df
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1.0e-15 * (abs(x_new) + 1.0e-300):
-            x = x_new
-            break
-        x = x_new
-        if hi - lo <= 1.0e-15 * hi:
-            break
-    return x
+    return special.gammainccinv(a, np.minimum(np.maximum(y, 0.0), 1.0))

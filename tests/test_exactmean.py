@@ -74,6 +74,10 @@ def test_mean_query_validation() -> None:
     with pytest.raises(ValueError):
         MeanQuery(0, 1, 1)
     with pytest.raises(ValueError):
+        MeanQuery(3, 0, 1)
+    # Exact means need no series constants, so k has no upper cap.
+    assert MeanQuery(3, series.MAX_K + 1, 1).k == series.MAX_K + 1
+    with pytest.raises(ValueError):
         MeanQuery(3, 1, 2)
     with pytest.raises(ValueError):
         MeanQuery(3, 1, 1, y=-1.0)

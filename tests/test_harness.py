@@ -162,6 +162,9 @@ def test_ks_two_sample_matches_statistic_shape() -> None:
 def test_config_validation() -> None:
     with pytest.raises(ValueError):
         ExperimentConfig(k=0, n_list=(64,))
+    # The limit side needs series.constants, which stops at MAX_K.
+    with pytest.raises(ValueError, match="k must be an integer in"):
+        ExperimentConfig(k=series.MAX_K + 1, n_list=(64,))
     with pytest.raises(ValueError):
         ExperimentConfig(k=2, r=3, n_list=(64,))
     with pytest.raises(ValueError):

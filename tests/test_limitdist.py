@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from kcut import limitdist, series, specfun
+from kcut import limitdist, series
 from kcut.cutsim import CompleteTree
 from kcut.limitdist import LimitParams, ScaleParams
 
@@ -31,6 +31,8 @@ def test_limit_params_validation() -> None:
         LimitParams(0, 1, 0.0)
     with pytest.raises(ValueError):
         LimitParams(3, 2, 0.0)
+    with pytest.raises(ValueError, match="k must be an integer in"):
+        LimitParams(1, series.MAX_K + 1, 0.0)
     with pytest.raises(ValueError):
         LimitParams(1, 1, 1.5)
     with pytest.raises(ValueError):
@@ -50,6 +52,8 @@ def test_scale_params_fields() -> None:
         ScaleParams.from_n(15, 1)
     with pytest.raises(ValueError):
         ScaleParams.from_n(1 << 20, 0)
+    with pytest.raises(ValueError, match="k must be an integer in"):
+        ScaleParams.from_n(1 << 20, series.MAX_K + 1)
 
 
 def test_scale_params_fraction_ranges() -> None:
@@ -148,7 +152,7 @@ def test_tail_matches_density_derivative() -> None:
 
 def test_profile_matches_scalar_density() -> None:
     # The spline profile that the CF and the CDF use, against the scalar
-    # series on the package's own kernels, on both sides of the kink.
+    # series, on both sides of the kink.
     for r, k, g in ((1, 1, 0.0), (1, 2, 0.3), (2, 3, 0.9), (1, 8, 0.5), (8, 8, 0.7)):
         p = LimitParams(r, k, g)
         prof = limitdist._profile(p)
@@ -703,13 +707,3 @@ def test_xi_array_mean_structure_self_convergence() -> None:
     gaps = [abs(_truncated_mean_gap(1 << e, 1, 1)) for e in exps]
     assert all(g0 > g1 for g0, g1 in zip(gaps, gaps[1:])), gaps
     assert gaps[exps.index(40)] < 0.17
-
-
-def test_xi_sampler_scalar_gamma_routes_match() -> None:
-    # The vectorized gamma kernel must agree with the package's scalar
-    # kernel on the sampler's argument range.
-    for a in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
-        z = np.geomspace(1e-4, 50.0, 25)
-        vec = limitdist._upper_gamma_reg(a, z)
-        for zi, vi in zip(z, vec):
-            assert vi == pytest.approx(specfun.q(a, float(zi)), rel=1e-12)

@@ -1,28 +1,22 @@
-"""Unit and property tests for the gamma-family kernels."""
+"""Unit and property tests for Q and its inverse, checked against
+closed forms and mpmath."""
 
 from __future__ import annotations
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from kcut import specfun
 
 
-def test_gamma_matches_math() -> None:
-    for a in [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 7.5, 20.0]:
-        assert specfun.gamma(a) == math.gamma(a)
-
-
-def test_gamma_rejects_nonpositive() -> None:
-    with pytest.raises(ValueError):
-        specfun.gamma(0.0)
-    with pytest.raises(ValueError):
-        specfun.gamma(-1.5)
+def _mp_q(a: float, x: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
 
 
 def test_q_boundary_values() -> None:
@@ -35,7 +29,7 @@ def test_q_boundary_values() -> None:
 
 
 def test_q_exponential_closed_form() -> None:
-    """Q(1, x) = exp(-x) must hold through the generic series/CF paths."""
+    """Q(1, x) = exp(-x)."""
     for i in range(301):
         x = 30.0 * i / 300.0
         ref = math.exp(-x)
@@ -43,19 +37,19 @@ def test_q_exponential_closed_form() -> None:
 
 
 def test_upper_gamma_closed_form_a2() -> None:
-    """Gamma(2, x) = (x + 1) exp(-x)."""
+    """Q(2, x) = Gamma(2, x) = (x + 1) exp(-x)."""
     for i in range(121):
         x = 30.0 * i / 120.0
         ref = (x + 1.0) * math.exp(-x)
-        assert specfun.upper_gamma(2.0, x) == pytest.approx(ref, rel=1e-12)
+        assert specfun.q(2.0, x) == pytest.approx(ref, rel=1e-12)
 
 
 def test_shift_identity() -> None:
-    """Gamma(a+1, x) = a * Gamma(a, x) + x**a * exp(-x)."""
+    """Q(a+1, x) = Q(a, x) + x**a * exp(-x) / gamma(a+1)."""
     for a in [0.3, 0.5, 1.0, 1.7, 3.2, 9.0]:
         for x in [1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0]:
-            lhs = specfun.upper_gamma(a + 1.0, x)
-            rhs = a * specfun.upper_gamma(a, x) + x**a * math.exp(-x)
+            lhs = specfun.q(a + 1.0, x)
+            rhs = specfun.q(a, x) + x**a * math.exp(-x) / math.gamma(a + 1.0)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -64,8 +58,8 @@ def test_shift_identity() -> None:
     x=st.floats(min_value=0.0, max_value=150.0),
 )
 @settings(max_examples=300, deadline=None)
-def test_q_matches_scipy(a: float, x: float) -> None:
-    ref = float(special.gammaincc(a, x))
+def test_q_matches_mpmath(a: float, x: float) -> None:
+    ref = _mp_q(a, x)
     ours = specfun.q(a, x)
     if ref > 1e-280:
         assert ours == pytest.approx(ref, rel=5e-13)
@@ -74,11 +68,20 @@ def test_q_matches_scipy(a: float, x: float) -> None:
 
 
 def test_q_matches_mpmath_spot_checks() -> None:
-    mpmath.mp.dps = 40
     for a, x in [(0.5, 0.25), (0.5, 7.0), (1.5, 1.5), (2.0, 40.0),
                  (0.1, 3.0), (10.0, 3.0), (10.0, 30.0)]:
-        ref = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
-        assert specfun.q(a, x) == pytest.approx(ref, rel=1e-13)
+        assert specfun.q(a, x) == pytest.approx(_mp_q(a, x), rel=1e-13)
+
+
+def test_q_in_place_matches_mpmath() -> None:
+    # The xi sampler evaluates Q in place on its clock array, through exp
+    # for a = 1 and erfc for a = 1/2; check that route on the sampler's
+    # argument range.
+    for a in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0):
+        z = np.geomspace(1e-4, 50.0, 25)
+        ref = [_mp_q(a, float(zi)) for zi in z]
+        assert specfun.q(a, z, out=z) is z
+        np.testing.assert_allclose(z, ref, rtol=1e-12, atol=0.0)
 
 
 @given(
@@ -97,14 +100,34 @@ def test_q_inv_extension_and_edges() -> None:
     assert specfun.q_inv(2.0, 1.5) == 0.0
     assert specfun.q_inv(2.0, 0.0) == math.inf
     assert specfun.q_inv(2.0, -0.3) == math.inf
+    xs = specfun.q_inv(2.0, np.array([1.5, 1.0, 0.0, -0.3]))
+    assert xs.tolist() == [0.0, 0.0, math.inf, math.inf]
     with pytest.raises(ValueError):
         specfun.q_inv(-1.0, 0.5)
+    with pytest.raises(ValueError):
+        specfun.q_inv(0.0, 0.5)
 
 
 def test_q_inv_log_closed_form() -> None:
     """q_inv(1, y) = log(1/y)."""
-    for y in [1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.37, 0.5, 0.9, 0.999]:
+    for y in [1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.37, 0.5, 0.9, 0.999]:
         assert specfun.q_inv(1.0, y) == pytest.approx(-math.log(y), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1.0 / 8.0, 1.0])
+def test_q_inv_near_one_matches_mpmath(a: float) -> None:
+    """At y = 1 - 1e-12 the root is tiny: solve P(a, x) = 1 - y in log x."""
+    y = 1.0 - 1e-12
+    with mpmath.workdps(40):
+        p = 1 - mpmath.mpf(y)
+
+        def gap(u: mpmath.mpf) -> mpmath.mpf:
+            lower = mpmath.gammainc(a, 0, mpmath.exp(u), regularized=True)
+            return mpmath.log(lower) - mpmath.log(p)
+
+        u0 = (mpmath.log(p) + mpmath.loggamma(a + 1)) / a
+        ref = float(mpmath.exp(mpmath.findroot(gap, u0)))
+    assert abs(specfun.q_inv(a, y) / ref - 1.0) <= 1e-10
 
 
 @given(
@@ -155,5 +178,5 @@ def test_q_inv_derivative_formula() -> None:
             h = 1e-7
             num = (specfun.q_inv(a, y + h) - specfun.q_inv(a, y - h)) / (2 * h)
             theta = specfun.q_inv(a, y)
-            ana = -specfun.gamma(a) * math.exp(theta) * theta ** (1.0 - a)
+            ana = -math.gamma(a) * math.exp(theta) * theta ** (1.0 - a)
             assert num == pytest.approx(ana, rel=5e-6)
