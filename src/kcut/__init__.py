@@ -10,7 +10,8 @@ The package is organised in layers:
 - :mod:`kcut.cutsim` -- vectorized batch simulators for the cutting
   process itself and for the equivalent record construction (node and
   edge variants), with one draw order per (seed, sample index) and one
-  memory rule for chunk sizes; a plain single-sample process run as the
+  batch runner that runs every batch on worker threads within one
+  memory budget; a plain single-sample process run as the
   reference; and a brute-force distribution for tiny trees.
 - :mod:`kcut.exactmean` -- exact (quadrature-based) and asymptotic moments
   of record counts.

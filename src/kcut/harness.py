@@ -7,10 +7,10 @@ empirical law against the limit CDF with a Kolmogorov-Smirnov statistic,
 cross-checks the empirical mean against the exact expected count, and
 writes deterministic CSV/JSON reports.
 
-Sampling is split into fixed-size index blocks that may be computed on
-any number of worker threads; because every sample owns its substream
-and blocks are assembled by index, the output is byte-identical for any
-thread count (``KCUT_THREADS`` sets the default).
+Each size's samples come from one record batch, which runs on
+``threads`` worker threads (default: ``KCUT_THREADS``, else every CPU;
+see :func:`kcut.cutsim.resolve_threads`).  Every sample owns its
+substream, so the output is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import dataclasses
 import io
 import json
 import math
-import os
 import platform
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +39,7 @@ __all__ = [
     "ks_two_sample",
     "run_experiment",
     "write_report",
-    "resolve_threads",
-    "THREADS_ENV",
 ]
-
-THREADS_ENV = "KCUT_THREADS"
-
-# Samples are simulated in fixed blocks of this many indices, whatever
-# the thread count, so reports never depend on scheduling.
-_SAMPLE_BLOCK = 1024
 
 
 class ConfigurationWarning(UserWarning):
@@ -268,8 +258,8 @@ class ExperimentConfig:
             raise ValueError(
                 "either n_list or both n_min and n_max must be given"
             )
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
+        if self.threads is not None:
+            cutsim.resolve_threads(self.threads)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -369,54 +359,22 @@ def _versions() -> dict:
     }
 
 
-def resolve_threads(requested: int | None) -> int:
-    """Thread count: explicit config, else ``KCUT_THREADS``, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(
-                f"{THREADS_ENV} must be an integer, got {env!r}"
-            ) from exc
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # The experiment itself.
 # ---------------------------------------------------------------------------
 
 
-def _simulate_blocks(
-    n: int, config: ExperimentConfig, threads: int
-) -> np.ndarray:
-    """Record counts of shape ``(samples, k)``, assembled from fixed
-    index blocks so any thread count yields identical output."""
-    tree = cutsim.CompleteTree(n)
+def _simulate(n: int, config: ExperimentConfig, threads: int) -> np.ndarray:
+    """Record counts of shape ``(samples, k)`` from one batch call."""
     batch = (
         cutsim.simulate_edge_records_batch
         if config.variant == "edge"
         else cutsim.simulate_records_batch
     )
-    blocks = [
-        (start, min(_SAMPLE_BLOCK, config.samples - start))
-        for start in range(0, config.samples, _SAMPLE_BLOCK)
-    ]
-    if not blocks:
-        return np.empty((0, config.k), dtype=np.int64)
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        start, size = block
-        return batch(tree, config.k, config.seed, size, first_index=start)
-
-    if threads <= 1 or len(blocks) == 1:
-        parts = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
-    return np.concatenate(parts, axis=0)
+    return batch(
+        cutsim.CompleteTree(n), config.k, config.seed, config.samples,
+        threads=threads,
+    )
 
 
 def _exact_mean(n: int, config: ExperimentConfig) -> float:
@@ -452,7 +410,7 @@ def _one_size(
             exact_mean=exact,
             mean_gap_sigmas=nan,
         )
-    counts = _simulate_blocks(n, config, threads)
+    counts = _simulate(n, config, threads)
     raw = (
         counts.sum(axis=1) if config.r is None else counts[:, config.r - 1]
     ).astype(float)
@@ -500,7 +458,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     r_eff = 1 if config.r is None else config.r
     limit_table = series.constants(config.k, r_eff)
     p = limitdist.LimitParams(r_eff, config.k, config.gamma_target)
-    threads = resolve_threads(config.threads)
+    threads = cutsim.resolve_threads(config.threads)
     results = []
     for n in sizes:
         try:

@@ -52,7 +52,7 @@ from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from . import series, specfun
-from .cutsim import _chunk_rows, substream
+from .cutsim import _check_samples, _run_batch
 
 __all__ = [
     "LimitParams",
@@ -1119,11 +1119,14 @@ def xi_sampler_batch(
     n_samples: int = 1,
     first_index: int = 0,
     chunk: int | None = None,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`xi_sampler`; sample ``i`` uses substream
-    ``(seed, first_index + i)``.  ``chunk`` (samples per pass) defaults
-    to the package's 32 MB scratch budget for one row of clocks; the
-    whole chunk is computed in place in one such buffer."""
+    ``(seed, first_index + i)``.  ``chunk`` (samples in flight at once,
+    shared by the ``threads`` workers; see
+    :func:`kcut.cutsim.resolve_threads`) defaults to the package's 32 MB
+    scratch budget for rows of clocks; each worker computes its part in
+    place in one buffer.  Neither changes the output."""
     if table is None:
         table = series.constants(p.k, p.r)
     if table.k != p.k or table.r != p.r:
@@ -1132,26 +1135,34 @@ def xi_sampler_batch(
         raise ValueError(
             f"scale has k={scale.k} but limit params have k={p.k}"
         )
+    _check_samples(p.k, n_samples)
     a = p.a
     ga = math.gamma(a)
     kfact = float(math.factorial(p.k))
     weights = _xi_weights(scale)
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
-    chunk = _chunk_rows(weights.size, chunk)
     out = np.empty(n_samples)
-    buf = np.empty((min(chunk, n_samples), weights.size))
-    for done in range(0, n_samples, chunk):
-        c = min(chunk, n_samples - done)
-        xi = buf[:c]
-        for i in range(c):
-            rng = substream(seed, first_index + done + i)
-            rng.standard_gamma(p.k, out=xi[i])
-        # xi_v = weights * ga * Q(a, m T**k / k!), built in place.
-        np.power(xi, p.k, out=xi)
-        np.multiply(xi, scale.m, out=xi)
-        np.divide(xi, kfact, out=xi)
-        specfun.q(a, xi, out=xi)
-        np.multiply(xi, ga, out=xi)
-        np.multiply(xi, weights, out=xi)
-        out[done : done + c] = shift - table.c3 * xi.sum(axis=1)
+
+    def worker(rows: int):
+        buf = np.empty((rows, weights.size))
+
+        def draw(j: int, rng: np.random.Generator) -> None:
+            rng.standard_gamma(p.k, out=buf[j])
+
+        def sweep(lo: int, hi: int) -> None:
+            # xi_v = weights * ga * Q(a, m T**k / k!), built in place.
+            xi = buf[: hi - lo]
+            np.power(xi, p.k, out=xi)
+            np.multiply(xi, scale.m, out=xi)
+            np.divide(xi, kfact, out=xi)
+            specfun.q(a, xi, out=xi)
+            np.multiply(xi, ga, out=xi)
+            np.multiply(xi, weights, out=xi)
+            out[lo:hi] = shift - table.c3 * xi.sum(axis=1)
+
+        return draw, sweep
+
+    _run_batch(
+        n_samples, weights.size, seed, first_index, chunk, threads, worker
+    )
     return out

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
@@ -201,6 +204,19 @@ def test_records_batch_default_chunk_bounds_memory() -> None:
     assert peak < 100 * 2**20
 
 
+def test_records_batch_peak_without_temporaries() -> None:
+    """The level sweep writes into per-worker buffers: besides the
+    32 MB of clocks a batch holds only the ancestor minima and the
+    record mask, about 55 MB in all at any thread count."""
+    tracemalloc.start()
+    try:
+        cutsim.simulate_records_batch(CompleteTree(2**15 - 1), 2, 0, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * 2**20
+
+
 def test_records_mean_monotone_in_n() -> None:
     k = 2
     samples = 100_000
@@ -214,6 +230,98 @@ def test_records_mean_monotone_in_n() -> None:
         half_widths.append(3.0 * tot.std(ddof=1) / math.sqrt(samples))
     for i in range(len(means) - 1):
         assert means[i + 1] >= means[i] - (half_widths[i] + half_widths[i + 1])
+
+
+# ---------------------------------------------------------------------------
+# The batch runner: threads, re-keyed streams.
+# ---------------------------------------------------------------------------
+
+
+def test_resolve_threads(monkeypatch) -> None:
+    monkeypatch.delenv(cutsim.THREADS_ENV, raising=False)
+    cpus = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count()
+    )
+    assert cutsim.resolve_threads(None) == cpus
+    assert cutsim.resolve_threads() == cpus
+    assert cutsim.resolve_threads(6) == 6
+    assert cutsim.resolve_threads(np.int64(3)) == 3
+    for bad in (0, -3, 2.0):
+        with pytest.raises(ValueError, match="threads"):
+            cutsim.resolve_threads(bad)
+    monkeypatch.setenv(cutsim.THREADS_ENV, "4")
+    assert cutsim.resolve_threads(None) == 4
+    assert cutsim.resolve_threads(2) == 2
+    for bad in ("zero", "0", "-3", "1.5"):
+        monkeypatch.setenv(cutsim.THREADS_ENV, bad)
+        with pytest.raises(ValueError, match=cutsim.THREADS_ENV):
+            cutsim.resolve_threads(None)
+        with pytest.raises(ValueError, match=cutsim.THREADS_ENV):
+            cutsim.simulate_records_batch(CompleteTree(7), 1, 0, 3)
+
+
+def test_restream_draws_equal_substream() -> None:
+    """A re-keyed generator is in the state of a fresh substream, also
+    after a draw that leaves half a 64-bit word buffered."""
+    for seed in (0, 7, -1):
+        stream = cutsim._Restream(seed)
+        for i in (0, 1, 13, 2**64 + 5, 1):
+            want = cutsim.substream(seed, i)
+            got = stream.at(i)
+            assert np.array_equal(
+                got.standard_exponential(9), want.standard_exponential(9)
+            )
+            assert np.array_equal(
+                got.standard_gamma(2, 9), want.standard_gamma(2, 9)
+            )
+            assert np.array_equal(got.random(9), want.random(9))
+            assert got.integers(2**32, dtype=np.uint32) == want.integers(
+                2**32, dtype=np.uint32
+            )
+
+
+_RECORDS_TREE = CompleteTree(300)  # 600 values a row: threads engage
+_PROCESS_TREE = CompleteTree(256)  # 512 values a row
+_BATCHES = {
+    "node": partial(cutsim.simulate_records_batch, _RECORDS_TREE, 2, 5),
+    "edge": partial(cutsim.simulate_edge_records_batch, _RECORDS_TREE, 2, 5),
+    "process": partial(cutsim.simulate_process_batch, _PROCESS_TREE, 2, 5),
+}
+
+
+@pytest.mark.parametrize("kind", ["node", "edge", "process"])
+def test_batch_thread_and_chunk_invariance(kind) -> None:
+    batch = _BATCHES[kind]
+    for first in (0, 13):
+        for size in (0, 1, 2, 5, 40):
+            want = batch(n_samples=size, first_index=first, threads=1)
+            assert len(want) == size
+            for threads in (1, 2, 3):
+                for chunk in (None, 1, 7):
+                    got = batch(
+                        n_samples=size, first_index=first, threads=threads,
+                        chunk=chunk,
+                    )
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (threads, chunk)
+
+
+def test_batch_threads_stress() -> None:
+    """Eight workers, more than most test hosts have cores, switching
+    every microsecond, still fill every row with its own sample."""
+    tree = _RECORDS_TREE
+    want = cutsim.simulate_records_batch(tree, 2, 8, 400, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = cutsim.simulate_records_batch(
+            tree, 2, 8, 400, chunk=16, threads=8
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

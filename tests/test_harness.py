@@ -202,17 +202,6 @@ def test_config_sizes_from_selection() -> None:
     assert 1024 in cfg.sizes()
 
 
-def test_resolve_threads(monkeypatch) -> None:
-    monkeypatch.delenv(harness.THREADS_ENV, raising=False)
-    assert harness.resolve_threads(None) == 1
-    assert harness.resolve_threads(6) == 6
-    monkeypatch.setenv(harness.THREADS_ENV, "4")
-    assert harness.resolve_threads(None) == 4
-    monkeypatch.setenv(harness.THREADS_ENV, "zero")
-    with pytest.raises(ValueError):
-        harness.resolve_threads(None)
-
-
 # ---------------------------------------------------------------------------
 # Experiment driver.
 # ---------------------------------------------------------------------------

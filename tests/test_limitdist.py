@@ -622,9 +622,47 @@ def test_xi_sampler_chunk_invariance() -> None:
     assert np.array_equal(whole, rechunked)
 
 
+def test_xi_sampler_thread_and_chunk_invariance() -> None:
+    sc = ScaleParams.from_n(1 << 40, 2)  # 1023 clocks a row
+    p = LimitParams(1, 2, sc.gamma)
+    table = series.constants(2, 1)
+    for first in (0, 13):
+        for size in (0, 1, 2, 5, 40):
+            want = limitdist.xi_sampler_batch(
+                sc, p, table, 4, size, first_index=first, threads=1
+            )
+            assert want.shape == (size,)
+            for threads in (1, 2, 3):
+                for chunk in (None, 1, 7):
+                    got = limitdist.xi_sampler_batch(
+                        sc, p, table, 4, size, first_index=first,
+                        chunk=chunk, threads=threads,
+                    )
+                    assert np.array_equal(got, want), (threads, chunk)
+
+
+def test_xi_sampler_threads_share_the_memory_budget() -> None:
+    sc = ScaleParams.from_n(1 << 160, 2)
+    p = LimitParams(1, 2, sc.gamma)
+    table = series.constants(2, 1)
+    limitdist.xi_sampler_batch(sc, p, table, seed=1, n_samples=1)
+    peaks = {}
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            limitdist.xi_sampler_batch(
+                sc, p, table, seed=1, n_samples=2048, threads=threads
+            )
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 2**20
+
+
 def test_xi_sampler_default_chunk_bounds_memory() -> None:
-    """At n = 2**160, k = 2 a row has 8191 clocks, so the default chunk
-    of 512 rows fills one 32 MB buffer, and every step works in it."""
+    """At n = 2**160, k = 2 a row has 8191 clocks, so the default chunks
+    of all workers together hold 512 rows, one 32 MB budget, and every
+    step works in them."""
     sc = ScaleParams.from_n(1 << 160, 2)
     p = LimitParams(1, 2, sc.gamma)
     table = series.constants(2, 1)
