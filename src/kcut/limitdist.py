@@ -35,7 +35,7 @@ Provided here:
   weight class, and converge in law to the same limit.  Along the
   fixed-gamma ladder ``n = 2**40, 2**80, 2**160`` the KS distance to
   ``limit_cdf`` falls as 0.073, 0.045, 0.028 for (r, k) = (1, 1) and
-  0.092, 0.062, 0.041 for (1, 2) (seed 20260825, 100k draws).
+  0.089, 0.059, 0.039 for (1, 2) (seed 20260825, 100k draws).
 
 Every evaluation of ``Q`` and ``Q^{-1}``, scalar or vectorized, goes
 through :mod:`kcut.specfun`, the package's one scipy-backed route.
@@ -160,6 +160,27 @@ def _frac(x: float) -> float:
     return x - math.floor(x)
 
 
+def _series_thetas(
+    x: float, p: LimitParams
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """``gamma(a)``, ``c``, ``s = 1..s_max``, ``y_s = 2**(c-s)`` and
+    ``theta_s = q_inv(a, y_s)`` of the series at ``x``, in one array
+    call of ``q_inv``."""
+    ga = math.gamma(p.a)
+    c = _frac(p.gamma + math.log2(x / ga))
+    s = np.arange(1, p.s_max + 1)
+    y = 2.0 ** (c - s)
+    return ga, c, s, y, specfun.q_inv(p.a, y)
+
+
+def _truncated_sum(terms: np.ndarray, bound_next: np.ndarray) -> float:
+    """Running sum of ``terms`` up to the first ``s >= 2`` at which
+    ``4 * bound_next[s]`` is below 1e-14 of it, or of all terms."""
+    running = np.cumsum(terms)
+    stop = np.flatnonzero(4.0 * bound_next[1:] < 1.0e-14 * running[1:])
+    return float(running[stop[0] + 1] if stop.size else running[-1])
+
+
 def levy_density(x: float, p: LimitParams) -> float:
     """Levy-measure density at ``x > 0``.
 
@@ -174,20 +195,12 @@ def levy_density(x: float, p: LimitParams) -> float:
     if x <= 0.0:
         raise ValueError(f"density is supported on x > 0, got {x!r}")
     a = p.a
-    ga = math.gamma(a)
-    c = _frac(p.gamma + math.log2(x / ga))
-    total = 0.0
-    for s in range(1, p.s_max + 1):
-        y = 2.0 ** (c - s)
-        theta = specfun.q_inv(a, y)
-        term = 4.0 ** (c - s) * math.exp(theta) * theta ** (1.0 - a)
-        total += term
-        bound_next = 2.0 ** (c - s - 1) * ((s + 1 - c) * math.log(2.0)) ** (
-            1.0 - a
-        )
-        if s >= 2 and 4.0 * bound_next < 1.0e-14 * total:
-            break
-    return ga * ga / (x * x) * total
+    ga, c, s, _, theta = _series_thetas(x, p)
+    terms = 4.0 ** (c - s) * np.exp(theta) * theta ** (1.0 - a)
+    bound_next = 2.0 ** (c - s - 1) * ((s + 1 - c) * math.log(2.0)) ** (
+        1.0 - a
+    )
+    return ga * ga / (x * x) * _truncated_sum(terms, bound_next)
 
 
 def levy_tail(x: float, p: LimitParams) -> float:
@@ -199,19 +212,9 @@ def levy_tail(x: float, p: LimitParams) -> float:
     """
     if x <= 0.0:
         raise ValueError(f"tail function needs x > 0, got {x!r}")
-    a = p.a
-    ga = math.gamma(a)
-    c = _frac(p.gamma + math.log2(x / ga))
-    total = 0.0
-    ln2 = math.log(2.0)
-    for s in range(1, p.s_max + 1):
-        y = 2.0 ** (c - s)
-        theta = specfun.q_inv(a, y)
-        total += y * theta
-        bound_next = 2.0 ** (c - s - 1) * (s + 1 - c) * ln2
-        if s >= 2 and 4.0 * bound_next < 1.0e-14 * total:
-            break
-    return ga / x * total
+    ga, c, s, y, theta = _series_thetas(x, p)
+    bound_next = 2.0 ** (c - s - 1) * (s + 1 - c) * math.log(2.0)
+    return ga / x * _truncated_sum(y * theta, bound_next)
 
 
 def _mean_antiderivative(a: float, c: float, s: int) -> float:
@@ -1088,7 +1091,9 @@ def xi_sampler(
     """One draw of the triangular-array approximation to ``1 - C3*W``.
 
     Draws i.i.d. Gamma(k, 1) clocks ``T_v`` for every node of height at
-    most ``L`` and returns ``1 - C3 * (sum_v xi_v - centre)`` with
+    most ``L``, each the in-order sum of the node's row of ``k``
+    node-major exponentials (the k-th clock of the record sweep), and
+    returns ``1 - C3 * (sum_v xi_v - centre)`` with
 
         xi_v   = (m n_v / n) * gamma(a) * Q(a, m T_v**k / k!),
         centre = sum_v E[xi_v 1[xi_v <= h]] - f + integral_h^1 x dnu,
@@ -1100,7 +1105,7 @@ def xi_sampler(
     n) -> gamma``; the paper gives no rate.  Along the fixed-gamma
     ladder ``n = 2**40, 2**80, 2**160`` (seed 20260825, 100k draws) the
     KS distance to :func:`limit_cdf` is 0.073, 0.045, 0.028 for (r, k) =
-    (1, 1) and 0.092, 0.062, 0.041 for (1, 2).  A tree on ``2**40``
+    (1, 1) and 0.089, 0.059, 0.039 for (1, 2).  A tree on ``2**40``
     nodes is itself far from the limit: its Levy mass above 1 is 1.312
     against ``levy_tail(1) = 1.466``.
 
@@ -1125,7 +1130,8 @@ def xi_sampler_batch(
     ``(seed, first_index + i)``.  ``chunk`` (samples in flight at once,
     shared by the ``threads`` workers; see
     :func:`kcut.cutsim.resolve_threads`) defaults to the package's 32 MB
-    scratch budget for rows of clocks; each worker computes its part in
+    scratch budget for rows of clocks; each worker draws a row's
+    exponentials into one ``(N, k)`` scratch and computes its part in
     place in one buffer.  Neither changes the output."""
     if table is None:
         table = series.constants(p.k, p.r)
@@ -1137,27 +1143,32 @@ def xi_sampler_batch(
         )
     _check_samples(p.k, n_samples)
     a = p.a
-    ga = math.gamma(a)
-    kfact = float(math.factorial(p.k))
     weights = _xi_weights(scale)
+    ga_weights = math.gamma(a) * weights
+    z_per_clock = scale.m / math.factorial(p.k)
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
     out = np.empty(n_samples)
 
     def worker(rows: int):
         buf = np.empty((rows, weights.size))
+        clocks = np.empty((weights.size, p.k))
 
         def draw(j: int, rng: np.random.Generator) -> None:
-            rng.standard_gamma(p.k, out=buf[j])
+            # T_v = ((E_1 + E_2) + ...) + E_k over row v of node-major
+            # exponentials: the record sweep's k-th clock sum.
+            rng.standard_exponential(out=clocks)
+            t = buf[j]
+            t[...] = clocks[:, 0]
+            for r in range(1, p.k):
+                t += clocks[:, r]
 
         def sweep(lo: int, hi: int) -> None:
             # xi_v = weights * ga * Q(a, m T**k / k!), built in place.
             xi = buf[: hi - lo]
             np.power(xi, p.k, out=xi)
-            np.multiply(xi, scale.m, out=xi)
-            np.divide(xi, kfact, out=xi)
+            np.multiply(xi, z_per_clock, out=xi)
             specfun.q(a, xi, out=xi)
-            np.multiply(xi, ga, out=xi)
-            np.multiply(xi, weights, out=xi)
+            np.multiply(xi, ga_weights, out=xi)
             out[lo:hi] = shift - table.c3 * xi.sum(axis=1)
 
         return draw, sweep

@@ -34,7 +34,17 @@ def q(
 
 def q_inv(a: float, y: float | np.ndarray) -> float | np.ndarray:
     """Inverse of :func:`q` in its second argument, extended by
-    ``q_inv(a, y) = 0`` for ``y >= 1`` and ``inf`` for ``y <= 0``."""
+    ``q_inv(a, y) = 0`` for ``y >= 1`` and ``inf`` for ``y <= 0``.  The
+    shapes ``a = 1`` and ``a = 1/2`` invert their closed forms of
+    :func:`q`: ``-log(y)`` and ``erfcinv(y)**2``.
+    """
     if a <= 0.0:
         raise ValueError(f"q_inv requires a > 0, got {a!r}")
-    return special.gammainccinv(a, np.minimum(np.maximum(y, 0.0), 1.0))
+    y = np.minimum(np.maximum(y, 0.0), 1.0)
+    if a == 1.0:
+        # 0.0 - log(1) is +0.0, where -log(1) would be -0.0.
+        with np.errstate(divide="ignore"):
+            return 0.0 - np.log(y)
+    if a == 0.5:
+        return special.erfcinv(y) ** 2
+    return special.gammainccinv(a, y)

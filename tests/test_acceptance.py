@@ -14,7 +14,7 @@ gamma fixed.  Its exact characteristic function approaches the limit's
 with no floor: at t = 0.25 the distance is 0.085, 0.047, 0.026, 0.014
 for k = 1 along lg n = 40, 80, 160, 320, halving as lg n doubles, so
 there is no constant-factor lg/ln slip.  The KS distance to the limit
-CDF is 0.073, 0.045, 0.028 (k = 1) and 0.092, 0.062, 0.041 (k = 2), and
+CDF is 0.073, 0.045, 0.028 (k = 1) and 0.089, 0.059, 0.039 (k = 2), and
 the stated 0.05 threshold applies at the top of the ladder.
 """
 
@@ -245,9 +245,9 @@ def test_11a_xi_sampler_matches_limit_cdf() -> None:
     keeps alpha = 0 and gamma = frac(-lg 5) exactly.  The KS distance
     must fall strictly along the ladder and be at most 0.05 at the top.
     Measured with this seed: 0.073, 0.045, 0.028 for (r, k) = (1, 1) and
-    0.092, 0.062, 0.041 for (1, 2).  Centring by the asymptotic
+    0.089, 0.059, 0.039 for (1, 2).  Centring by the asymptotic
     compensator instead of the array's exact truncated mean gives 0.081,
-    0.048, 0.030 and 0.204, 0.155, 0.109, which fails.
+    0.048, 0.030 and 0.204, 0.154, 0.107, which fails.
     """
     start = time.perf_counter()
     stats = {}

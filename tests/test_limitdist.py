@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate, special
 
 from kcut import limitdist, series
-from kcut.cutsim import CompleteTree
+from kcut.cutsim import CompleteTree, substream
 from kcut.limitdist import LimitParams, ScaleParams
 
 RNG = np.random.default_rng(20260825)
@@ -598,6 +598,38 @@ def test_xi_sampler_bounds_and_determinism() -> None:
     )
     gap = _truncated_mean_gap(1 << 30, 1, 2)
     assert exact - asymptotic == pytest.approx(table.c3 * gap, abs=1e-7)
+
+
+@pytest.mark.parametrize("r, k", [(1, 1), (1, 2), (2, 3)])
+def test_xi_sampler_stream_definition(r: int, k: int) -> None:
+    """Draw i of seed s takes row v of ``substream(s, i)``'s node-major
+    ``(N, k)`` exponentials, sums it in order into the clock ``T_v`` and
+    adds ``w_v * gamma(a) * Q(a, m T_v**k / k!)`` over the nodes.  The
+    three cases take Q through exp, erfc and gammaincc."""
+    sc = ScaleParams.from_n(1 << 20, k)
+    p = LimitParams(r, k, sc.gamma)
+    table = series.constants(k, r)
+    a = p.a
+    weights = limitdist._xi_weights(sc)
+    shift = 1.0 + table.c3 * limitdist._xi_centre(sc, p)
+    got = limitdist.xi_sampler_batch(sc, p, table, seed=3, n_samples=8)
+    for i in (0, 7):
+        exps = substream(3, i).standard_exponential((weights.size, k))
+        xi = []
+        for w, row in zip(weights, exps):
+            t = 0.0
+            for e in row:
+                t += e
+            z = sc.m * t**k / math.factorial(k)
+            if a == 1.0:
+                q = math.exp(-z)
+            elif a == 0.5:
+                q = math.erfc(math.sqrt(z))
+            else:
+                q = float(special.gammaincc(a, z))
+            xi.append(w * math.gamma(a) * q)
+        want = shift - table.c3 * math.fsum(xi)
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0), i
 
 
 def test_xi_sampler_split_invariance() -> None:

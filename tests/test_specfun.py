@@ -33,7 +33,7 @@ def test_q_exponential_closed_form() -> None:
     for i in range(301):
         x = 30.0 * i / 300.0
         ref = math.exp(-x)
-        assert specfun.q(1.0, x) == pytest.approx(ref, rel=1e-12)
+        assert specfun.q(1.0, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_upper_gamma_closed_form_a2() -> None:
@@ -41,7 +41,7 @@ def test_upper_gamma_closed_form_a2() -> None:
     for i in range(121):
         x = 30.0 * i / 120.0
         ref = (x + 1.0) * math.exp(-x)
-        assert specfun.q(2.0, x) == pytest.approx(ref, rel=1e-12)
+        assert specfun.q(2.0, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_shift_identity() -> None:
@@ -50,7 +50,7 @@ def test_shift_identity() -> None:
         for x in [1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0]:
             lhs = specfun.q(a + 1.0, x)
             rhs = specfun.q(a, x) + x**a * math.exp(-x) / math.gamma(a + 1.0)
-            assert lhs == pytest.approx(rhs, rel=1e-13)
+            assert lhs == pytest.approx(rhs, rel=1e-13, abs=0.0)
 
 
 @given(
@@ -62,7 +62,7 @@ def test_q_matches_mpmath(a: float, x: float) -> None:
     ref = _mp_q(a, x)
     ours = specfun.q(a, x)
     if ref > 1e-280:
-        assert ours == pytest.approx(ref, rel=5e-13)
+        assert ours == pytest.approx(ref, rel=5e-13, abs=0.0)
     else:
         assert ours == pytest.approx(ref, abs=1e-280)
 
@@ -70,7 +70,8 @@ def test_q_matches_mpmath(a: float, x: float) -> None:
 def test_q_matches_mpmath_spot_checks() -> None:
     for a, x in [(0.5, 0.25), (0.5, 7.0), (1.5, 1.5), (2.0, 40.0),
                  (0.1, 3.0), (10.0, 3.0), (10.0, 30.0)]:
-        assert specfun.q(a, x) == pytest.approx(_mp_q(a, x), rel=1e-13)
+        ref = _mp_q(a, x)
+        assert specfun.q(a, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_q_in_place_matches_mpmath() -> None:
@@ -96,25 +97,53 @@ def test_q_monotone_decreasing(a: float, x0: float, x1: float) -> None:
 
 
 def test_q_inv_extension_and_edges() -> None:
-    assert specfun.q_inv(2.0, 1.0) == 0.0
-    assert specfun.q_inv(2.0, 1.5) == 0.0
-    assert specfun.q_inv(2.0, 0.0) == math.inf
-    assert specfun.q_inv(2.0, -0.3) == math.inf
-    xs = specfun.q_inv(2.0, np.array([1.5, 1.0, 0.0, -0.3]))
-    assert xs.tolist() == [0.0, 0.0, math.inf, math.inf]
+    # 2 goes through gammainccinv, 1 and 1/2 through their closed forms;
+    # each must return +0.0 (not -0.0) at y >= 1.
+    for a in (2.0, 1.0, 0.5):
+        for y in (1.0, 1.5):
+            assert math.copysign(1.0, specfun.q_inv(a, y)) == 1.0
+        assert specfun.q_inv(a, 0.0) == math.inf
+        assert specfun.q_inv(a, -0.3) == math.inf
+        xs = specfun.q_inv(a, np.array([1.5, 1.0, 0.0, -0.3]))
+        assert xs.tolist() == [0.0, 0.0, math.inf, math.inf]
+        assert not np.signbit(xs).any()
     with pytest.raises(ValueError):
         specfun.q_inv(-1.0, 0.5)
     with pytest.raises(ValueError):
         specfun.q_inv(0.0, 0.5)
 
 
+_CLOSED_FORM_YS = [1e-300, 1e-100, 2.0**-80, 1e-12, 0.5, 0.99, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5])
+def test_q_inv_closed_forms_match_mpmath(a: float) -> None:
+    """The a = 1 and a = 1/2 branches, scalar and array, against the
+    root of log Q(a, e**u) = log y at 80 digits."""
+    ours = [specfun.q_inv(a, y) for y in _CLOSED_FORM_YS]
+    with mpmath.workdps(80):
+        ref = []
+        for y, x in zip(_CLOSED_FORM_YS, ours):
+
+            def gap(u: mpmath.mpf, y: float = y) -> mpmath.mpf:
+                tail = mpmath.gammainc(a, mpmath.exp(u), mpmath.inf,
+                                       regularized=True)
+                return mpmath.log(tail) - mpmath.log(mpmath.mpf(y))
+
+            ref.append(float(mpmath.exp(mpmath.findroot(gap, math.log(x)))))
+    np.testing.assert_allclose(ours, ref, rtol=1e-14, atol=0.0)
+    arr = specfun.q_inv(a, np.array(_CLOSED_FORM_YS))
+    np.testing.assert_allclose(arr, ref, rtol=1e-14, atol=0.0)
+
+
 def test_q_inv_log_closed_form() -> None:
     """q_inv(1, y) = log(1/y)."""
     for y in [1e-300, 1e-100, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.37, 0.5, 0.9, 0.999]:
-        assert specfun.q_inv(1.0, y) == pytest.approx(-math.log(y), rel=1e-12)
+        ref = -math.log(y)
+        assert specfun.q_inv(1.0, y) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("a", [1.0 / 8.0, 1.0])
+@pytest.mark.parametrize("a", [1.0 / 8.0, 0.5, 1.0])
 def test_q_inv_near_one_matches_mpmath(a: float) -> None:
     """At y = 1 - 1e-12 the root is tiny: solve P(a, x) = 1 - y in log x."""
     y = 1.0 - 1e-12
@@ -138,7 +167,7 @@ def test_q_inv_near_one_matches_mpmath(a: float) -> None:
 def test_q_inv_roundtrip(a: float, y: float) -> None:
     x = specfun.q_inv(a, y)
     assert x >= 0.0
-    assert specfun.q(a, x) == pytest.approx(y, rel=1e-11)
+    assert specfun.q(a, x) == pytest.approx(y, rel=1e-11, abs=0.0)
 
 
 @given(
@@ -179,4 +208,4 @@ def test_q_inv_derivative_formula() -> None:
             num = (specfun.q_inv(a, y + h) - specfun.q_inv(a, y - h)) / (2 * h)
             theta = specfun.q_inv(a, y)
             ana = -math.gamma(a) * math.exp(theta) * theta ** (1.0 - a)
-            assert num == pytest.approx(ana, rel=5e-6)
+            assert num == pytest.approx(ana, rel=5e-6, abs=0.0)
