@@ -137,14 +137,9 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     kind = args.kind or "density"
     if kind in ("density", "tail"):
-        if np.any(grid <= 0.0):
-            raise ValueError(
-                f"{kind} needs a positive grid, got start "
-                f"{grid[0]:g}"
-            )
         fn = limitdist.levy_density if kind == "density" else limitdist.levy_tail
         rows = [f"x,{kind}"] + [
-            f"{x:.17g},{fn(float(x), p):.17g}" for x in grid
+            f"{x:.17g},{v:.17g}" for x, v in zip(grid, fn(grid, p))
         ]
     elif kind == "cf":
         rows = ["t,real,imag"]

@@ -15,8 +15,7 @@ integral over (0, inf) is folded onto the reference block [1, 2].
 
 Provided here:
 
-- ``levy_density`` / ``levy_tail``  -- pointwise series evaluation with
-  analytically bounded truncation;
+- ``levy_density`` / ``levy_tail``  -- the series at an array of points;
 - ``levy_block_mean``               -- exact ``integral x d nu`` over an
   interval, via a closed-form antiderivative per series term;
 - ``levy_block_moment2``            -- quadrature ``integral x**2 d nu``;
@@ -38,7 +37,8 @@ Provided here:
   0.089, 0.059, 0.039 for (1, 2) (seed 20260825, 100k draws).
 
 Every evaluation of ``Q`` and ``Q^{-1}``, scalar or vectorized, goes
-through :mod:`kcut.specfun`, the package's one scipy-backed route.
+through :mod:`kcut.specfun`, the package's one scipy-backed route; every
+Levy series sums ``s = 1..s_max`` of one ``_thetas`` array call.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ class LimitParams:
     ``gamma`` may be any value in [0, 1]; the law is periodic, so 0 and
     1 describe the same distribution (both endpoints are accepted
     because a subsequence with fractional parts near both ends is
-    ambiguous between them).  ``s_max`` caps the log-periodic series;
-    terms are always cut adaptively once the analytic bound on the
-    remainder is below 1e-14 of the running sum.
+    ambiguous between them).  ``s_max`` is the number of terms of every
+    log-periodic series; it must lie in [56, 1000], where the omitted
+    remainder is below 1e-14 of each sum and every term is finite (see
+    ``_thetas``).
     """
 
     r: int
@@ -98,8 +99,8 @@ class LimitParams:
             raise ValueError(f"r must lie in [1, k={self.k}], got {self.r!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if self.s_max < 8:
-            raise ValueError("s_max below 8 cannot meet the tail target")
+        if not isinstance(self.s_max, int) or not 56 <= self.s_max <= 1000:
+            raise ValueError(f"s_max must lie in [56, 1000], got {self.s_max!r}")
 
     @property
     def a(self) -> float:
@@ -152,133 +153,141 @@ class ScaleParams:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise series: density, tail, drift.
+# The Levy series: density, tail, block mean, drift.
 # ---------------------------------------------------------------------------
 
-
-def _frac(x: float) -> float:
-    return x - math.floor(x)
-
-
-def _series_thetas(
-    x: float, p: LimitParams
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
-    """``gamma(a)``, ``c``, ``s = 1..s_max``, ``y_s = 2**(c-s)`` and
-    ``theta_s = q_inv(a, y_s)`` of the series at ``x``, in one array
-    call of ``q_inv``."""
-    ga = math.gamma(p.a)
-    c = _frac(p.gamma + math.log2(x / ga))
-    s = np.arange(1, p.s_max + 1)
-    y = 2.0 ** (c - s)
-    return ga, c, s, y, specfun.q_inv(p.a, y)
+# Entries per array in one pass of the series, the quadrature or the CDF
+# evaluation (512 kB of float64): small enough to stay in the L2 cache.
+_PASS_SIZE = 1 << 16
 
 
-def _truncated_sum(terms: np.ndarray, bound_next: np.ndarray) -> float:
-    """Running sum of ``terms`` up to the first ``s >= 2`` at which
-    ``4 * bound_next[s]`` is below 1e-14 of it, or of all terms."""
-    running = np.cumsum(terms)
-    stop = np.flatnonzero(4.0 * bound_next[1:] < 1.0e-14 * running[1:])
-    return float(running[stop[0] + 1] if stop.size else running[-1])
+def _c_of(x, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
+    """Period index ``K`` and phase ``c`` of the series at ``x``: the
+    integer and fractional parts of ``gamma + lg(x / gamma(a))``.  The
+    wrap points, where ``c`` jumps from 1 to 0, are ``gamma(a) * 2**(K -
+    gamma)``."""
+    return np.divmod(p.gamma + np.log2(x / math.gamma(p.a)), 1.0)
 
 
-def levy_density(x: float, p: LimitParams) -> float:
-    """Levy-measure density at ``x > 0``.
+def _thetas(c, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
+    """``y = 2**(c - s)`` and ``theta = q_inv(a, y)`` for ``s = 1..s_max``,
+    shape ``c.shape + (s_max,)``, from one array call of ``q_inv``.
 
-    Evaluates ``(gamma(a)**2 / x**2) * sum_{s>=1} 4**(c-s) *
+    Every series of the Levy measure sums its term over this whole axis,
+    so the fixed ``s_max`` is the one truncation rule.  By the envelope
+    ``theta_s <= log(1/y_s) = (s - c) ln 2`` each term of each series is
+    at most a constant of the shape times ``2**(c-s) * (s - c)``, and the
+    omitted remainder falls geometrically in ``s_max``.  Over every shape
+    ``r/k`` with ``k <= 8`` and 256 phases, ``s_max >= 56`` keeps it below
+    1e-14 of the tail (50 suffice for the density), and below 1e-14
+    absolute in the drift and the block-mean antiderivative (51 terms).
+    ``s_max <= 1000`` keeps ``y`` a normal float, so ``theta`` is finite.
+    :class:`LimitParams` enforces both ends.
+    """
+    c = np.asarray(c, dtype=float)
+    y = 2.0 ** (c[..., None] - np.arange(1, p.s_max + 1))
+    return y, specfun.q_inv(p.a, y)
+
+
+def _density_terms(c, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
+    """Density-series terms ``4**(c-s) exp(theta_s) theta_s**(1-a)`` at
+    the phases ``c``, built in place with ``4**(c-s)`` inside the ``exp``
+    (``exp(theta_s)`` overflows for ``s >= 1024``), and ``theta_1``."""
+    c = np.asarray(c, dtype=float)
+    y, theta = _thetas(c, p)
+    theta1 = theta[..., 0].copy()
+    terms = np.subtract(c[..., None], np.arange(1, p.s_max + 1), out=y)
+    terms *= 2.0 * math.log(2.0)
+    terms += theta
+    np.exp(terms, out=terms)
+    terms *= np.power(theta, 1.0 - p.a, out=theta)
+    return terms, theta1
+
+
+def _support(x, what: str) -> np.ndarray:
+    """``x`` as a float array, once every entry is finite and positive."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~(np.isfinite(x) & (x > 0.0))]
+    if bad.size:
+        raise ValueError(f"{what} must be finite and > 0, got {float(bad[0])!r}")
+    return x
+
+
+def _per_point(x, p: LimitParams, what: str, row_sum):
+    """``row_sum(x_block, c_block)`` at every finite ``x > 0``, in blocks
+    of at most ``_PASS_SIZE`` series terms, so memory stays bounded for
+    any size of ``x``; a 0-d ``x`` gives a float."""
+    x = _support(x, what)
+    flat, out = x.ravel(), np.empty(x.size)
+    step = max(1, _PASS_SIZE // p.s_max)
+    for i in range(0, x.size, step):
+        block = flat[i : i + step]
+        out[i : i + step] = row_sum(block, _c_of(block, p)[1])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _interval(lo: float, hi: float) -> np.ndarray:
+    """``[lo, hi]`` as an array, once both are finite and ``0 < lo < hi``."""
+    ends = _support([lo, hi], "interval end")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+    return ends
+
+
+def levy_density(x, p: LimitParams):
+    """Levy-measure density at every finite ``x > 0`` (vectorized; a
+    0-d ``x`` gives a float).
+
+    Evaluates ``(gamma(a)**2 / x**2) * sum_{s=1}^{s_max} 4**(c-s) *
     exp(theta_s) * theta_s**(1-a)`` with ``theta_s = q_inv(a, 2**(c-s))``
-    and ``c = frac(gamma + lg(x / gamma(a)))``.  Each term is bounded by
-    ``2**(c-s) * ((s - c) ln 2)**(1-a)`` (from the envelope
-    ``q_inv(a, y) <= log(1/y)`` and ``exp(theta) <= 1/y``), so the
-    truncated tail is controlled by a geometric bound; summation stops
-    once that bound falls below 1e-14 of the running sum.
+    and ``c = frac(gamma + lg(x / gamma(a)))``; :func:`_thetas` states
+    the truncation bound.
     """
-    if x <= 0.0:
-        raise ValueError(f"density is supported on x > 0, got {x!r}")
-    a = p.a
-    ga, c, s, _, theta = _series_thetas(x, p)
-    terms = 4.0 ** (c - s) * np.exp(theta) * theta ** (1.0 - a)
-    bound_next = 2.0 ** (c - s - 1) * ((s + 1 - c) * math.log(2.0)) ** (
-        1.0 - a
-    )
-    return ga * ga / (x * x) * _truncated_sum(terms, bound_next)
+    ga = math.gamma(p.a)
+
+    def row_sum(x, c):
+        return ga * ga / (x * x) * _density_terms(c, p)[0].sum(axis=-1)
+
+    return _per_point(x, p, "density point x", row_sum)
 
 
-def levy_tail(x: float, p: LimitParams) -> float:
-    """Mass of the Levy measure on ``(x, inf)``.
+def levy_tail(x, p: LimitParams):
+    """Mass of the Levy measure on ``(x, inf)`` at every finite ``x > 0``
+    (vectorized; a 0-d ``x`` gives a float).
 
-    Series form ``(gamma(a)/x) * sum_{s>=1} 2**(c-s) * theta_s`` with the
-    same ``c`` and ``theta_s`` as :func:`levy_density`; its negated
-    derivative in ``x`` is the density.
+    Series form ``(gamma(a)/x) * sum_{s=1}^{s_max} 2**(c-s) * theta_s``
+    with the same ``c`` and ``theta_s`` as :func:`levy_density`; its
+    negated derivative in ``x`` is the density.
     """
-    if x <= 0.0:
-        raise ValueError(f"tail function needs x > 0, got {x!r}")
-    ga, c, s, y, theta = _series_thetas(x, p)
-    bound_next = 2.0 ** (c - s - 1) * (s + 1 - c) * math.log(2.0)
-    return ga / x * _truncated_sum(y * theta, bound_next)
+    def row_sum(x, c):
+        y, theta = _thetas(c, p)
+        return math.gamma(p.a) / x * np.multiply(y, theta, out=y).sum(axis=-1)
 
-
-def _mean_antiderivative(a: float, c: float, s: int) -> float:
-    """Antiderivative of ``x * dens_s(x)`` expressed through ``c``.
-
-    On a stretch where the integer part of ``gamma + lg(x/gamma(a))``
-    is constant, each series term of ``x * density`` has the exact
-    antiderivative ``gamma(1+a) * Q(1+a, theta) - gamma(a) * 2**(c-s) *
-    theta`` with ``theta = q_inv(a, 2**(c-s))``.
-    """
-    y = 2.0 ** (c - s)
-    theta = specfun.q_inv(a, y)
-    lead = math.gamma(1.0 + a) * specfun.q(1.0 + a, theta)
-    return lead - math.gamma(a) * y * theta
-
-
-def _piece_mean(p: LimitParams, c_lo: float, c_hi: float) -> float:
-    """``integral x d nu`` over one no-wrap stretch, by ``c`` values."""
-    a = p.a
-    total = 0.0
-    small_streak = 0
-    for s in range(1, p.s_max + 1):
-        delta = _mean_antiderivative(a, c_hi, s) - _mean_antiderivative(
-            a, c_lo, s
-        )
-        total += delta
-        if abs(delta) < 1.0e-16 * max(abs(total), 1.0e-30):
-            small_streak += 1
-            if small_streak >= 2 and s >= 3:
-                break
-        else:
-            small_streak = 0
-    return total
+    return _per_point(x, p, "tail point x", row_sum)
 
 
 def levy_block_mean(p: LimitParams, lo: float, hi: float) -> float:
     """Exact ``integral_lo^hi x d nu`` (closed-form antiderivatives).
 
-    The interval is split at the breakpoints of the fractional-part
-    exponent (the points ``gamma(a) * 2**(K - gamma)``); on each piece
-    the per-term antiderivative applies.  Over any full period such as
-    [1, 2] the sum telescopes to ``gamma(1 + a)`` independently of
-    ``gamma``.
+    The interval is split at the wrap points ``gamma(a) * 2**(K -
+    gamma)``.  On each piece, with phases ``c_lo`` to ``c_hi``, each
+    series term of ``x * density`` has the exact antiderivative
+    ``gamma(1+a) * Q(1+a, theta) - gamma(a) * 2**(c-s) * theta`` with
+    ``theta = q_inv(a, 2**(c-s))``.  Over any full period such as [1, 2]
+    the sum telescopes to ``gamma(1 + a)`` independently of ``gamma``.
     """
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    ga = math.gamma(p.a)
-
-    def c_of(x: float) -> float:
-        return _frac(p.gamma + math.log2(x / ga))
-
-    # Pieces are delimited by the wrap points of the fractional part; at
-    # an interior wrap the exponent is exactly 1 on the left and exactly
-    # 0 on the right, so assign those values structurally instead of
+    (k_lo, k_hi), (c_lo, c_hi) = _c_of(_interval(lo, hi), p)
+    # Row 0 holds the pieces' lower phases, row 1 their upper ones.  At an
+    # interior wrap the phase is exactly 1 on the left and exactly 0 on
+    # the right, so assign those values structurally instead of
     # re-evaluating the fractional part at a rounded breakpoint.
-    k_lo = math.floor(p.gamma + math.log2(lo / ga))
-    k_hi = math.floor(p.gamma + math.log2(hi / ga))
-    if k_hi == k_lo:
-        segments = [(c_of(lo), c_of(hi))]
-    else:
-        segments = [(c_of(lo), 1.0)]
-        segments.extend((0.0, 1.0) for _ in range(k_lo + 1, k_hi))
-        segments.append((0.0, c_of(hi)))
-    return sum(_piece_mean(p, c0, c1) for c0, c1 in segments)
+    ends = np.empty((2, int(k_hi - k_lo) + 1))
+    ends[0], ends[1] = 0.0, 1.0
+    ends[0, 0], ends[1, -1] = c_lo, c_hi
+    y, theta = _thetas(ends, p)
+    anti = math.gamma(1.0 + p.a) * specfun.q(1.0 + p.a, theta)
+    anti -= math.gamma(p.a) * y * theta
+    return float((anti[1] - anti[0]).sum())
 
 
 _QUAD_TOL = 1.0e-11  # absolute tolerance of non-oscillatory quadratures
@@ -287,21 +296,14 @@ _QUAD_TOL = 1.0e-11  # absolute tolerance of non-oscillatory quadratures
 def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
     """``integral_lo^hi x**2 d nu`` by adaptive quadrature of the scalar
     density (no closed antiderivative exists for this moment)."""
-    if not 0.0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    ga = math.gamma(p.a)
-    k_lo = math.floor(p.gamma + math.log2(lo / ga))
-    k_hi = math.floor(p.gamma + math.log2(hi / ga))
-    pts = [
-        ga * 2.0 ** (kk - p.gamma)
-        for kk in range(k_lo + 1, k_hi + 1)
-        if lo < ga * 2.0 ** (kk - p.gamma) < hi
-    ]
+    k_lo, k_hi = _c_of(_interval(lo, hi), p)[0]
+    pts = math.gamma(p.a) * 2.0 ** (np.arange(k_lo + 1, k_hi + 1) - p.gamma)
+    pts = pts[(lo < pts) & (pts < hi)]
     value, abserr = integrate.quad(
         lambda x: x * x * levy_density(x, p),
         lo,
         hi,
-        points=pts or None,
+        points=pts if pts.size else None,
         epsabs=1.0e-12,
         epsrel=1.0e-12,
         limit=200,
@@ -317,36 +319,24 @@ def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
 def f_constant(p: LimitParams) -> float:
     """Drift constant of the limit law.
 
-    With ``c = frac(gamma - lg gamma(a))`` and ``theta_t = q_inv(a,
-    2**(c-t))``:
+    With ``c = frac(gamma - lg gamma(a))``, the phase at ``x = 1``, and
+    ``theta_t = q_inv(a, 2**(c-t))``:
 
         f = sum_t exp(-theta_t) * theta_t**a
             - gamma(a) * sum_t 2**(c-t) * theta_t
             + gamma(1+a) * (2**c - c - lg gamma(a) - 1).
 
     For ``r = k`` the two series cancel termwise and f reduces to
-    ``2**gamma - gamma - 1``.  Truncation uses the analytic envelopes
-    ``q_inv(a, y) <= log(1/y)`` and ``q_inv(a, y) >= gamma(1+a)**(1/a) *
-    log(a/y)`` to bound the omitted tail below 1e-12.
+    ``2**gamma - gamma - 1``.  The series run to ``s_max`` (see
+    :func:`_thetas`).
     """
     a = p.a
     ga = math.gamma(a)
-    c = _frac(p.gamma - math.log2(ga))
-    ln2 = math.log(2.0)
-    lower_scale = math.gamma(1.0 + a) ** (1.0 / a)
-    total = 0.0
-    for t in range(1, p.s_max + 1):
-        y = 2.0 ** (c - t)
-        theta = specfun.q_inv(a, y)
-        total += math.exp(-theta) * theta**a - ga * y * theta
-        up_next = (t + 1 - c) * ln2
-        lo_next = max(0.0, lower_scale * math.log(a * 2.0 ** (t + 1 - c)))
-        bound_next = math.exp(-lo_next) * up_next**a + ga * 2.0 ** (
-            c - t - 1
-        ) * up_next
-        if t >= 4 and 4.0 * bound_next < 1.0e-12:
-            break
-    return total + math.gamma(1.0 + a) * (2.0**c - c - math.log2(ga) - 1.0)
+    c = float(_c_of(1.0, p)[1])
+    y, theta = _thetas(c, p)
+    drift = np.exp(-theta) * theta**a - ga * y * theta
+    closed = math.gamma(1.0 + a) * (2.0**c - c - math.log2(ga) - 1.0)
+    return float(drift.sum()) + closed
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +354,11 @@ class _Profile:
     algebraically as ``c -> 1``) and the smooth remainder.  ``P2`` is
     cubic-splined on a fine grid; ``G1`` goes through a spline of
     ``theta_1**a`` (a nearly linear function of ``c``), keeping the
-    algebraic endpoint behavior exact in form.  The grid values of
-    ``Q^{-1}`` come from :func:`kcut.specfun.q_inv` in one array call;
-    the scalar series (:func:`levy_density`) is the reference the tests
-    pin the splines against.
+    algebraic endpoint behavior exact in form.  The grid's series terms
+    come from one ``_thetas`` call: column 0 gives ``theta_1``, the
+    other columns sum to ``P2``.  The series itself
+    (:func:`levy_density`) is the reference the tests pin the splines
+    against.
     """
 
     def __init__(self, p: LimitParams) -> None:
@@ -376,21 +367,15 @@ class _Profile:
         self.a = a
         self.ga = math.gamma(a)
         cgrid = np.linspace(0.0, 1.0, _GRID + 1)
-        smax = p.s_max
-        s = np.arange(2, smax + 1)
-        y = 2.0 ** (cgrid[:, None] - s[None, :])
-        theta = specfun.q_inv(a, y)
-        terms = np.exp((2.0 * math.log(2.0)) * (cgrid[:, None] - s) + theta)
-        terms *= theta ** (1.0 - a)
-        self._p2 = CubicSpline(cgrid, terms.sum(axis=1))
+        terms, theta1 = _density_terms(cgrid, p)
+        self._p2 = CubicSpline(cgrid, terms[:, 1:].sum(axis=1))
         self._dp2 = self._p2.derivative()
-        theta1 = specfun.q_inv(a, 2.0 ** (cgrid - 1.0))
         u1 = theta1**a
         u1[-1] = 0.0  # exact limit at c = 1
         self._u1 = CubicSpline(cgrid, u1)
         # Kink location in the reference block [1, 2).
         self.kink = 2.0 ** ((math.log2(self.ga) - p.gamma) % 1.0)
-        self.c_at_1 = _frac(p.gamma + math.log2(1.0 / self.ga))
+        self.c_at_1 = float(_c_of(1.0, p)[1])
         # Small moments of the reference block, used by series tails and
         # the characteristic-function assembly.
         self.mass12 = levy_tail(1.0, p) - levy_tail(2.0, p)
@@ -410,17 +395,9 @@ class _Profile:
 
     def dens(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        c = np.mod(self.p.gamma + np.log2(x / self.ga), 1.0)
-        return self.ga**2 / (x * x) * self.profile(c)
+        return self.ga**2 / (x * x) * self.profile(_c_of(x, self.p)[1])
 
     # -- one-sided boundary data for integration by parts ------------------
-
-    def _p_sides(self) -> tuple[float, float, float]:
-        """Profile values at c -> 0+, the wrap c -> 1-, and c = c(1)."""
-        p0 = float(self.profile(np.array([0.0]))[0])
-        p1_left = p0 + (1.0 if self.a == 1.0 else 0.0)
-        pc1 = float(self.profile(np.array([self.c_at_1]))[0])
-        return p0, p1_left, pc1
 
     def _dprofile(self, c: float, at_wrap_left: bool = False) -> float:
         """dP/dc, with the exact one-sided limit at the wrap.
@@ -430,7 +407,6 @@ class _Profile:
         """
         a, ga = self.a, self.ga
         ln2 = math.log(2.0)
-        d_smooth = float(self._dp2(c))
         if at_wrap_left:
             # s = 1 term as c -> 1-: theta -> 0.
             if a == 1.0:
@@ -442,26 +418,25 @@ class _Profile:
             return d1 + float(self._dp2(1.0))
         u = max(float(self._u1(c)), 0.0)
         theta = u ** (1.0 / a)
-        g1 = math.exp(2.0 * ln2 * (c - 1.0) + theta) * (
-            theta ** (1.0 - a) if theta > 0.0 else (1.0 if a == 1.0 else 0.0)
+        if theta <= 0.0:
+            return float(self._dp2(c))
+        g1 = math.exp(2.0 * ln2 * (c - 1.0) + theta) * theta ** (1.0 - a)
+        dtheta_dc = -ga * math.exp(theta) * theta ** (1.0 - a) * (
+            2.0 ** (c - 1.0) * ln2
         )
-        if theta > 0.0:
-            dtheta_dc = -ga * math.exp(theta) * theta ** (1.0 - a) * (
-                2.0 ** (c - 1.0) * ln2
-            )
-            inner = math.exp(theta) * theta ** (1.0 - a) * (
-                1.0 + (1.0 - a) / theta
-            )
-            d1 = 2.0 * ln2 * g1 + 2.0 ** (2.0 * (c - 1.0)) * inner * dtheta_dc
-        else:
-            d1 = 0.0
-        return d1 + d_smooth
+        inner = math.exp(theta) * theta ** (1.0 - a) * (
+            1.0 + (1.0 - a) / theta
+        )
+        d1 = 2.0 * ln2 * g1 + 2.0 ** (2.0 * (c - 1.0)) * inner * dtheta_dc
+        return d1 + float(self._dp2(c))
 
     def rho_boundary(self) -> dict[str, float]:
         """Density values/derivatives at the block boundaries and kink."""
         a, ga = self.a, self.ga
         ln2 = math.log(2.0)
-        p0, p1_left, pc1 = self._p_sides()
+        # Profile values at c -> 0+, the wrap c -> 1-, and c = c(1).
+        p0, pc1 = map(float, self.profile(np.array([0.0, self.c_at_1])))
+        p1_left = p0 + (1.0 if a == 1.0 else 0.0)
         y = self.kink
         out = {
             "rho_1": ga**2 * pc1,  # at x = 1 (c = c_at_1)
@@ -471,19 +446,14 @@ class _Profile:
             "kink": y,
         }
         if a == 1.0 or a <= 0.5:
-            def drho(x: float, c: float, wrap_left: bool) -> float:
-                pval = (
-                    p1_left
-                    if wrap_left
-                    else float(self.profile(np.array([c]))[0])
-                )
+            def drho(x: float, c: float, pval: float, wrap_left: bool) -> float:
                 dp = self._dprofile(c, at_wrap_left=wrap_left)
                 return ga**2 / x**3 * (dp / ln2 - 2.0 * pval)
 
-            out["drho_1"] = drho(1.0, self.c_at_1, False)
-            out["drho_2"] = drho(2.0, self.c_at_1, False)
-            out["drho_kink_left"] = drho(y, 1.0, True)
-            out["drho_kink_right"] = drho(y, 0.0, False)
+            out["drho_1"] = drho(1.0, self.c_at_1, pc1, False)
+            out["drho_2"] = drho(2.0, self.c_at_1, pc1, False)
+            out["drho_kink_left"] = drho(y, 1.0, p1_left, True)
+            out["drho_kink_right"] = drho(y, 0.0, p0, False)
         return out
 
     # -- reference-block moments -------------------------------------------
@@ -519,9 +489,6 @@ def _profile(p: LimitParams) -> _Profile:
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _T_OSC = 2000.0  # block frequency where quadrature gives way to IBP
-# Entries per array in one pass of the quadrature or of the CDF
-# evaluation (512 kB of float64): small enough to stay in the L2 cache.
-_PASS_SIZE = 1 << 16
 
 
 def _gl_nodes(

@@ -222,14 +222,18 @@ def test_limit_cdf_monotone_csv(tmp_path) -> None:
     assert 0.0 <= vals[0] <= vals[-1] <= 1.0
 
 
-def test_limit_bad_grid_exits_2(tmp_path) -> None:
+def test_limit_bad_grid_exits_2(tmp_path, capsys) -> None:
     base = [
         "limit", "--r", "1", "--k", "1", "--gamma", "0.0",
         "--out", str(tmp_path / "x.csv"),
     ]
     assert cli.main(base + ["--grid", "1:2"]) == 2
     assert cli.main(base + ["--grid", "1:2:0"]) == 2
+    capsys.readouterr()
     assert cli.main(base + ["--density", "--grid", "0:2:5"]) == 2
+    assert "got 0.0" in capsys.readouterr().err
+    assert cli.main(base + ["--tail", "--grid=-1:2:4"]) == 2
+    assert "got -1.0" in capsys.readouterr().err
 
 
 def test_limit_numeric_error_exits_3(tmp_path, monkeypatch) -> None:

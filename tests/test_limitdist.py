@@ -4,6 +4,7 @@ function, CDF inversion, and the triangular-array sampler."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -35,8 +36,11 @@ def test_limit_params_validation() -> None:
         LimitParams(1, series.MAX_K + 1, 0.0)
     with pytest.raises(ValueError):
         LimitParams(1, 1, 1.5)
-    with pytest.raises(ValueError):
-        LimitParams(1, 1, 0.0, s_max=4)
+    for s_max in (4, 55, 1001):
+        with pytest.raises(ValueError, match=r"s_max must lie in \[56, 1000\]"):
+            LimitParams(1, 1, 0.0, s_max=s_max)
+    assert LimitParams(1, 1, 0.0, s_max=56).s_max == 56
+    assert LimitParams(1, 1, 0.0, s_max=1000).s_max == 1000
     assert LimitParams(2, 3, 1.0).a == pytest.approx(2.0 / 3.0)
 
 
@@ -96,11 +100,73 @@ def test_density_dyadic_scaling() -> None:
 
 
 def test_density_domain_error() -> None:
+    # Every point must be finite and positive; the error names the first
+    # bad one, whether it comes alone or inside an array.
     p = LimitParams(1, 2, 0.2)
-    with pytest.raises(ValueError):
-        limitdist.levy_density(0.0, p)
-    with pytest.raises(ValueError):
-        limitdist.levy_tail(-1.0, p)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        named = f"got {re.escape(repr(bad))}$"
+        for fn in (limitdist.levy_density, limitdist.levy_tail):
+            for x in (bad, np.array([0.5, bad, 2.0, -3.0])):
+                with pytest.raises(ValueError, match=named):
+                    fn(x, p)
+        for fn in (limitdist.levy_block_mean, limitdist.levy_block_moment2):
+            for lo, hi in ((bad, 1.0), (0.5, bad)):
+                with pytest.raises(ValueError, match=named):
+                    fn(p, lo, hi)
+    for fn in (limitdist.levy_block_mean, limitdist.levy_block_moment2):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            fn(p, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("r,k,g", [(1, 1, 0.0), (2, 3, 0.9), (8, 8, 0.7)])
+def test_series_array_equals_per_element_calls(r: int, k: int, g: float) -> None:
+    # An array call sums each point's terms exactly as a call on that
+    # point alone, also next to the wrap points where the phase jumps.
+    p = LimitParams(r, k, g)
+    wraps = math.gamma(p.a) * 2.0 ** (np.arange(-5, 7) - g)
+    x = np.concatenate(
+        [np.geomspace(0.05, 40.0, 301), wraps - 1e-9, wraps + 1e-9]
+    )
+    for fn in (limitdist.levy_density, limitdist.levy_tail):
+        got = fn(x, p)
+        want = np.array([fn(float(v), p) for v in x])
+        assert np.array_equal(got, want)
+        assert fn(x.reshape(5, -1), p).shape == (5, x.size // 5)
+        for zero_d in (1.3, np.float64(1.3), np.array(1.3)):
+            assert type(fn(zero_d, p)) is float
+
+
+def test_series_memory_is_bounded_by_blocks() -> None:
+    # A large array is priced in blocks of _PASS_SIZE series terms: the
+    # traced peak stays a few blocks (one unblocked (50 000, 80) array
+    # alone is 30 MB), and the values at block edges equal single-point
+    # calls.
+    p = LimitParams(1, 1, 0.3)
+    x = np.geomspace(0.01, 100.0, 50_000)
+    step = limitdist._PASS_SIZE // p.s_max
+    for fn in (limitdist.levy_density, limitdist.levy_tail):
+        tracemalloc.start()
+        try:
+            got = fn(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        for i in (step - 1, step, 2 * step, x.size - 1):
+            assert got[i] == fn(float(x[i]), p)
+
+
+def test_s_max_floor_meets_series_accuracy() -> None:
+    # At the smallest valid s_max the omitted terms stay below 1e-14 of
+    # the tail and the density and 1e-14 absolute in the drift (the rtol
+    # leaves room for a few ulps of summation order).
+    for r, k in ((1, 8), (1, 3), (1, 2), (2, 3), (1, 1)):
+        lo = LimitParams(r, k, 0.3, s_max=56)
+        hi = LimitParams(r, k, 0.3, s_max=1000)
+        x = np.geomspace(0.01, 100.0, 97)
+        for fn in (limitdist.levy_density, limitdist.levy_tail):
+            np.testing.assert_allclose(fn(x, lo), fn(x, hi), rtol=1.2e-14, atol=0)
+        assert abs(limitdist.f_constant(lo) - limitdist.f_constant(hi)) < 1.2e-14
 
 
 def test_density_truncation_stability() -> None:
@@ -151,15 +217,15 @@ def test_tail_matches_density_derivative() -> None:
 
 
 def test_profile_matches_scalar_density() -> None:
-    # The spline profile that the CF and the CDF use, against the scalar
-    # series, on both sides of the kink.
+    # The spline profile that the CF and the CDF use, against the series,
+    # on both sides of the kink.
     for r, k, g in ((1, 1, 0.0), (1, 2, 0.3), (2, 3, 0.9), (1, 8, 0.5), (8, 8, 0.7)):
         p = LimitParams(r, k, g)
         prof = limitdist._profile(p)
         x = np.concatenate(
             [np.geomspace(0.05, 40.0, 301), prof.kink + np.array([-1e-9, 1e-9])]
         )
-        want = np.array([limitdist.levy_density(float(v), p) for v in x])
+        want = limitdist.levy_density(x, p)
         np.testing.assert_allclose(prof.dens(x), want, rtol=1e-10, atol=0.0)
 
 
