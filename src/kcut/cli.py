@@ -79,6 +79,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(
             f"grid must look like start:stop:steps, got {text!r}"
         ) from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid ends must be finite, got {text!r}")
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
     if steps == 1:

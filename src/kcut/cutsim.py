@@ -287,10 +287,12 @@ def _records_batch(
 
     Each sample draws its ``(n, k)`` exponentials node-major from its own
     substream; the ancestor minima come from a level sweep vectorized
-    across the chunk.  A node whose ``r``-th clock sum ties an ancestor
-    minimum exactly (a probability-zero event) is not a record.  The
-    edge variant is the node sweep with the root's ``k``-th clock set to
-    infinity and the root's row dropped.
+    across the chunk.  Then each order ``r`` takes one comparison of the
+    ``r``-th clock sums with the minima into a contiguous ``(rows, n)``
+    mask and one count along its rows.  A node whose ``r``-th clock sum
+    ties an ancestor minimum exactly (a probability-zero event) is not a
+    record.  The edge variant is the node sweep with the root's ``k``-th
+    clock set to infinity and the root's row dropped.
     """
     _check_samples(k, n_samples)
     n = tree.n
@@ -301,7 +303,7 @@ def _records_batch(
         # anc[:, v-1] = min of k-th clocks over proper ancestors of v.
         anc = np.empty((rows, n))
         anc[:, 0] = np.inf
-        below = np.empty((rows, n, k), dtype=bool)
+        mask = np.empty((rows, n), dtype=bool)
 
         def draw(j: int, rng: np.random.Generator) -> None:
             rng.standard_exponential(out=t[j])
@@ -324,8 +326,12 @@ def _records_batch(
                 np.minimum(ac[:, up], tk[:, up], out=first)
                 second = ac[:, lo_h : hi_h - 1 : 2]
                 second[...] = first[:, : second.shape[1]]
-            is_record = np.less(tc, ac[:, :, None], out=below[:c])
-            out[lo:hi] = is_record[:, int(edge) :].sum(axis=1)
+            # One order at a time: a sum along contiguous rows is far
+            # cheaper than one over the middle axis of a (c, n, k) mask.
+            is_record = mask[:c]
+            for r in range(k):
+                np.less(tc[:, :, r], ac, out=is_record)
+                out[lo:hi, r] = is_record[:, int(edge) :].sum(axis=1)
 
         return draw, sweep
 

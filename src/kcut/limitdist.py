@@ -863,7 +863,8 @@ class _CdfCache:
         with the closed-form 1/t part taken to the end of the last.
 
         Raises :class:`NumericError` for a value outside ``[-_CDF_TOL, 1 +
-        _CDF_TOL]``; values inside that band are clipped to [0, 1].
+        _CDF_TOL]``, NaN included; values inside that band are clipped to
+        [0, 1].
         """
         t_end = self.edges[n_panels]
         # Filon panels for (psi - 1)/t, with E[:, j] = exp(-i omega t_j).
@@ -893,7 +894,8 @@ class _CdfCache:
         im_j += u * (ibp[:, 0] + u * (ibp[:, 1] + u * (ibp[:, 2] + u * ibp[:, 3])))
         # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
         vals = 0.5 + (special.sici(omega * t_end)[0] - im_j) / math.pi
-        outside = (vals < -_CDF_TOL) | (vals > 1.0 + _CDF_TOL)
+        # Written so that a NaN (from overflow at huge |omega|) is outside.
+        outside = ~((vals >= -_CDF_TOL) & (vals <= 1.0 + _CDF_TOL))
         if outside.any():
             worst = float(vals[outside][np.argmax(np.abs(vals[outside] - 0.5))])
             raise NumericError(
@@ -923,7 +925,8 @@ def limit_cdf(
     [0, 1] by more than 1e-4.  The estimate covers the truncation of the
     inversion integral only, not the discretization of ``psi`` by
     panelwise cubics nor the error of ``psi`` itself; values are clipped
-    to [0, 1] within the 1e-4 band.
+    to [0, 1] within the 1e-4 band.  ``w = +inf`` gives exactly 1 and
+    ``w = -inf`` exactly 0; a NaN in ``w`` raises ``ValueError``.
     """
     if table is None:
         table = series.constants(p.k, p.r)
@@ -939,7 +942,14 @@ def limit_cdf(
             f"exceeds {_CDF_TOL:.0e}"
         )
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    vals = 1.0 - cache.cdf_w((1.0 - w_arr) / table.c3)
+    if np.isnan(w_arr).any():
+        raise ValueError("w must not be NaN, got nan")
+    # P(1 - C3 W <= w) = 1 - P(W < x) with x = (1 - w) / C3, which is
+    # exactly 1 at x = -inf and 0 at x = +inf.
+    x = (1.0 - w_arr) / table.c3
+    finite = np.isfinite(x)
+    vals = (x < 0.0).astype(float)
+    vals[finite] = 1.0 - cache.cdf_w(x[finite])
     if np.isscalar(w) or np.ndim(w) == 0:
         return float(vals[0])
     return vals

@@ -36,15 +36,20 @@ def q_inv(a: float, y: float | np.ndarray) -> float | np.ndarray:
     """Inverse of :func:`q` in its second argument, extended by
     ``q_inv(a, y) = 0`` for ``y >= 1`` and ``inf`` for ``y <= 0``.  The
     shapes ``a = 1`` and ``a = 1/2`` invert their closed forms of
-    :func:`q`: ``-log(y)`` and ``erfcinv(y)**2``.
+    :func:`q`: ``-log(y)`` and ``erfcinv(y)**2``.  The result is built
+    in one array the size of ``y``, without temporaries.
     """
     if a <= 0.0:
         raise ValueError(f"q_inv requires a > 0, got {a!r}")
-    y = np.minimum(np.maximum(y, 0.0), 1.0)
+    y = np.asarray(y)
+    y = np.clip(y, 0.0, 1.0, out=np.empty(y.shape, np.result_type(y, 0.0)))
     if a == 1.0:
         # 0.0 - log(1) is +0.0, where -log(1) would be -0.0.
         with np.errstate(divide="ignore"):
-            return 0.0 - np.log(y)
-    if a == 0.5:
-        return special.erfcinv(y) ** 2
-    return special.gammainccinv(a, y)
+            np.log(y, out=y)
+        np.subtract(0.0, y, out=y)
+    elif a == 0.5:
+        np.square(special.erfcinv(y, out=y), out=y)
+    else:
+        special.gammainccinv(a, y, out=y)
+    return y if y.ndim else y[()]

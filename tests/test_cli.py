@@ -236,6 +236,20 @@ def test_limit_bad_grid_exits_2(tmp_path, capsys) -> None:
     assert "got -1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-inf:1:1"])
+def test_limit_non_finite_grid_exits_2(tmp_path, capsys, grid) -> None:
+    out = tmp_path / "x.csv"
+    rc = cli.main(
+        [
+            "limit", "--r", "1", "--k", "1", "--gamma", "0.0", "--cdf",
+            f"--grid={grid}", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limit_numeric_error_exits_3(tmp_path, monkeypatch) -> None:
     class Bad:
         err_estimate = 1.0

@@ -162,14 +162,27 @@ def test_records_batch_split_invariance() -> None:
     assert np.array_equal(whole, again)
 
 
-def test_records_batch_matches_naive_sweep() -> None:
+@pytest.mark.parametrize(
+    "split",
+    [{}, {"chunk": 5, "threads": 2}],
+    ids=["whole", "chunk5-threads2"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [21, 31])
+def test_records_batch_matches_naive_sweep(
+    n: int, k: int, split, monkeypatch
+) -> None:
     """Both variants equal a per-node loop over the same node-major
     draws: ``v`` is an r-record iff ``T_{r,v}`` is below the least k-th
     clock of its proper ancestors, the root excluded in the edge
-    variant, where the root itself never counts."""
-    tree, k, seed, first = CompleteTree(21), 3, 4, 5
-    node = cutsim.simulate_records_batch(tree, k, seed, 12, first)
-    edge = cutsim.simulate_edge_records_batch(tree, k, seed, 12, first)
+    variant, where the root itself never counts.  n = 21 leaves the
+    last level part full; chunks of 5 on two workers (threaded here
+    despite the short rows) put the per-order counts of one batch
+    across chunk and worker boundaries."""
+    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
+    tree, seed, first = CompleteTree(n), 4, 5
+    node = cutsim.simulate_records_batch(tree, k, seed, 12, first, **split)
+    edge = cutsim.simulate_edge_records_batch(tree, k, seed, 12, first, **split)
     for i in range(12):
         e = cutsim.substream(seed, first + i).standard_exponential((tree.n, k))
         t = np.cumsum(e, axis=1)
@@ -206,8 +219,8 @@ def test_records_batch_default_chunk_bounds_memory() -> None:
 
 def test_records_batch_peak_without_temporaries() -> None:
     """The level sweep writes into per-worker buffers: besides the
-    32 MB of clocks a batch holds only the ancestor minima and the
-    record mask, about 55 MB in all at any thread count."""
+    32 MB of clocks a batch holds only the ancestor minima and one
+    ``(rows, n)`` record mask, reused for every order."""
     tracemalloc.start()
     try:
         cutsim.simulate_records_batch(CompleteTree(2**15 - 1), 2, 0, 300)

@@ -431,6 +431,28 @@ def test_limit_cdf_scalar_matches_vector() -> None:
         )
 
 
+def test_limit_cdf_non_finite_w() -> None:
+    """``1 - C3 W`` has CDF exactly 1 at +inf and 0 at -inf, scalar or
+    array; NaN is refused rather than passed through."""
+    p = LimitParams(1, 1, 0.0)
+    assert limitdist.limit_cdf(math.inf, p) == 1.0
+    assert limitdist.limit_cdf(-math.inf, p) == 0.0
+    vals = limitdist.limit_cdf(np.array([math.inf, 0.5, -math.inf]), p)
+    assert vals.tolist() == [1.0, limitdist.limit_cdf(0.5, p), 0.0]
+    with pytest.raises(ValueError, match="nan"):
+        limitdist.limit_cdf(math.nan, p)
+    with pytest.raises(ValueError, match="nan"):
+        limitdist.limit_cdf(np.array([0.0, math.nan, math.inf]), p)
+
+
+def test_limit_cdf_overflow_fails_loudly() -> None:
+    """At a finite w so large that the inversion's phases overflow, the
+    NaN it computes raises NumericError instead of being returned."""
+    p = LimitParams(1, 1, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(limitdist.NumericError):
+        limitdist.limit_cdf(-1e308, p)
+
+
 def test_limit_cdf_table_mismatch() -> None:
     p = LimitParams(1, 2, 0.0)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ closed forms and mpmath."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -111,6 +112,20 @@ def test_q_inv_extension_and_edges() -> None:
         specfun.q_inv(-1.0, 0.5)
     with pytest.raises(ValueError):
         specfun.q_inv(0.0, 0.5)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 2.0 / 3.0])
+def test_q_inv_builds_result_in_one_array(a: float) -> None:
+    """On the 4097 x 80 grid of the Levy profile, q_inv allocates about
+    one array the size of its input: the clipped copy it works in."""
+    y = np.exp2(-np.linspace(0.0, 80.0, 4097 * 80)).reshape(4097, 80)
+    tracemalloc.start()
+    try:
+        specfun.q_inv(a, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * y.nbytes
 
 
 _CLOSED_FORM_YS = [1e-300, 1e-100, 2.0**-80, 1e-12, 0.5, 0.99, 1.0 - 1e-12]
