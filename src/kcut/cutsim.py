@@ -209,6 +209,33 @@ def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
     return chunk
 
 
+def _worker_count(n_rows: int, row_values: int, threads: int | None) -> int:
+    """Workers for ``n_rows`` rows of work of ``row_values`` values each:
+    :func:`resolve_threads` of ``threads``, capped at ``n_rows``; rows of
+    fewer than 512 values get one worker."""
+    workers = min(resolve_threads(threads), max(n_rows, 1))
+    return 1 if row_values < _MIN_THREADED_ROW else workers
+
+
+def _on_workers(
+    n_rows: int, workers: int, start: Callable[[int, int], Callable[[], None]]
+) -> None:
+    """Split rows ``0 .. n_rows - 1`` into one contiguous range per worker
+    and run them on ``workers`` threads.  ``start(lo, hi)`` is called for
+    every range first, on the calling thread, and returns the job that
+    runs that range: so scratch it allocates comes from the main malloc
+    arena, not from per-thread arenas that keep it cached (peak RSS of
+    the limit_law benchmark: 145 MB that way, 125 MB this way)."""
+    cuts = [n_rows * w // workers for w in range(workers + 1)]
+    jobs = [start(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if workers == 1:
+        jobs[0]()
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(job) for job in jobs]:
+            future.result()
+
+
 def _run_batch(
     n_samples: int,
     row_values: int,
@@ -217,54 +244,45 @@ def _run_batch(
     chunk: int | None,
     threads: int | None,
     worker: Callable[[int], tuple[Callable, Callable]],
+    row_scratch: int | None = None,
 ) -> None:
     """Run one batch of samples ``0 .. n_samples - 1`` on worker threads.
 
-    ``row_values`` is the size of a sample's largest scratch row.  The
-    samples are split into one contiguous range per worker.  For each
-    worker, ``worker(rows)`` is called once; it allocates scratch for
-    ``rows`` samples and returns ``(draw, sweep)``.  Then, chunk by chunk,
+    ``row_values`` is the size of a sample's largest scratch row, and
+    ``row_scratch`` (default ``row_values``) the float64 values per
+    sample that the 32 MB budget counts.  The samples
+    are split into one contiguous range per worker.  For each worker,
+    ``worker(rows)`` is called once; it allocates scratch for ``rows``
+    samples and returns ``(draw, sweep)``.  Then, chunk by chunk,
     ``draw(j, rng)`` fills scratch row ``j`` for sample ``lo + j`` from
     the generator keyed ``(seed, first_index + lo + j)``, and
     ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` from the first
     ``hi - lo`` rows.  Each sample owns its key, so the results do not
     depend on the worker count or the chunk.
 
-    The workers are :func:`resolve_threads` of ``threads``, capped at
-    ``n_samples`` and at :func:`_chunk_rows`, which they share; rows of
-    fewer than 512 values get one worker.
+    The workers are :func:`_worker_count` of the samples and
+    ``row_values``, capped at :func:`_chunk_rows`, which they share.
     """
-    in_flight = _chunk_rows(row_values, chunk)
-    workers = min(resolve_threads(threads), max(n_samples, 1), in_flight)
-    if row_values < _MIN_THREADED_ROW:
-        workers = 1
+    in_flight = _chunk_rows(row_scratch or row_values, chunk)
+    workers = min(_worker_count(n_samples, row_values, threads), in_flight)
     rows = in_flight // workers
     if n_samples == 0:
         return
-    cuts = [n_samples * w // workers for w in range(workers + 1)]
-    # Scratch is allocated here, on the calling thread: buffers freed by
-    # worker threads stay cached in per-thread malloc arenas (peak RSS of
-    # the limit_law benchmark: 145 MB that way, 125 MB this way).
-    jobs = [
-        (lo, hi, worker(min(rows, hi - lo)))
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
 
-    def run(lo: int, hi: int, job: tuple[Callable, Callable]) -> None:
-        draw, sweep = job
-        stream = _Restream(seed)
-        for a in range(lo, hi, rows):
-            b = min(a + rows, hi)
-            for j in range(b - a):
-                draw(j, stream.at(first_index + a + j))
-            sweep(a, b)
+    def start(lo: int, hi: int) -> Callable[[], None]:
+        draw, sweep = worker(min(rows, hi - lo))
 
-    if workers == 1:
-        run(*jobs[0])
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(run, *job) for job in jobs]:
-            future.result()
+        def run() -> None:
+            stream = _Restream(seed)
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                for j in range(b - a):
+                    draw(j, stream.at(first_index + a + j))
+                sweep(a, b)
+
+        return run
+
+    _on_workers(n_samples, workers, start)
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,18 @@ Provided here:
 - ``limit_cdf``                     -- CDF of the limit ``1 - C3*W`` by
   characteristic-function inversion (Gil-Pelaez), with a cached
   Filon-type quadrature so one transform evaluation serves arbitrarily
-  many points, each block of points costing a few matrix products;
+  many points, each block of points costing a few matrix products; the
+  blocks run on all CPUs (:func:`kcut.cutsim.resolve_threads`);
 - ``cdf_certificate``               -- the accuracy data of that cache;
 - ``xi_sampler`` / ``xi_sampler_batch`` -- the fast triangular-array
   sampler at cost polylog(n) per draw, for any ``n``.  Its sums
   are centred by the array's exact truncated mean, one quadrature per
-  weight class, and converge in law to the same limit.  Along the
-  fixed-gamma ladder ``n = 2**40, 2**80, 2**160`` the KS distance to
-  ``limit_cdf`` falls as 0.073, 0.045, 0.028 for (r, k) = (1, 1) and
-  0.089, 0.059, 0.039 for (1, 2) (seed 20260825, 100k draws).
+  weight class, and converge in law to the same limit.  For ``a != 1``
+  it prices ``Q`` only on the clocks whose terms can add up to 1e-13.
+  Along the fixed-gamma ladder ``n = 2**40, 2**80, 2**160`` the KS
+  distance to ``limit_cdf`` falls as 0.073, 0.045, 0.028 for (r, k) =
+  (1, 1) and 0.089, 0.059, 0.039 for (1, 2) (seed 20260825, 100k
+  draws).
 
 Every evaluation of ``Q`` and ``Q^{-1}``, scalar or vectorized, goes
 through :mod:`kcut.specfun`, the package's one scipy-backed route; every
@@ -52,7 +55,7 @@ from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from . import series, specfun
-from .cutsim import _check_samples, _run_batch
+from .cutsim import _check_samples, _on_workers, _run_batch, _worker_count
 
 __all__ = [
     "LimitParams",
@@ -730,6 +733,12 @@ _PROBE_OMEGA = np.concatenate(
         np.geomspace(0.05, 400.0, 40),
     ]
 )
+# Beyond |omega| = _FAR_OMEGA the CDF of W is 0 or 1 to double precision:
+# its heavy right tail, about levy_tail(omega) ~ 1.5 / omega, is below
+# 1e-99 there, far under half the spacing of doubles at 1 (2**-54), and
+# its left tail is far lighter.  The phases omega * t of the inversion
+# overflow from |omega| ~ 5.6e306 on, so these points are set directly.
+_FAR_OMEGA = 1.0e100
 # Terms of the power series of a panel's moments where |omega h| < 1/2.
 _SERIES_TERMS = 18
 
@@ -847,15 +856,35 @@ class _CdfCache:
         self.ibp_lo = _im_table(g_lo * ibp_phase)
 
     def cdf_w(self, x: np.ndarray) -> np.ndarray:
-        """CDF of W at the points ``x`` (vectorized)."""
+        """CDF of W at the points ``x`` (vectorized).
+
+        Points with ``|x - f|`` beyond ``_FAR_OMEGA`` get 0 or 1 directly.
+        The others are priced in fixed blocks of points, each on its own,
+        and the blocks are split over :func:`kcut.cutsim.resolve_threads`
+        workers, so the values do not depend on the worker count.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         omega = x - self.f
-        out = np.empty_like(omega)
+        out = (omega > 0.0).astype(float)
+        near = np.abs(omega) <= _FAR_OMEGA
+        omega = omega[near]
+        vals = np.empty_like(omega)
         chunk = max(1, _PASS_SIZE // len(self.edges))
-        for i in range(0, omega.size, chunk):
-            out[i : i + chunk] = self._cdf_block(
-                omega[i : i + chunk], len(self.coeffs)
-            )
+        blocks = -(-omega.size // chunk)
+        # A block's phase table holds chunk * len(edges) values.
+        workers = _worker_count(blocks, chunk * len(self.edges), None)
+
+        def start(lo: int, hi: int):
+            def run() -> None:
+                for i in range(lo * chunk, min(hi * chunk, omega.size), chunk):
+                    vals[i : i + chunk] = self._cdf_block(
+                        omega[i : i + chunk], len(self.coeffs)
+                    )
+
+            return run
+
+        _on_workers(blocks, workers, start)
+        out[near] = vals
         return out
 
     def _cdf_block(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
@@ -894,7 +923,7 @@ class _CdfCache:
         im_j += u * (ibp[:, 0] + u * (ibp[:, 1] + u * (ibp[:, 2] + u * ibp[:, 3])))
         # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
         vals = 0.5 + (special.sici(omega * t_end)[0] - im_j) / math.pi
-        # Written so that a NaN (from overflow at huge |omega|) is outside.
+        # Written so that a NaN is outside.
         outside = ~((vals >= -_CDF_TOL) & (vals <= 1.0 + _CDF_TOL))
         if outside.any():
             worst = float(vals[outside][np.argmax(np.abs(vals[outside] - 0.5))])
@@ -926,7 +955,11 @@ def limit_cdf(
     inversion integral only, not the discretization of ``psi`` by
     panelwise cubics nor the error of ``psi`` itself; values are clipped
     to [0, 1] within the 1e-4 band.  ``w = +inf`` gives exactly 1 and
-    ``w = -inf`` exactly 0; a NaN in ``w`` raises ``ValueError``.
+    ``w = -inf`` exactly 0, as does any finite ``w`` whose ``x = (1 -
+    w) / C3`` lies beyond ``1e100`` of the drift, where both tails are
+    below double precision; a NaN in ``w`` raises ``ValueError``.  The
+    points are priced in blocks on :func:`kcut.cutsim.resolve_threads`
+    workers, with values that do not depend on the worker count.
     """
     if table is None:
         table = series.constants(p.k, p.r)
@@ -999,6 +1032,9 @@ def _xi_weights(scale: ScaleParams) -> np.ndarray:
 # (k!/m)**(1/k) past the truncation point, and the clock span covered.
 _XI_SPLITS = (0.5, 2.0, 8.0, 32.0)
 _XI_T_SPAN = 60.0
+# Total of the xi terms one draw may leave out, in W units (see
+# xi_sampler_batch).
+_XI_SKIP = 1.0e-13
 
 
 @lru_cache(maxsize=32)
@@ -1086,6 +1122,14 @@ def xi_sampler(
     nodes is itself far from the limit: its Levy mass above 1 is 1.312
     against ``levy_tail(1) = 1.466``.
 
+    For ``a != 1`` the sum skips the negligible terms: with ``S = sum_v
+    gamma(a) w_v``, a clock past ``t_cut = (k! z_cut / m)**(1/k)``, where
+    ``z_cut = q_inv(a, 1e-13 / S)``, has ``xi_v < gamma(a) w_v 1e-13 /
+    S``, so those terms add less than 1e-13 in all and the draw moves by
+    at most ``C3 * 1e-13``.  At ``n = 2**160`` only 10-15 % of the clocks
+    are kept.  For ``a = 1``, where ``Q`` is ``exp``, every term is
+    priced.
+
     Cost is O(2**L) = polylog(n) per draw.
     """
     return float(
@@ -1107,9 +1151,12 @@ def xi_sampler_batch(
     ``(seed, first_index + i)``.  ``chunk`` (samples in flight at once,
     shared by the ``threads`` workers; see
     :func:`kcut.cutsim.resolve_threads`) defaults to the package's 32 MB
-    scratch budget for rows of clocks; each worker draws a row's
-    exponentials into one ``(N, k)`` scratch and computes its part in
-    place in one buffer.  Neither changes the output."""
+    scratch budget for rows of clocks, their compacted copy and mask;
+    each worker draws a row's exponentials into one ``(N, k)`` scratch,
+    masks the clocks at or below ``t_cut`` (see :func:`xi_sampler`),
+    prices ``Q`` on the kept ones only, compacted, and sums every row in
+    place in one buffer, with zeros for the skipped terms.  Neither
+    ``chunk`` nor ``threads`` changes the output."""
     if table is None:
         table = series.constants(p.k, p.r)
     if table.k != p.k or table.r != p.r:
@@ -1125,10 +1172,24 @@ def xi_sampler_batch(
     z_per_clock = scale.m / math.factorial(p.k)
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
     out = np.empty(n_samples)
+    # For a = 1, Q is exp, which costs less than the mask: no skip.
+    skip = a != 1.0
+    row_scratch = None
+    if skip:
+        z_cut = specfun.q_inv(a, _XI_SKIP / math.fsum(ga_weights))
+        t_cut = (z_cut / z_per_clock) ** (1.0 / p.k)
+        # The clocks, their compacted copy and the mask (a byte each).
+        row_scratch = 2 * weights.size + -(-weights.size // 8)
 
     def worker(rows: int):
         buf = np.empty((rows, weights.size))
         clocks = np.empty((weights.size, p.k))
+        if skip:
+            keep = np.empty((rows, weights.size), dtype=bool)
+            kept = np.empty(rows * weights.size)
+            # Rows compacted per call: np.compress allocates an index
+            # array the size of its output, so this bounds it.
+            slab = max(1, _PASS_SIZE // weights.size)
 
         def draw(j: int, rng: np.random.Generator) -> None:
             # T_v = ((E_1 + E_2) + ...) + E_k over row v of node-major
@@ -1140,17 +1201,35 @@ def xi_sampler_batch(
                 t += clocks[:, r]
 
         def sweep(lo: int, hi: int) -> None:
-            # xi_v = weights * ga * Q(a, m T**k / k!), built in place.
+            # xi_v = weights * ga * Q(a, m T**k / k!), built in place;
+            # with the skip, Q is priced on the kept clocks only, in
+            # kept, and the other terms are 0.
             xi = buf[: hi - lo]
-            np.power(xi, p.k, out=xi)
-            np.multiply(xi, z_per_clock, out=xi)
-            specfun.q(a, xi, out=xi)
+            z = xi
+            if skip:
+                mask = keep[: hi - lo]
+                np.less_equal(xi, t_cut, out=mask)
+                size = 0
+                for i in range(0, hi - lo, slab):
+                    part = mask[i : i + slab].ravel()
+                    end = size + np.count_nonzero(part)
+                    flat = xi[i : i + slab].ravel()
+                    np.compress(part, flat, out=kept[size:end])
+                    size = end
+                z = kept[:size]
+            np.power(z, p.k, out=z)
+            np.multiply(z, z_per_clock, out=z)
+            specfun.q(a, z, out=z)
+            if skip:
+                xi.fill(0.0)
+                np.place(xi, mask, z)
             np.multiply(xi, ga_weights, out=xi)
             out[lo:hi] = shift - table.c3 * xi.sum(axis=1)
 
         return draw, sweep
 
     _run_batch(
-        n_samples, weights.size, seed, first_index, chunk, threads, worker
+        n_samples, weights.size, seed, first_index, chunk, threads, worker,
+        row_scratch,
     )
     return out

@@ -445,12 +445,46 @@ def test_limit_cdf_non_finite_w() -> None:
         limitdist.limit_cdf(np.array([0.0, math.nan, math.inf]), p)
 
 
-def test_limit_cdf_overflow_fails_loudly() -> None:
-    """At a finite w so large that the inversion's phases overflow, the
-    NaN it computes raises NumericError instead of being returned."""
-    p = LimitParams(1, 1, 0.0)
-    with np.errstate(all="ignore"), pytest.raises(limitdist.NumericError):
-        limitdist.limit_cdf(-1e308, p)
+def test_limit_cdf_far_w() -> None:
+    """Finite w so large that the inversion's phases would overflow get
+    the 0 or 1 of the tails directly, as +-1e200 and +-inf already do,
+    and the cut-off at |omega| = 1e100 leaves no step in the values."""
+    for r, k, g in ((1, 1, 0.0), (1, 2, 0.3), (2, 3, 0.9)):
+        p = LimitParams(r, k, g)
+        for w in (1e308, 1.7e308, 1e200, math.inf):
+            assert limitdist.limit_cdf(w, p) == 1.0
+            assert limitdist.limit_cdf(-w, p) == 0.0
+        vals = limitdist.limit_cdf(np.array([-1.7e308, -1e308, 0.5, 1e308]), p)
+        assert vals.tolist() == [0.0, 0.0, limitdist.limit_cdf(0.5, p), 1.0]
+        cache = limitdist._cdf_cache(p)
+        edge = limitdist._FAR_OMEGA * np.array([-1.001, -1.0, 1.0, 1.001])
+        assert cache.cdf_w(edge + cache.f).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("r, k, g", [(1, 1, 0.0), (1, 2, 0.3)])
+def test_limit_cdf_thread_invariance(
+    monkeypatch, r: int, k: int, g: float
+) -> None:
+    """The CDF's blocks of points run on KCUT_THREADS workers, and the
+    values are bitwise equal at any worker count, for point counts around
+    the block size, with infinite and far-tail points mixed in."""
+    p = LimitParams(r, k, g)
+    cache = limitdist._cdf_cache(p)
+    block = max(1, limitdist._PASS_SIZE // len(cache.edges))
+    rng = np.random.default_rng(7)
+    special_w = [math.inf, -math.inf, 1e300, -1.7e308]
+    for size in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        w = rng.uniform(-60.0, 4.0, size)
+        if size:
+            w = np.insert(w, [0, size // 2, size // 2, size], special_w)
+        want = None
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("KCUT_THREADS", threads)
+            got = limitdist.limit_cdf(w, p)
+            assert got.shape == w.shape
+            if want is None:
+                want = got
+            assert np.array_equal(got, want), (size, threads)
 
 
 def test_limit_cdf_table_mismatch() -> None:
@@ -718,6 +752,43 @@ def test_xi_sampler_stream_definition(r: int, k: int) -> None:
             xi.append(w * math.gamma(a) * q)
         want = shift - table.c3 * math.fsum(xi)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0), i
+
+
+@pytest.mark.parametrize("e", [40, 160])
+@pytest.mark.parametrize("r, k", [(1, 1), (1, 2), (2, 3)])
+def test_xi_sampler_skip_bound(r: int, k: int, e: int) -> None:
+    """For a != 1 each draw leaves out the terms whose Q is priced past
+    q_inv(a, 1e-13 / sum_v gamma(a) w_v), which add less than 1e-13 in
+    W units, so it is within C3 * 1e-13 plus rounding of the fsum over
+    all nodes.  For a = 1 nothing is left out, and each draw equals the
+    full sweep's weighted row sum bitwise."""
+    sc = ScaleParams.from_n(1 << e, k)
+    p = LimitParams(r, k, sc.gamma)
+    table = series.constants(k, r)
+    a = p.a
+    ga_weights = math.gamma(a) * limitdist._xi_weights(sc)
+    z_per_clock = sc.m / math.factorial(k)
+    shift = 1.0 + table.c3 * limitdist._xi_centre(sc, p)
+    got = limitdist.xi_sampler_batch(sc, p, table, seed=3, n_samples=6)
+    eps = np.finfo(float).eps
+    for i, draw in enumerate(got):
+        exps = substream(3, i).standard_exponential((ga_weights.size, k))
+        clocks = exps[:, 0].copy()
+        for col in range(1, k):
+            clocks += exps[:, col]
+        z = np.power(clocks, k) * z_per_clock
+        if a == 1.0:
+            q = np.exp(-z)
+        elif a == 0.5:
+            q = np.array([math.erfc(math.sqrt(v)) for v in z])
+        else:
+            q = special.gammaincc(a, z)
+        terms = ga_weights * q
+        if a == 1.0:
+            assert draw == shift - table.c3 * terms.sum(), i
+        want = shift - table.c3 * math.fsum(terms)
+        rounding = 16.0 * eps * (abs(shift) + table.c3 * math.fsum(terms))
+        assert abs(draw - want) <= table.c3 * 1e-13 + rounding, i
 
 
 def test_xi_sampler_split_invariance() -> None:
