@@ -11,8 +11,9 @@ The package is organised in layers:
   process itself and for the equivalent record construction (node and
   edge variants), with one draw order per (seed, sample index) and one
   batch runner that runs every batch on worker threads within one
-  memory budget; a plain single-sample process run as the
-  reference; and a brute-force distribution for tiny trees.
+  memory budget; and ``CompleteTree.size_classes``, the one source of
+  the tree's shape.  The plain single-sample process run and the
+  brute-force pmf of tiny trees are test oracles in ``tests/oracles.py``.
 - :mod:`kcut.exactmean` -- exact (quadrature-based) and asymptotic moments
   of record counts.
 - :mod:`kcut.limitdist` -- the infinitely divisible limit law: Levy density,

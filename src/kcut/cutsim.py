@@ -5,9 +5,7 @@ Two views of the same law are implemented:
 - ``simulate_process_batch`` -- the literal cutting procedure: repeatedly
   pick a uniform node still connected to the root, increase its counter,
   and detach its subtree once the counter reaches ``k``; stop when the
-  root is removed.  Returns the number of cuts.  ``simulate_process``
-  runs one sample the plain, non-vectorized way and is the reference
-  the batch is tested against.
+  root is removed.  Returns the number of cuts.
 - ``simulate_records_batch`` -- the equivalent clock/record construction:
   each node ``v`` carries cumulative exponential clock sums ``T_{1,v} <
   ... < T_{k,v}``; ``v`` is an ``r``-record iff ``T_{r,v}`` is below the
@@ -18,10 +16,10 @@ Two views of the same law are implemented:
   (equivalently, the root's ``k``-th clock is conditioned to be
   infinite, which is how it is computed).
 
-``brute_force_distribution`` computes the exact cut-count law for tiny
-trees by dynamic programming and serves as the verification oracle for
-both simulators.  ``rescale_counts`` applies the affine normalization
-under which record counts converge in law.
+``rescale_counts`` applies the affine normalization under which record
+counts converge in law.  The plain single-sample process run and the
+exact cut-count law of tiny trees, which the simulators are checked
+against, are test oracles in ``tests/oracles.py``.
 
 Randomness is counter-based: sample ``i`` of seed ``s`` always draws
 from a Philox generator keyed ``(s, i)``, so results are reproducible
@@ -42,8 +40,6 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,11 +47,9 @@ from . import series
 
 __all__ = [
     "CompleteTree",
-    "simulate_process",
     "simulate_process_batch",
     "simulate_records_batch",
     "simulate_edge_records_batch",
-    "brute_force_distribution",
     "rescale_counts",
     "substream",
     "resolve_threads",
@@ -134,7 +128,11 @@ def resolve_threads(threads: int | None = None) -> int:
             raise ValueError(
                 f"{THREADS_ENV} must be an integer, got {env!r}"
             ) from exc
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if (
+        isinstance(threads, bool)
+        or not isinstance(threads, (int, np.integer))
+        or threads < 1
+    ):
         raise ValueError(f"{source} must be an integer >= 1, got {threads!r}")
     return int(threads)
 
@@ -157,33 +155,29 @@ class CompleteTree:
         """Height of the deepest level, ``m = floor(lg n)``."""
         return self.n.bit_length() - 1
 
-    def height(self, i: int) -> int:
-        """Depth of node ``i``; the root (i=1) has height 0."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"node index {i} outside [1, {self.n}]")
-        return i.bit_length() - 1
+    def size_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The tree's shape: for each height ``h = 0 .. m``, the
+        ``(size, count)`` pairs of that level's subtrees, left to right.
 
-    def level_count(self, h: int) -> int:
-        """Number of nodes at height ``h``."""
+        The last level holds ``n - 2**m + 1`` nodes, filled from the
+        left, and a node at height ``h`` spans ``s = 2**(m - h)`` of its
+        slots.  So a level holds subtrees of ``2 s - 1`` nodes, at most
+        one partly filled subtree, and subtrees of ``s - 1`` nodes; pairs
+        of count or size 0 are left out.  Exact ints, so any ``n`` works.
+        """
         m = self.max_height
-        if h < 0 or h > m:
-            return 0
-        if h < m:
-            return 1 << h
-        return self.n - ((1 << m) - 1)
-
-    def subtree_size(self, i: int) -> int:
-        """Nodes in the subtree rooted at ``i``, via interval clamping:
-        the descendants of ``i`` at depth ``d`` below it occupy indices
-        ``[i * 2**d, (i + 1) * 2**d - 1]`` intersected with ``[1, n]``."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"node index {i} outside [1, {self.n}]")
-        size = 0
-        lo, hi = i, i
-        while lo <= self.n:
-            size += min(hi, self.n) - lo + 1
-            lo, hi = 2 * lo, 2 * hi + 1
-        return size
+        last = self.n - (1 << m) + 1
+        levels = []
+        for h in range(m + 1):
+            s = 1 << (m - h)
+            full, part = divmod(last, s)
+            pairs = (
+                (2 * s - 1, full),
+                (s - 1 + part, int(part > 0)),
+                (s - 1, (1 << h) - full - int(part > 0)),
+            )
+            levels.append(tuple((z, c) for z, c in pairs if z and c))
+        return tuple(levels)
 
 
 def _check_k(k: int) -> None:
@@ -401,38 +395,6 @@ def simulate_edge_records_batch(
 # ---------------------------------------------------------------------------
 
 
-def simulate_process(
-    tree: CompleteTree, k: int, seed: int, sample_index: int = 0
-) -> int:
-    """Run the cutting procedure once and return the number of cuts
-    until the root dies.
-
-    This is the plain reference that :func:`simulate_process_batch` is
-    tested against row for row.  Each step selects uniformly among nodes
-    whose own counter and all of whose ancestors' counters are still
-    below ``k`` (reachability is evaluated lazily from the counters;
-    detached subtrees are never updated).  One uniform variate is
-    consumed per cut.
-    """
-    _check_k(k)
-    rng = substream(seed, sample_index)
-    n = tree.n
-    cnt = [0] * (n + 1)
-    total = 0
-    while True:
-        connected: list[int] = []
-        alive = [False] * (n + 1)
-        for v in range(1, n + 1):
-            if cnt[v] < k and (v == 1 or alive[v >> 1]):
-                alive[v] = True
-                connected.append(v)
-        pick = connected[int(rng.random() * len(connected))]
-        cnt[pick] += 1
-        total += 1
-        if pick == 1 and cnt[1] == k:
-            return total
-
-
 def simulate_process_batch(
     tree: CompleteTree,
     k: int,
@@ -449,7 +411,7 @@ def simulate_process_batch(
     connected set from the counters by a parent-to-child sweep, then
     every unfinished sample picks one uniform connected node.  Sample
     ``i`` consumes the uniforms of substream ``(seed, first_index + i)``
-    in cut order, one per cut, exactly like :func:`simulate_process`.
+    in cut order, one per cut.
     ``chunk`` (samples in flight at once, shared by the ``threads``
     workers; see :func:`resolve_threads`) defaults to the package's
     32 MB scratch budget for the ``k * n`` uniforms of a sample.
@@ -508,49 +470,6 @@ def simulate_process_batch(
 
     _run_batch(n_samples, k * n, seed, first_index, chunk, threads, worker)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exact tiny-instance oracle.
-# ---------------------------------------------------------------------------
-
-_BRUTE_MAX_N = 4
-_BRUTE_MAX_K = 3
-
-
-def brute_force_distribution(n: int, k: int) -> dict[int, Fraction]:
-    """Exact pmf of the total cut count, by enumeration.
-
-    States are the per-node counter vectors; transition probabilities
-    are uniform over the connected set.  Only feasible for ``n <= 4``,
-    ``k <= 3`` (the configured caps).
-    """
-    if not 1 <= n <= _BRUTE_MAX_N:
-        raise ValueError(f"brute force capped at n <= {_BRUTE_MAX_N}")
-    if not 1 <= k <= _BRUTE_MAX_K:
-        raise ValueError(f"brute force capped at k <= {_BRUTE_MAX_K}")
-
-    @lru_cache(maxsize=None)
-    def remaining(state: tuple[int, ...]) -> tuple[tuple[int, Fraction], ...]:
-        connected = [
-            v
-            for v in range(1, n + 1)
-            if state[v - 1] < k
-            and all(state[(v >> s) - 1] < k for s in range(1, v.bit_length()))
-        ]
-        p = Fraction(1, len(connected))
-        dist: dict[int, Fraction] = {}
-        for v in connected:
-            nxt = list(state)
-            nxt[v - 1] += 1
-            if v == 1 and nxt[0] == k:
-                dist[1] = dist.get(1, Fraction(0)) + p
-                continue
-            for more, q in remaining(tuple(nxt)):
-                dist[more + 1] = dist.get(more + 1, Fraction(0)) + p * q
-        return tuple(sorted(dist.items()))
-
-    return dict(remaining((0,) * n))
 
 
 # ---------------------------------------------------------------------------

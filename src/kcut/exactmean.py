@@ -10,7 +10,8 @@ where ``ancestors`` counts the independent clocks that must outlast the
 node's ``r``-th clock and ``y`` caps the node's clock when the root's
 removal time is conditioned on.  ``record_prob`` evaluates this by
 adaptive quadrature; ``expected_records`` sums it over the exact
-per-height node counts of a complete binary tree; ``asymptotic_mean``
+per-height node counts of a complete binary tree, from
+:meth:`kcut.cutsim.CompleteTree.size_classes`; ``asymptotic_mean``
 evaluates the closed-form approximation the sums converge to.
 """
 
@@ -161,20 +162,13 @@ def expected_records(query: MeanQuery) -> float:
     - edge variant: like the conditional form with ``y = inf`` (the
       root's clock never rings).
     """
-    tree = CompleteTree(query.n)
-    m = tree.max_height
-    total = 0.0
-    if query.variant == "node" and math.isinf(query.y):
-        total += 1.0  # the root is always a record
-        for i in range(1, m + 1):
-            total += tree.level_count(i) * record_prob(
-                query.r, query.k, i, math.inf
-            )
-        return total
-    for i in range(1, m + 1):
-        total += tree.level_count(i) * record_prob(
-            query.r, query.k, i - 1, query.y
-        )
+    levels = CompleteTree(query.n).size_classes()
+    unconditional = query.variant == "node" and math.isinf(query.y)
+    total = 1.0 if unconditional else 0.0  # the root is always a record
+    for i in range(1, len(levels)):
+        count = sum(c for _, c in levels[i])
+        ancestors, y = (i, math.inf) if unconditional else (i - 1, query.y)
+        total += count * record_prob(query.r, query.k, ancestors, y)
     return total
 
 

@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import platform
 import warnings
 from dataclasses import dataclass
@@ -202,6 +203,17 @@ def ks_two_sample(first, second) -> float:
 # ---------------------------------------------------------------------------
 
 
+_INT_FIELDS = (
+    "k", "r", "samples", "seed", "n_min", "n_max", "n_count", "threads"
+)
+_OPTIONAL_FIELDS = ("r", "n_min", "n_max", "threads")
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a (k, r-or-total, variant) pipeline over sizes.
@@ -229,10 +241,19 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
+        # JSON gives floats, strings and booleans as readily as ints.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            _check_int(name, value)
+            object.__setattr__(self, name, int(value))
+        for name in ("gamma_target", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         series._check_k(self.k)
-        if self.r is not None and (
-            not isinstance(self.r, int) or not 1 <= self.r <= self.k
-        ):
+        if self.r is not None and not 1 <= self.r <= self.k:
             raise ValueError(
                 f"r must be None or in [1, k={self.k}], got {self.r!r}"
             )
@@ -249,6 +270,12 @@ class ExperimentConfig:
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta!r}")
         if self.n_list is not None:
+            if not isinstance(self.n_list, (list, tuple)):
+                raise ValueError(
+                    f"n_list must be a list of integers, got {self.n_list!r}"
+                )
+            for n in self.n_list:
+                _check_int("every n in n_list", n)
             object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
             if not self.n_list:
                 raise ValueError("n_list must not be empty when given")
@@ -269,8 +296,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
             )
-        if "n_list" in data and data["n_list"] is not None:
-            data = dict(data, n_list=tuple(data["n_list"]))
         return ExperimentConfig(**data)
 
     def to_dict(self) -> dict:

@@ -29,7 +29,7 @@ Provided here:
   many points, each block of points costing a few matrix products; the
   blocks run on all CPUs (:func:`kcut.cutsim.resolve_threads`);
 - ``cdf_certificate``               -- the accuracy data of that cache;
-- ``xi_sampler`` / ``xi_sampler_batch`` -- the fast triangular-array
+- ``xi_sampler_batch``              -- the fast triangular-array
   sampler at cost polylog(n) per draw, for any ``n``.  Its sums
   are centred by the array's exact truncated mean, one quadrature per
   weight class, and converge in law to the same limit.  For ``a != 1``
@@ -55,7 +55,9 @@ from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from . import series, specfun
-from .cutsim import _check_samples, _on_workers, _run_batch, _worker_count
+from .cutsim import (
+    CompleteTree, _check_samples, _on_workers, _run_batch, _worker_count
+)
 
 __all__ = [
     "LimitParams",
@@ -69,7 +71,6 @@ __all__ = [
     "char_fn",
     "limit_cdf",
     "cdf_certificate",
-    "xi_sampler",
     "xi_sampler_batch",
 ]
 
@@ -797,8 +798,9 @@ class _CdfCache:
         self.f = f_constant(p)
         self._build(_machine(p))
         half = int(np.searchsorted(self.edges, 0.5 * _T_MAX, side="right")) - 1
-        move = self._cdf_block(_PROBE_OMEGA, half) - self._cdf_block(
-            _PROBE_OMEGA, len(self.coeffs)
+        scratch = self._block_scratch(_PROBE_OMEGA.size)
+        move = self._cdf_block(_PROBE_OMEGA, half, scratch) - self._cdf_block(
+            _PROBE_OMEGA, len(self.coeffs), scratch
         )
         self.err_estimate = float(np.max(np.abs(move))) + self._tail_bound()
 
@@ -875,10 +877,12 @@ class _CdfCache:
         workers = _worker_count(blocks, chunk * len(self.edges), None)
 
         def start(lo: int, hi: int):
+            scratch = self._block_scratch(chunk)
+
             def run() -> None:
                 for i in range(lo * chunk, min(hi * chunk, omega.size), chunk):
                     vals[i : i + chunk] = self._cdf_block(
-                        omega[i : i + chunk], len(self.coeffs)
+                        omega[i : i + chunk], len(self.coeffs), scratch
                     )
 
             return run
@@ -887,29 +891,53 @@ class _CdfCache:
         out[near] = vals
         return out
 
-    def _cdf_block(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
+    def _block_scratch(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Flat scratch of :meth:`_cdf_block` for up to ``rows`` points:
+        the phases, one masked copy of them and two masks."""
+        size = rows * len(self.edges)
+        return (
+            np.empty(size, dtype=complex),
+            np.empty(size, dtype=complex),
+            np.empty(2 * size, dtype=bool),
+        )
+
+    def _cdf_block(
+        self, omega: np.ndarray, n_panels: int, scratch: tuple[np.ndarray, ...]
+    ) -> np.ndarray:
         """CDF at ``omega = x - f`` from the first ``n_panels`` panels,
         with the closed-form 1/t part taken to the end of the last.
+        ``scratch`` comes from :meth:`_block_scratch`, so a worker's block
+        allocates no large temporaries of its own.
 
         Raises :class:`NumericError` for a value outside ``[-_CDF_TOL, 1 +
         _CDF_TOL]``, NaN included; values inside that band are clipped to
         [0, 1].
         """
         t_end = self.edges[n_panels]
+        c, n = omega.size, n_panels
+        e_flat, part_flat, mask_flat = scratch
+        part = part_flat[: c * n].reshape(c, n)
+
         # Filon panels for (psi - 1)/t, with E[:, j] = exp(-i omega t_j).
         # Each point's sums over panels are a matrix-vector product of
         # their own, so no point's value depends on the other points of
         # its block.
         def panel_sums(mask, e_part, table):
-            masked = np.where(mask, e_part, 0.0).view(float)
-            return (table[:, : 2 * n_panels] @ masked[:, :, None])[:, :, 0]
+            part[...] = 0.0
+            np.copyto(part, e_part, where=mask)
+            return (table[:, : 2 * n] @ part.view(float)[:, :, None])[:, :, 0]
 
-        theta = np.multiply.outer(-omega, self.edges[: n_panels + 1])
-        e = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=e.real)
-        np.sin(theta, out=e.imag)
-        small = np.abs(omega)[:, None] * self.widths[None, :n_panels] < 0.5
-        large = ~small
+        e = e_flat[: c * (n + 1)].reshape(c, n + 1)
+        np.multiply.outer(-omega, self.edges[: n + 1], out=e.imag)
+        np.cos(e.imag, out=e.real)
+        np.sin(e.imag, out=e.imag)
+        small = mask_flat[: c * n].reshape(c, n)
+        large = mask_flat[c * n : 2 * c * n].reshape(c, n)
+        # |omega| h_j, in part's real halves until panel_sums fills it.
+        omega_h = part.real
+        np.multiply(np.abs(omega)[:, None], self.widths[None, :n], out=omega_h)
+        np.less(omega_h, 0.5, out=small)
+        np.logical_not(small, out=large)
         # terms[:, n] = Im((-i)**n S_n) for the series S_n of the small
         # panels, and ibp[:, k] likewise, so Horner in omega and in 1/omega
         # gives Im J of the panels.
@@ -1006,26 +1034,15 @@ def cdf_certificate(p: LimitParams) -> dict:
 
 
 def _xi_weights(scale: ScaleParams) -> np.ndarray:
-    """``m * n_v / n`` for all nodes of height at most L, in index order.
-
-    The last level holds ``n - 2**m + 1`` nodes, filled from the left,
-    and a node at height ``h`` spans ``s = 2**(m - h)`` of its slots.  So
-    a level holds, left to right, subtrees of ``2 s - 1`` nodes, at most
-    one partly filled subtree, and subtrees of ``s - 1`` nodes.  The
-    three weights are exact ratios of Python ints, so any ``n`` works.
-    """
+    """``m * n_v / n`` for all nodes of height at most L, in index order,
+    from :meth:`kcut.cutsim.CompleteTree.size_classes`.  The weights are
+    exact ratios of Python ints, so any ``n`` works."""
     n, m = scale.n, scale.m
     if (1 << (scale.L + 1)) - 1 > n:
         raise ValueError("height cutoff exceeds the tree; n too small")
-    last = n - (1 << m) + 1
-    levels = []
-    for h in range(scale.L + 1):
-        s = 1 << (m - h)
-        full, part = divmod(last, s)
-        sizes = (2 * s - 1, s - 1 + part, s - 1)
-        counts = (full, int(part > 0), (1 << h) - full - int(part > 0))
-        levels.append(np.repeat([m * size / n for size in sizes], counts))
-    return np.concatenate(levels)
+    levels = CompleteTree(n).size_classes()[: scale.L + 1]
+    sizes, counts = zip(*(c for level in levels for c in level))
+    return np.repeat([m * size / n for size in sizes], counts)
 
 
 # Breakpoints of the centring quadrature, in units of the clock scale
@@ -1094,19 +1111,24 @@ def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
     return total - f_constant(p) + block
 
 
-def xi_sampler(
+def xi_sampler_batch(
     scale: ScaleParams,
     p: LimitParams,
     table: series.ConstantTable | None = None,
     seed: int = 0,
-    sample_index: int = 0,
-) -> float:
-    """One draw of the triangular-array approximation to ``1 - C3*W``.
+    n_samples: int = 1,
+    first_index: int = 0,
+    chunk: int | None = None,
+    threads: int | None = None,
+) -> np.ndarray:
+    """Draws of the triangular-array approximation to ``1 - C3*W``,
+    shape ``(n_samples,)``; draw ``i`` uses substream ``(seed,
+    first_index + i)``.
 
-    Draws i.i.d. Gamma(k, 1) clocks ``T_v`` for every node of height at
-    most ``L``, each the in-order sum of the node's row of ``k``
-    node-major exponentials (the k-th clock of the record sweep), and
-    returns ``1 - C3 * (sum_v xi_v - centre)`` with
+    Each draw takes i.i.d. Gamma(k, 1) clocks ``T_v`` for every node of
+    height at most ``L``, each the in-order sum of the node's row of
+    ``k`` node-major exponentials (the k-th clock of the record sweep),
+    and returns ``1 - C3 * (sum_v xi_v - centre)`` with
 
         xi_v   = (m n_v / n) * gamma(a) * Q(a, m T_v**k / k!),
         centre = sum_v E[xi_v 1[xi_v <= h]] - f + integral_h^1 x dnu,
@@ -1130,33 +1152,16 @@ def xi_sampler(
     are kept.  For ``a = 1``, where ``Q`` is ``exp``, every term is
     priced.
 
-    Cost is O(2**L) = polylog(n) per draw.
-    """
-    return float(
-        xi_sampler_batch(scale, p, table, seed, 1, first_index=sample_index)[0]
-    )
-
-
-def xi_sampler_batch(
-    scale: ScaleParams,
-    p: LimitParams,
-    table: series.ConstantTable | None = None,
-    seed: int = 0,
-    n_samples: int = 1,
-    first_index: int = 0,
-    chunk: int | None = None,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Vectorized :func:`xi_sampler`; sample ``i`` uses substream
-    ``(seed, first_index + i)``.  ``chunk`` (samples in flight at once,
-    shared by the ``threads`` workers; see
+    Cost is O(2**L) = polylog(n) per draw.  ``chunk`` (samples in flight
+    at once, shared by the ``threads`` workers; see
     :func:`kcut.cutsim.resolve_threads`) defaults to the package's 32 MB
     scratch budget for rows of clocks, their compacted copy and mask;
     each worker draws a row's exponentials into one ``(N, k)`` scratch,
-    masks the clocks at or below ``t_cut`` (see :func:`xi_sampler`),
-    prices ``Q`` on the kept ones only, compacted, and sums every row in
-    place in one buffer, with zeros for the skipped terms.  Neither
-    ``chunk`` nor ``threads`` changes the output."""
+    masks the clocks at or below ``t_cut``, prices ``Q`` on the kept
+    ones only, compacted, and sums every row in place in one buffer,
+    with zeros for the skipped terms.  Neither ``chunk`` nor ``threads``
+    changes the output.
+    """
     if table is None:
         table = series.constants(p.k, p.r)
     if table.k != p.k or table.r != p.r:

@@ -1,0 +1,107 @@
+"""Plain reference implementations that the package is tested against.
+
+Each computes its quantity the slow, direct way and shares no logic
+with the code it checks: node heights and subtree sizes from the heap
+indices, the cutting procedure run one sample at a time, and the exact
+cut-count law of tiny trees by enumeration.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+from kcut.cutsim import CompleteTree, _check_k, substream
+
+
+def height(n: int, i: int) -> int:
+    """Depth of node ``i`` of the complete tree on ``n`` nodes; the root
+    (i=1) has height 0."""
+    if not 1 <= i <= n:
+        raise ValueError(f"node index {i} outside [1, {n}]")
+    return i.bit_length() - 1
+
+
+def subtree_size(n: int, i: int) -> int:
+    """Nodes in the subtree rooted at ``i``, via interval clamping: the
+    descendants of ``i`` at depth ``d`` below it occupy indices ``[i *
+    2**d, (i + 1) * 2**d - 1]`` intersected with ``[1, n]``."""
+    if not 1 <= i <= n:
+        raise ValueError(f"node index {i} outside [1, {n}]")
+    size = 0
+    lo, hi = i, i
+    while lo <= n:
+        size += min(hi, n) - lo + 1
+        lo, hi = 2 * lo, 2 * hi + 1
+    return size
+
+
+def simulate_process(
+    tree: CompleteTree, k: int, seed: int, sample_index: int = 0
+) -> int:
+    """Run the cutting procedure once and return the number of cuts
+    until the root dies.
+
+    This is the plain reference that ``simulate_process_batch`` is
+    tested against row for row.  Each step selects uniformly among nodes
+    whose own counter and all of whose ancestors' counters are still
+    below ``k`` (reachability is evaluated lazily from the counters;
+    detached subtrees are never updated).  One uniform variate is
+    consumed per cut.
+    """
+    _check_k(k)
+    rng = substream(seed, sample_index)
+    n = tree.n
+    cnt = [0] * (n + 1)
+    total = 0
+    while True:
+        connected: list[int] = []
+        alive = [False] * (n + 1)
+        for v in range(1, n + 1):
+            if cnt[v] < k and (v == 1 or alive[v >> 1]):
+                alive[v] = True
+                connected.append(v)
+        pick = connected[int(rng.random() * len(connected))]
+        cnt[pick] += 1
+        total += 1
+        if pick == 1 and cnt[1] == k:
+            return total
+
+
+_BRUTE_MAX_N = 4
+_BRUTE_MAX_K = 3
+
+
+def brute_force_distribution(n: int, k: int) -> dict[int, Fraction]:
+    """Exact pmf of the total cut count, by enumeration.
+
+    States are the per-node counter vectors; transition probabilities
+    are uniform over the connected set.  Only feasible for ``n <= 4``,
+    ``k <= 3`` (the configured caps).
+    """
+    if not 1 <= n <= _BRUTE_MAX_N:
+        raise ValueError(f"brute force capped at n <= {_BRUTE_MAX_N}")
+    if not 1 <= k <= _BRUTE_MAX_K:
+        raise ValueError(f"brute force capped at k <= {_BRUTE_MAX_K}")
+
+    @lru_cache(maxsize=None)
+    def remaining(state: tuple[int, ...]) -> tuple[tuple[int, Fraction], ...]:
+        connected = [
+            v
+            for v in range(1, n + 1)
+            if state[v - 1] < k
+            and all(state[(v >> s) - 1] < k for s in range(1, v.bit_length()))
+        ]
+        p = Fraction(1, len(connected))
+        dist: dict[int, Fraction] = {}
+        for v in connected:
+            nxt = list(state)
+            nxt[v - 1] += 1
+            if v == 1 and nxt[0] == k:
+                dist[1] = dist.get(1, Fraction(0)) + p
+                continue
+            for more, q in remaining(tuple(nxt)):
+                dist[more + 1] = dist.get(more + 1, Fraction(0)) + p * q
+        return tuple(sorted(dist.items()))
+
+    return dict(remaining((0,) * n))

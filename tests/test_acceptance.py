@@ -31,6 +31,7 @@ from kcut import cutsim, exactmean, harness, limitdist, series, specfun
 from kcut.harness import ExperimentConfig
 from kcut.limitdist import LimitParams, ScaleParams
 
+from oracles import brute_force_distribution
 from test_series import (
     _lagrange_check,
     _oracle_base,
@@ -120,11 +121,11 @@ def test_04_process_and_record_simulators_agree_in_law() -> None:
 
 
 def test_05_empirical_pmf_matches_brute_force() -> None:
-    uniform = cutsim.brute_force_distribution(3, 1)
+    uniform = brute_force_distribution(3, 1)
     assert uniform == {1: F(1, 3), 2: F(1, 3), 3: F(1, 3)}
     n_samples = 1_000_000
     for n, k in [(2, 1), (3, 1), (3, 2), (4, 2)]:
-        want = cutsim.brute_force_distribution(n, k)
+        want = brute_force_distribution(n, k)
         totals = cutsim.simulate_records_batch(
             cutsim.CompleteTree(n), k, 500 + 10 * n + k, n_samples
         ).sum(axis=1)

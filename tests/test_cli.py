@@ -297,6 +297,14 @@ def test_experiment_unknown_key_exits_2(tmp_path) -> None:
     assert cli.main(["experiment", "--config", str(path)]) == 2
 
 
+def test_experiment_mistyped_config_exits_2(tmp_path, capsys) -> None:
+    path = tmp_path / "cfg.json"
+    for bad in ({"samples": 2.5}, {"gamma_target": "0.5"}, {"n_list": [100.7]}):
+        path.write_text(json.dumps({"k": 1, "n_list": [64], **bad}))
+        assert cli.main(["experiment", "--config", str(path)]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
+
 def test_experiment_missing_file_exits_2(tmp_path) -> None:
     assert (
         cli.main(["experiment", "--config", str(tmp_path / "nope.json")]) == 2

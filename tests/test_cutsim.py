@@ -16,6 +16,12 @@ from hypothesis import strategies as st
 
 from kcut import cutsim, series
 from kcut.cutsim import CompleteTree
+from oracles import (
+    brute_force_distribution,
+    height,
+    simulate_process,
+    subtree_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -24,30 +30,36 @@ from kcut.cutsim import CompleteTree
 
 
 def test_tree_heights() -> None:
-    tree = CompleteTree(12)
-    assert tree.height(1) == 0
-    assert tree.height(2) == tree.height(3) == 1
-    assert tree.height(7) == 2
-    assert tree.height(12) == 3
-    assert tree.max_height == 3
+    assert height(12, 1) == 0
+    assert height(12, 2) == height(12, 3) == 1
+    assert height(12, 7) == 2
+    assert height(12, 12) == 3
+    assert CompleteTree(12).max_height == 3
     with pytest.raises(ValueError):
-        tree.height(0)
+        height(12, 0)
     with pytest.raises(ValueError):
-        tree.height(13)
+        height(12, 13)
     with pytest.raises(ValueError):
         CompleteTree(0)
 
 
-@given(n=st.integers(min_value=1, max_value=100_000))
-@settings(max_examples=200, deadline=None)
-def test_level_counts_partition_nodes(n: int) -> None:
-    tree = CompleteTree(n)
-    m = tree.max_height
-    assert sum(tree.level_count(h) for h in range(m + 1)) == n
-    for h in range(m):
-        assert tree.level_count(h) == 1 << h
-    assert 1 <= tree.level_count(m) <= 1 << m
-    assert tree.level_count(m + 1) == 0
+def test_level_counts_partition_nodes() -> None:
+    """``size_classes`` expanded in order gives every node's subtree
+    size in heap order, and level h holds 2**h nodes in at most three
+    classes (the last level ``n - 2**m + 1``)."""
+    for n in range(1, 301):
+        levels = CompleteTree(n).size_classes()
+        m = len(levels) - 1
+        assert m == CompleteTree(n).max_height
+        sizes = [z for level in levels for z, c in level for _ in range(c)]
+        assert sizes == [subtree_size(n, v) for v in range(1, n + 1)], n
+        for h, level in enumerate(levels):
+            assert 1 <= len(level) <= 3
+            want = (1 << h) if h < m else n - (1 << m) + 1
+            assert sum(c for _, c in level) == want, (n, h)
+    for n in ((1 << 1100), 10**50 + 7):
+        levels = CompleteTree(n).size_classes()
+        assert sum(c for level in levels for _, c in level) == n
 
 
 @given(
@@ -58,14 +70,13 @@ def test_level_counts_partition_nodes(n: int) -> None:
 def test_subtree_size_recursion(n: int, i: int) -> None:
     if i > n:
         return
-    tree = CompleteTree(n)
-    left = tree.subtree_size(2 * i) if 2 * i <= n else 0
-    right = tree.subtree_size(2 * i + 1) if 2 * i + 1 <= n else 0
-    assert tree.subtree_size(i) == 1 + left + right
+    left = subtree_size(n, 2 * i) if 2 * i <= n else 0
+    right = subtree_size(n, 2 * i + 1) if 2 * i + 1 <= n else 0
+    assert subtree_size(n, i) == 1 + left + right
 
 
 def test_subtree_size_whole_tree() -> None:
-    assert CompleteTree(1000).subtree_size(1) == 1000
+    assert subtree_size(1000, 1) == 1000
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +85,9 @@ def test_subtree_size_whole_tree() -> None:
 
 
 def test_brute_force_known_pmfs() -> None:
-    assert cutsim.brute_force_distribution(1, 2) == {2: F(1)}
-    assert cutsim.brute_force_distribution(2, 1) == {1: F(1, 2), 2: F(1, 2)}
-    assert cutsim.brute_force_distribution(3, 1) == {
+    assert brute_force_distribution(1, 2) == {2: F(1)}
+    assert brute_force_distribution(2, 1) == {1: F(1, 2), 2: F(1, 2)}
+    assert brute_force_distribution(3, 1) == {
         1: F(1, 3),
         2: F(1, 3),
         3: F(1, 3),
@@ -84,14 +95,14 @@ def test_brute_force_known_pmfs() -> None:
 
 
 def test_brute_force_mean_is_harmonic_sum() -> None:
-    pmf = cutsim.brute_force_distribution(3, 1)
+    pmf = brute_force_distribution(3, 1)
     assert sum(t * p for t, p in pmf.items()) == 2
 
 
 def test_brute_force_probabilities_sum_to_one() -> None:
     for n in (1, 2, 3, 4):
         for k in (1, 2, 3):
-            pmf = cutsim.brute_force_distribution(n, k)
+            pmf = brute_force_distribution(n, k)
             assert sum(pmf.values()) == 1
             assert min(pmf) >= k
             assert max(pmf) <= k * n
@@ -99,9 +110,9 @@ def test_brute_force_probabilities_sum_to_one() -> None:
 
 def test_brute_force_caps() -> None:
     with pytest.raises(ValueError):
-        cutsim.brute_force_distribution(5, 1)
+        brute_force_distribution(5, 1)
     with pytest.raises(ValueError):
-        cutsim.brute_force_distribution(2, 4)
+        brute_force_distribution(2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +272,7 @@ def test_resolve_threads(monkeypatch) -> None:
     assert cutsim.resolve_threads() == cpus
     assert cutsim.resolve_threads(6) == 6
     assert cutsim.resolve_threads(np.int64(3)) == 3
-    for bad in (0, -3, 2.0):
+    for bad in (0, -3, 2.0, True):
         with pytest.raises(ValueError, match="threads"):
             cutsim.resolve_threads(bad)
     monkeypatch.setenv(cutsim.THREADS_ENV, "4")
@@ -344,16 +355,16 @@ def test_batch_threads_stress() -> None:
 
 def test_process_single_node() -> None:
     for k in (1, 2, 5):
-        assert cutsim.simulate_process(CompleteTree(1), k, seed=0) == k
+        assert simulate_process(CompleteTree(1), k, seed=0) == k
 
 
 def test_process_determinism_and_batch_agreement() -> None:
     tree = CompleteTree(15)
-    a = cutsim.simulate_process(tree, 2, seed=10, sample_index=4)
-    b = cutsim.simulate_process(tree, 2, seed=10, sample_index=4)
+    a = simulate_process(tree, 2, seed=10, sample_index=4)
+    b = simulate_process(tree, 2, seed=10, sample_index=4)
     assert a == b
     singles = [
-        cutsim.simulate_process(tree, 2, seed=10, sample_index=i)
+        simulate_process(tree, 2, seed=10, sample_index=i)
         for i in range(25)
     ]
     batch = cutsim.simulate_process_batch(tree, 2, seed=10, n_samples=25)
@@ -370,7 +381,7 @@ def test_process_batch_counts_past_int16() -> None:
     k = 2**15 + 1
     batch = cutsim.simulate_process_batch(CompleteTree(1), k, 3, 2)
     assert batch.tolist() == [
-        cutsim.simulate_process(CompleteTree(1), k, 3, sample_index=i)
+        simulate_process(CompleteTree(1), k, 3, sample_index=i)
         for i in range(2)
     ]
 
@@ -384,7 +395,7 @@ def test_process_total_bounds() -> None:
 
 def test_process_matches_brute_force() -> None:
     samples = 60_000
-    pmf = cutsim.brute_force_distribution(4, 2)
+    pmf = brute_force_distribution(4, 2)
     totals = cutsim.simulate_process_batch(
         CompleteTree(4), 2, seed=77, n_samples=samples
     )
@@ -469,7 +480,7 @@ def test_rescale_counts_validation() -> None:
     assert math.isfinite(order1)
     with pytest.raises(ValueError):
         cutsim.rescale_counts(1.0, 2, table, 16)  # table built for r=1
-    total = cutsim.simulate_process(CompleteTree(16), 2, seed=0)
+    total = simulate_process(CompleteTree(16), 2, seed=0)
     assert math.isfinite(cutsim.rescale_counts(float(total), None, table, 16))
     with pytest.raises(ValueError):
         cutsim.rescale_counts(1.0, 1, table, 3)

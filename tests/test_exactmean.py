@@ -9,6 +9,7 @@ import pytest
 
 from kcut import cutsim, exactmean, series
 from kcut.exactmean import MeanQuery
+from oracles import height
 
 
 def test_record_prob_trivial_cases() -> None:
@@ -109,11 +110,7 @@ def test_expected_records_small_trees() -> None:
 def test_expected_records_k1_harmonic_sum() -> None:
     """Unconditional k = 1 mean equals sum over nodes of 1/(h(v)+1)."""
     for n in [5, 12, 31]:
-        tree = cutsim.CompleteTree(n)
-        expected = sum(
-            tree.level_count(h) / (h + 1.0)
-            for h in range(tree.max_height + 1)
-        )
+        expected = sum(1.0 / (height(n, v) + 1.0) for v in range(1, n + 1))
         got = exactmean.expected_records(MeanQuery(n, 1, 1))
         assert got == pytest.approx(expected, abs=1e-9)
 

@@ -181,6 +181,34 @@ def test_config_validation() -> None:
         ExperimentConfig(k=1, n_list=(64,), samples=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(k=1, n_list=(64,), threads=0)
+    # Mistyped fields, as a JSON config can give them, name the field.
+    mistyped = [
+        ("samples", {"samples": 2.5}),
+        ("samples", {"samples": True}),
+        ("seed", {"seed": 1.5}),
+        ("gamma_target", {"gamma_target": "0.5"}),
+        ("gamma_target", {"gamma_target": False}),
+        ("delta", {"delta": "0.02"}),
+        ("k", {"k": True}),
+        ("r", {"r": 1.0}),
+        ("n_count", {"n_count": 3.0}),
+        ("threads", {"threads": True}),
+        ("n_list", {"n_list": [100.7]}),
+        ("n_list", {"n_list": 64}),
+        ("n_min", {"n_list": None, "n_min": 64.5, "n_max": 128}),
+        ("n_max", {"n_list": None, "n_min": 64, "n_max": "128"}),
+    ]
+    for field, bad in mistyped:
+        data = {"k": 1, "n_list": [64], **bad}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(data)
+    # numpy integers are integers, and are stored as ints.
+    cfg = ExperimentConfig(
+        k=np.int64(1), n_list=(np.int64(64),), samples=np.int32(5),
+        seed=np.int64(7),
+    )
+    assert (cfg.k, cfg.n_list, cfg.samples, cfg.seed) == (1, (64,), 5, 7)
+    assert type(cfg.seed) is int and type(cfg.n_list[0]) is int
 
 
 def test_config_dict_roundtrip() -> None:

@@ -13,8 +13,9 @@ import pytest
 from scipy import integrate, special
 
 from kcut import limitdist, series
-from kcut.cutsim import CompleteTree, substream
+from kcut.cutsim import substream
 from kcut.limitdist import LimitParams, ScaleParams
+from oracles import subtree_size
 
 RNG = np.random.default_rng(20260825)
 
@@ -634,27 +635,36 @@ def test_psi_negligible_at_half_t_max() -> None:
             assert abs(psi) < 1e-12, (a, g, abs(psi))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_limit_cdf_vs_direct_inversion() -> None:
-    # Independent route: textbook inversion integral evaluated by
-    # adaptive quadrature straight from char_fn.  The low-t panel hits
-    # quad's round-off detector; only its value is used.
+    # Independent route: the textbook inversion integral straight from
+    # char_fn's exponent, by composite 16-node Gauss-Legendre rules with
+    # 9q geometric panels on [1e-9, 1] and 24q equal panels on [1, 25].
+    # The modulus decays exponentially, so truncating at 25 is far below
+    # the comparison tolerance; halving the panels bounds the rule's error.
     p = LimitParams(1, 1, 0.0)
     table = series.constants(1, 1)
     f = limitdist.f_constant(p)
-    for x in (f + 0.5, f + 3.0):
-        def integrand(t: float) -> float:
-            return (
-                limitdist.char_fn(t, p) * np.exp(-1j * t * x)
-            ).imag / t
-        # Split at the 1/t shoulder; the modulus decays exponentially,
-        # so truncating at 25 is far below the comparison tolerance.
-        v1, _ = integrate.quad(integrand, 1e-9, 1.0, limit=400)
-        v2, e2 = integrate.quad(integrand, 1.0, 25.0, limit=400)
-        direct = 0.5 - (v1 + v2) / math.pi
-        got = 1.0 - limitdist.limit_cdf(1.0 - table.c3 * x, p, table)
-        assert e2 < 1e-6
-        assert got == pytest.approx(direct, abs=5e-5)
+    x = np.array([f + 0.5, f + 3.0])
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+
+    def direct(q: int) -> np.ndarray:
+        edges = np.concatenate(
+            [
+                np.geomspace(1e-9, 1.0, 9 * q + 1),
+                np.linspace(1.0, 25.0, 24 * q + 1)[1:],
+            ]
+        )
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        t = (mid[:, None] + half[:, None] * gl_nodes).ravel()
+        weights = (half[:, None] * gl_weights).ravel()
+        phi = np.exp(1j * f * t + limitdist._machine(p).exponent(t))
+        integrand = (phi * np.exp(-1j * np.outer(x, t))).imag / t
+        return 0.5 - integrand @ weights / math.pi
+
+    coarse, fine = direct(8), direct(16)
+    assert np.max(np.abs(fine - coarse)) < 1e-6
+    got = 1.0 - limitdist.limit_cdf(1.0 - table.c3 * x, p, table)
+    np.testing.assert_allclose(got, fine, rtol=0.0, atol=5e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +685,9 @@ def test_xi_weights_match_per_node_sizes() -> None:
     """The per-level weights equal ``m * subtree_size(v) / n`` node by
     node, at a size whose last level is partly filled."""
     sc = ScaleParams.from_n((1 << 40) + 12345, 2)
-    tree = CompleteTree(sc.n)
     count = (1 << (sc.L + 1)) - 1
     want = np.array(
-        [sc.m * tree.subtree_size(v) / sc.n for v in range(1, count + 1)]
+        [sc.m * subtree_size(sc.n, v) / sc.n for v in range(1, count + 1)]
     )
     got = limitdist._xi_weights(sc)
     assert got.shape == want.shape
@@ -709,7 +718,10 @@ def test_xi_sampler_bounds_and_determinism() -> None:
     assert np.all(np.isfinite(x))
     y = limitdist.xi_sampler_batch(sc, p, table, seed=5, n_samples=64)
     assert np.array_equal(x, y)
-    assert limitdist.xi_sampler(sc, p, table, seed=5, sample_index=3) == x[3]
+    one = limitdist.xi_sampler_batch(
+        sc, p, table, seed=5, n_samples=1, first_index=3
+    )
+    assert one[0] == x[3]
     # The exact centring moves the asymptotic compensator by the
     # truncated-mean gap, computed here by an independent quadrature.
     exact = 1.0 + table.c3 * limitdist._xi_centre(
