@@ -36,6 +36,7 @@ at most ``chunk`` samples, by default as many as fit one 32 MB budget
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -78,9 +79,8 @@ def substream(seed: int, sample_index: int) -> np.random.Generator:
     sample range across threads or processes reproduces identical draws
     because each sample owns its counter-based key.
     """
-    key = np.array(
-        [seed & _MASK64, sample_index & _MASK64], dtype=np.uint64
-    )
+    seed, sample_index = operator.index(seed), operator.index(sample_index)
+    key = np.array([seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -137,6 +137,14 @@ def resolve_threads(threads: int | None = None) -> int:
     return int(threads)
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CompleteTree:
     """Complete binary tree on ``n`` nodes with implicit 1-based heap
@@ -147,6 +155,7 @@ class CompleteTree:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_int("n", self.n))
         if self.n < 1:
             raise ValueError(f"tree needs n >= 1 nodes, got {self.n!r}")
 
@@ -181,7 +190,7 @@ class CompleteTree:
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
@@ -257,6 +266,7 @@ def _run_batch(
     The workers are :func:`_worker_count` of the samples and
     ``row_values``, capped at :func:`_chunk_rows`, which they share.
     """
+    seed, first_index = operator.index(seed), operator.index(first_index)
     in_flight = _chunk_rows(row_scratch or row_values, chunk)
     workers = min(_worker_count(n_samples, row_values, threads), in_flight)
     rows = in_flight // workers
@@ -508,8 +518,7 @@ def rescale_counts(
             for rr in range(1, k + 1)
         )
         return counts * scale - center
-    if not 1 <= r <= k:
-        raise ValueError(f"r must lie in [1, k={k}], got {r!r}")
+    series._check_r(r, k)
     if r != table.r:
         raise ValueError(f"table was built for r={table.r}, got r={r!r}")
     scale = lg ** (r / k + 1.0) / (n * table.c2)

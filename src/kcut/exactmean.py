@@ -70,8 +70,7 @@ class MeanQuery:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
         _check_k(self.k)
-        if not isinstance(self.r, int) or not 1 <= self.r <= self.k:
-            raise ValueError(f"r must lie in [1, k={self.k}], got {self.r!r}")
+        series._check_r(self.r, self.k)
         if not self.y > 0.0:
             raise ValueError(f"y must be positive, got {self.y!r}")
         if self.variant not in ("node", "edge"):
@@ -118,8 +117,8 @@ def record_prob(r: int, k: int, ancestors: int, y: float) -> float:
     beyond the integrand's exponential tail.  The absolute error bound
     reported by the integrator must be below 1e-11.
     """
-    if not isinstance(r, int) or not isinstance(k, int) or not 1 <= r <= k:
-        raise ValueError(f"need integers 1 <= r <= k, got r={r!r}, k={k!r}")
+    _check_k(k)
+    series._check_r(r, k)
     if ancestors < 0:
         raise ValueError(f"ancestors must be >= 0, got {ancestors!r}")
     if not y > 0.0:

@@ -209,11 +209,6 @@ _INT_FIELDS = (
 _OPTIONAL_FIELDS = ("r", "n_min", "n_max", "threads")
 
 
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a (k, r-or-total, variant) pipeline over sizes.
@@ -246,8 +241,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name in _OPTIONAL_FIELDS:
                 continue
-            _check_int(name, value)
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, cutsim._as_int(name, value))
         for name in ("gamma_target", "delta"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -274,9 +268,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"n_list must be a list of integers, got {self.n_list!r}"
                 )
-            for n in self.n_list:
-                _check_int("every n in n_list", n)
-            object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+            ints = tuple(cutsim._as_int("every n in n_list", n) for n in self.n_list)
+            object.__setattr__(self, "n_list", ints)
             if not self.n_list:
                 raise ValueError("n_list must not be empty when given")
             if any(n < 16 for n in self.n_list):

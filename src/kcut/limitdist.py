@@ -56,7 +56,8 @@ from scipy.interpolate import CubicSpline
 
 from . import series, specfun
 from .cutsim import (
-    CompleteTree, _check_samples, _on_workers, _run_batch, _worker_count
+    CompleteTree, _as_int, _check_samples, _on_workers, _run_batch,
+    _worker_count,
 )
 
 __all__ = [
@@ -99,8 +100,7 @@ class LimitParams:
 
     def __post_init__(self) -> None:
         series._check_k(self.k)
-        if not isinstance(self.r, int) or not 1 <= self.r <= self.k:
-            raise ValueError(f"r must lie in [1, k={self.k}], got {self.r!r}")
+        series._check_r(self.r, self.k)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         if not isinstance(self.s_max, int) or not 56 <= self.s_max <= 1000:
@@ -132,6 +132,7 @@ class ScaleParams:
 
     @staticmethod
     def from_n(n: int, k: int) -> "ScaleParams":
+        n = _as_int("n", n)
         if n < 16:
             raise ValueError(f"scale parameters need n >= 16, got {n!r}")
         series._check_k(k)

@@ -1,13 +1,17 @@
-"""Exact truncated power-series arithmetic and derived constants.
+"""Exact truncated power-series expansions and derived constants.
 
 The record counts of the k-cut process have moment expansions whose
 coefficients come from one bivariate power series: the function
 ``(exp(x**k/k!) * Q(k, x))**m`` expanded jointly in ``x`` (small) and the
-symbolic exponent ``m``.  This module performs that expansion in exact
-rational arithmetic and assembles the downstream constants:
+symbolic exponent ``m``.  With ``Q(k, x) = exp(-x) * P(x)``,
+``P(x) = sum_{i<k} x**i / i!``, the base has the logarithm
+``L(x) = x**k/k! - x + log P(x)``, which vanishes through ``x**k``, and
+the formal identity ``weight * base**m = sum_j m**j * weight * L**j / j!``
+gives every coefficient of ``m**j * x**b`` in exact rational arithmetic
+(``L**j`` starts at ``x**(j*(k+1))``).  From it this module builds:
 
 - ``expand_core(k)``  -- the table C5(j, b) of coefficients of
-  ``m**j * x**b`` in ``(exp(x**k/k!) * Q(k, x))**m``.
+  ``m**j * x**b`` in ``(exp(x**k/k!) * Q(k, x))**m`` (weight 1).
 - ``expand_h0(k)``    -- the table C6(j, b) for the same product
   multiplied by the weight ``h0(x) = exp(-x) / (2*Q(k, x) - 1)``.
 - ``constants(k, r)`` -- scale constants C2, C3 and the centering
@@ -22,7 +26,7 @@ only in `constants` where gamma-function values are required.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,6 +50,10 @@ MAX_K = 8
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Typed, so that a cached entry for k = 1 cannot answer a call with
+# k = True, which the argument checks reject.
+_cached = lru_cache(maxsize=None, typed=True)
+
 
 def _x_cap(k: int) -> int:
     """Truncation order in x: large enough to cover every window
@@ -55,197 +63,93 @@ def _x_cap(k: int) -> int:
 
 @dataclass(frozen=True)
 class BiSeries:
-    """Truncated bivariate polynomial ``sum c[(j, b)] * m**j * x**b``.
+    """Truncated bivariate table ``sum c[(j, b)] * m**j * x**b``.
 
     ``j`` indexes powers of the symbolic exponent ``m`` and ``b`` powers
-    of ``x``.  Coefficients are exact rationals.  ``j_cap`` and ``b_cap``
-    are inclusive truncation orders: arithmetic drops any product term
-    beyond them, and stored keys never exceed them.
+    of ``x``.  ``coeff`` holds the nonzero exact rationals with
+    ``j <= j_cap`` and ``b <= b_cap``; every entry within those caps is
+    exact.
     """
 
     j_cap: int
     b_cap: int
-    coeff: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean = {
-            key: val
-            for key, val in self.coeff.items()
-            if val != 0 and key[0] <= self.j_cap and key[1] <= self.b_cap
-        }
-        object.__setattr__(self, "coeff", clean)
+    coeff: dict[tuple[int, int], Fraction]
 
     def get(self, j: int, b: int) -> Fraction:
         return self.coeff.get((j, b), _ZERO)
 
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_caps(other)
-        total = dict(self.coeff)
-        for key, val in other.coeff.items():
-            total[key] = total.get(key, _ZERO) + val
-        return BiSeries(self.j_cap, self.b_cap, total)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor: Fraction) -> "BiSeries":
-        return BiSeries(
-            self.j_cap,
-            self.b_cap,
-            {key: factor * val for key, val in self.coeff.items()},
-        )
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        self._check_caps(other)
-        total: dict[tuple[int, int], Fraction] = {}
-        for (j1, b1), v1 in self.coeff.items():
-            for (j2, b2), v2 in other.coeff.items():
-                j, b = j1 + j2, b1 + b2
-                if j > self.j_cap or b > self.b_cap:
-                    continue
-                key = (j, b)
-                total[key] = total.get(key, _ZERO) + v1 * v2
-        return BiSeries(self.j_cap, self.b_cap, total)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return (
-            self.j_cap == other.j_cap
-            and self.b_cap == other.b_cap
-            and self.coeff == other.coeff
-        )
-
-    def _check_caps(self, other: "BiSeries") -> None:
-        if self.j_cap != other.j_cap or self.b_cap != other.b_cap:
-            raise ValueError("BiSeries operands must share truncation caps")
-
-    @staticmethod
-    def one(j_cap: int, b_cap: int) -> "BiSeries":
-        return BiSeries(j_cap, b_cap, {(0, 0): _ONE})
-
-    @staticmethod
-    def from_x_poly(
-        coeffs: dict[int, Fraction], j_cap: int, b_cap: int
-    ) -> "BiSeries":
-        """Embed a univariate polynomial in ``x`` (no ``m`` dependence)."""
-        return BiSeries(j_cap, b_cap, {(0, b): v for b, v in coeffs.items()})
-
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1 or k > MAX_K:
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_K:
         raise ValueError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
 
 
-def _exp_neg_x(b_cap: int) -> dict[int, Fraction]:
-    """Series of exp(-x) through x**b_cap."""
-    return {
-        b: Fraction((-1) ** b, math.factorial(b)) for b in range(b_cap + 1)
-    }
+def _check_r(r: int, k: int) -> None:
+    """Record order ``r`` must be an integer in ``[1, k]``."""
+    if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= k:
+        raise ValueError(f"r must be an integer in [1, k={k}], got {r!r}")
 
 
-def _q_series(k: int, b_cap: int) -> dict[int, Fraction]:
-    """Series of Q(k, x) = exp(-x) * sum_{i<k} x**i / i!."""
-    expneg = _exp_neg_x(b_cap)
-    out: dict[int, Fraction] = {}
-    for i in range(k):
-        w = Fraction(1, math.factorial(i))
-        for b, v in expneg.items():
-            if b + i <= b_cap:
-                out[b + i] = out.get(b + i, _ZERO) + w * v
+def _mul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
+    """Truncated product of two coefficient lists of one length (entry
+    ``b`` of a list is the coefficient of ``x**b``)."""
+    n = len(u)
+    out = [_ZERO] * n
+    nonzero_v = [(j, c) for j, c in enumerate(v) if c]
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in nonzero_v:
+                if i + j >= n:
+                    break
+                out[i + j] += ui * vj
     return out
 
 
-def _exp_xk_over_kfact(k: int, b_cap: int) -> dict[int, Fraction]:
-    """Series of exp(x**k / k!) through x**b_cap."""
-    kfact = math.factorial(k)
-    out: dict[int, Fraction] = {}
-    n = 0
-    while n * k <= b_cap:
-        out[n * k] = Fraction(1, kfact**n * math.factorial(n))
-        n += 1
-    return out
-
-
-def _poly_mul(
-    u: dict[int, Fraction], v: dict[int, Fraction], b_cap: int
-) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for b1, c1 in u.items():
-        for b2, c2 in v.items():
-            b = b1 + b2
-            if b <= b_cap:
-                out[b] = out.get(b, _ZERO) + c1 * c2
-    return {b: c for b, c in out.items() if c != 0}
-
-
-def _poly_inverse(u: dict[int, Fraction], b_cap: int) -> dict[int, Fraction]:
-    """Reciprocal series of ``u`` with ``u[0] == 1``."""
-    if u.get(0, _ZERO) != 1:
-        raise ValueError("series inversion needs constant term 1")
-    inv: dict[int, Fraction] = {0: _ONE}
-    for b in range(1, b_cap + 1):
-        acc = _ZERO
-        for i in range(1, b + 1):
-            ui = u.get(i, _ZERO)
-            if ui != 0:
-                acc += ui * inv.get(b - i, _ZERO)
-        if acc != 0:
-            inv[b] = -acc
+def _reciprocal(u: list[Fraction]) -> list[Fraction]:
+    """Series of ``1 / u``; ``u[0]`` must be 1."""
+    inv = [_ONE]
+    for b in range(1, len(u)):
+        acc = sum((u[i] * inv[b - i] for i in range(1, b + 1) if u[i]), _ZERO)
+        inv.append(-acc)
     return inv
 
 
-def _binom_m_poly(t: int) -> dict[int, Fraction]:
-    """Coefficients (in powers of m) of binomial(m, t) = m(m-1)...(m-t+1)/t!."""
-    poly: dict[int, Fraction] = {0: _ONE}
-    for s in range(t):
-        nxt: dict[int, Fraction] = {}
-        for j, c in poly.items():
-            nxt[j + 1] = nxt.get(j + 1, _ZERO) + c
-            if s:
-                nxt[j] = nxt.get(j, _ZERO) - c * s
-        poly = nxt
-    w = Fraction(1, math.factorial(t))
-    return {j: c * w for j, c in poly.items() if c != 0}
+def _log(u: list[Fraction]) -> list[Fraction]:
+    """Series of ``log u``; ``u[0]`` must be 1.  Matching the
+    coefficients of ``x**(b-1)`` in ``u * (log u)' = u'`` gives
+    ``b*g[b] = b*u[b] - sum_{0<i<b} i*g[i]*u[b-i]``."""
+    g = [_ZERO]
+    for b in range(1, len(u)):
+        acc = sum((i * g[i] * u[b - i] for i in range(1, b) if g[i]), _ZERO)
+        g.append(u[b] - acc / b)
+    return g
 
 
-def _inner_series(k: int, b_cap: int) -> dict[int, Fraction]:
-    """Series of exp(x**k/k!) * Q(k, x), the base raised to the m-th power."""
-    return _poly_mul(_exp_xk_over_kfact(k, b_cap), _q_series(k, b_cap), b_cap)
+def _expand(k: int, weight: list[Fraction]) -> BiSeries:
+    """Table of ``weight(x) * (exp(x**k/k!) * Q(k, x))**m`` through
+    ``x**b_cap``, ``b_cap = len(weight) - 1``, as
+    ``sum_j m**j * weight * L**j / j!`` with ``L`` the log of the base."""
+    b_cap = len(weight) - 1
+    partial = [
+        Fraction(1, math.factorial(b)) if b < k else _ZERO
+        for b in range(b_cap + 1)
+    ]
+    log_base = _log(partial)
+    log_base[1] -= 1
+    log_base[k] += Fraction(1, math.factorial(k))
+    if any(log_base[: k + 1]):
+        raise ArithmeticError("log of the base must vanish through order k")
+    j_cap = b_cap // (k + 1)
+    coeff: dict[tuple[int, int], Fraction] = {}
+    term = weight
+    for j in range(j_cap + 1):
+        if j:
+            term = [c / j for c in _mul(term, log_base)]
+        coeff.update({(j, b): c for b, c in enumerate(term) if c})
+    return BiSeries(j_cap, b_cap, coeff)
 
 
-def _symbolic_power(
-    base: dict[int, Fraction], k: int, b_cap: int
-) -> BiSeries:
-    """Expand ``base(x)**m`` with ``m`` symbolic, truncated at ``b_cap``.
-
-    ``base`` must have constant term 1; writing ``base = 1 + p`` with
-    ``ord(p) >= k + 1``, the binomial series ``sum_t binom(m, t) p**t``
-    terminates once ``t * (k + 1) > b_cap``.
-    """
-    if base.get(0, _ZERO) != 1:
-        raise ValueError("symbolic power needs constant term 1")
-    p = {b: c for b, c in base.items() if b > 0}
-    if p and min(p) < k + 1:
-        raise ValueError("perturbation must vanish through order k")
-    t_max = b_cap // (k + 1)
-    j_cap = t_max
-    result = BiSeries(j_cap, b_cap)
-    p_power: dict[int, Fraction] = {0: _ONE}
-    for t in range(t_max + 1):
-        if t:
-            p_power = _poly_mul(p_power, p, b_cap)
-        m_poly = _binom_m_poly(t)
-        term = {
-            (j, b): cm * cx
-            for j, cm in m_poly.items()
-            for b, cx in p_power.items()
-        }
-        result = result + BiSeries(j_cap, b_cap, term)
-    return result
-
-
-@lru_cache(maxsize=None)
+@_cached
 def expand_core(k: int) -> BiSeries:
     """Bivariate expansion of ``(exp(x**k/k!) * Q(k, x))**m``.
 
@@ -255,11 +159,10 @@ def expand_core(k: int) -> BiSeries:
     beyond the window are still exact but belong to higher-order bands.
     """
     _check_k(k)
-    b_cap = _x_cap(k)
-    return _symbolic_power(_inner_series(k, b_cap), k, b_cap)
+    return _expand(k, [_ONE] + [_ZERO] * _x_cap(k))
 
 
-@lru_cache(maxsize=None)
+@_cached
 def expand_h0(k: int) -> BiSeries:
     """Bivariate expansion of ``h0(x) * (exp(x**k/k!) * Q(k, x))**m``.
 
@@ -268,13 +171,11 @@ def expand_h0(k: int) -> BiSeries:
     with ``j >= 1`` in the window are the C6 coefficients.
     """
     _check_k(k)
-    b_cap = _x_cap(k)
-    num = _exp_neg_x(b_cap)
-    den = {b: 2 * c for b, c in _q_series(k, b_cap).items()}
-    den[0] = den.get(0, _ZERO) - 1
-    h0 = _poly_mul(num, _poly_inverse(den, b_cap), b_cap)
-    core = expand_core(k)
-    return BiSeries.from_x_poly(h0, core.j_cap, core.b_cap) * core
+    # h0 = 1 / (2 P(x) - exp(x)); the x**b coefficient of 2 P - exp is
+    # 1/b! for b < k and -1/b! from b = k on.
+    sign = [1 if b < k else -1 for b in range(_x_cap(k) + 1)]
+    den = [Fraction(c, math.factorial(b)) for b, c in enumerate(sign)]
+    return _expand(k, _reciprocal(den))
 
 
 def _window(k: int) -> list[tuple[int, int]]:
@@ -321,7 +222,7 @@ class ConstantTable:
     k0: float
 
 
-@lru_cache(maxsize=None)
+@_cached
 def constants(k: int, r: int) -> ConstantTable:
     """Evaluate every derived constant for record order ``r``, ``1<=r<=k``.
 
@@ -336,8 +237,7 @@ def constants(k: int, r: int) -> ConstantTable:
     - ``C1(r, i) = C7(r, i) + sum_{j=1}^{i} C8(r, j, j*k + i)``
     """
     _check_k(k)
-    if not isinstance(r, int) or r < 1 or r > k:
-        raise ValueError(f"r must be an integer in [1, k={k}], got {r!r}")
+    _check_r(r, k)
     kf = float(math.factorial(k))
     a = r / k
     gamma_a = math.gamma(a)

@@ -39,8 +39,12 @@ def test_tree_heights() -> None:
         height(12, 0)
     with pytest.raises(ValueError):
         height(12, 13)
-    with pytest.raises(ValueError):
-        CompleteTree(0)
+    for bad in (0, True, 7.5, "7"):
+        with pytest.raises(ValueError):
+            CompleteTree(bad)
+    tree = CompleteTree(np.int64(7))
+    assert type(tree.n) is int
+    assert tree.size_classes() == CompleteTree(7).size_classes()
 
 
 def test_level_counts_partition_nodes() -> None:
@@ -207,6 +211,15 @@ def test_records_batch_matches_naive_sweep(
         assert edge[i].tolist() == want_edge.tolist()
 
 
+def test_batch_rejects_bad_k() -> None:
+    tree = CompleteTree(7)
+    for k in (0, True, 2.0):
+        with pytest.raises(ValueError, match="k must be"):
+            cutsim.simulate_records_batch(tree, k, 1, 2)
+        with pytest.raises(ValueError, match="k must be"):
+            cutsim.simulate_process_batch(tree, k, 1, 2)
+
+
 def test_batch_chunk_must_be_positive() -> None:
     tree = CompleteTree(7)
     for chunk in (0, -3):
@@ -286,24 +299,39 @@ def test_resolve_threads(monkeypatch) -> None:
             cutsim.simulate_records_batch(CompleteTree(7), 1, 0, 3)
 
 
+def _assert_same_draws(
+    got: np.random.Generator, want: np.random.Generator
+) -> None:
+    assert np.array_equal(
+        got.standard_exponential(9), want.standard_exponential(9)
+    )
+    assert np.array_equal(got.standard_gamma(2, 9), want.standard_gamma(2, 9))
+    assert np.array_equal(got.random(9), want.random(9))
+    assert got.integers(2**32, dtype=np.uint32) == want.integers(
+        2**32, dtype=np.uint32
+    )
+
+
 def test_restream_draws_equal_substream() -> None:
     """A re-keyed generator is in the state of a fresh substream, also
-    after a draw that leaves half a 64-bit word buffered."""
+    after a draw that leaves half a 64-bit word buffered.  Numpy integer
+    seeds and indices key the same streams as Python ints, in
+    ``substream`` and in the batch functions."""
     for seed in (0, 7, -1):
         stream = cutsim._Restream(seed)
         for i in (0, 1, 13, 2**64 + 5, 1):
-            want = cutsim.substream(seed, i)
-            got = stream.at(i)
-            assert np.array_equal(
-                got.standard_exponential(9), want.standard_exponential(9)
+            _assert_same_draws(stream.at(i), cutsim.substream(seed, i))
+            _assert_same_draws(
+                cutsim.substream(np.int64(seed), np.uint64(i % 2**64)),
+                cutsim.substream(seed, i),
             )
-            assert np.array_equal(
-                got.standard_gamma(2, 9), want.standard_gamma(2, 9)
-            )
-            assert np.array_equal(got.random(9), want.random(9))
-            assert got.integers(2**32, dtype=np.uint32) == want.integers(
-                2**32, dtype=np.uint32
-            )
+    for batch in (cutsim.simulate_records_batch, cutsim.simulate_process_batch):
+        want = batch(CompleteTree(7), 2, 5, 3, first_index=1)
+        got = batch(
+            CompleteTree(np.int64(7)), 2, np.int64(5), 3,
+            first_index=np.int64(1),
+        )
+        assert np.array_equal(got, want)
 
 
 _RECORDS_TREE = CompleteTree(300)  # 600 values a row: threads engage
@@ -480,6 +508,9 @@ def test_rescale_counts_validation() -> None:
     assert math.isfinite(order1)
     with pytest.raises(ValueError):
         cutsim.rescale_counts(1.0, 2, table, 16)  # table built for r=1
+    for r in (0, 3, True):
+        with pytest.raises(ValueError, match="r must be"):
+            cutsim.rescale_counts(1.0, r, table, 16)
     total = simulate_process(CompleteTree(16), 2, seed=0)
     assert math.isfinite(cutsim.rescale_counts(float(total), None, table, 16))
     with pytest.raises(ValueError):

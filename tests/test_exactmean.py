@@ -65,6 +65,9 @@ def test_record_prob_domain_errors() -> None:
         exactmean.record_prob(0, 1, 0, math.inf)
     with pytest.raises(ValueError):
         exactmean.record_prob(2, 1, 0, math.inf)
+    for r, k in ((True, 1), (1, True), (1, 1.0)):
+        with pytest.raises(ValueError):
+            exactmean.record_prob(r, k, 0, math.inf)
     with pytest.raises(ValueError):
         exactmean.record_prob(1, 1, -1, math.inf)
     with pytest.raises(ValueError):
@@ -80,6 +83,9 @@ def test_mean_query_validation() -> None:
     assert MeanQuery(3, series.MAX_K + 1, 1).k == series.MAX_K + 1
     with pytest.raises(ValueError):
         MeanQuery(3, 1, 2)
+    for r, k in ((True, 1), (1, True)):
+        with pytest.raises(ValueError):
+            MeanQuery(3, k, r)
     with pytest.raises(ValueError):
         MeanQuery(3, 1, 1, y=-1.0)
     with pytest.raises(ValueError):

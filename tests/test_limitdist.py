@@ -33,6 +33,9 @@ def test_limit_params_validation() -> None:
         LimitParams(0, 1, 0.0)
     with pytest.raises(ValueError):
         LimitParams(3, 2, 0.0)
+    for r, k in ((True, True), (True, 1), (1, True)):
+        with pytest.raises(ValueError):
+            LimitParams(r, k, 0.0)
     with pytest.raises(ValueError, match="k must be an integer in"):
         LimitParams(1, series.MAX_K + 1, 0.0)
     with pytest.raises(ValueError):
@@ -55,6 +58,12 @@ def test_scale_params_fields() -> None:
     assert sc2.L == math.floor(1.75 * math.log2(30.0))
     with pytest.raises(ValueError):
         ScaleParams.from_n(15, 1)
+    assert ScaleParams.from_n(np.int64(1 << 20), 1) == ScaleParams.from_n(
+        1 << 20, 1
+    )
+    for n in (True, 2.0**20, "1048576"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ScaleParams.from_n(n, 1)
     with pytest.raises(ValueError):
         ScaleParams.from_n(1 << 20, 0)
     with pytest.raises(ValueError, match="k must be an integer in"):

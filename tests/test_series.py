@@ -4,7 +4,8 @@ The expansion tables are checked against an independent oracle built in
 this file: the base series is raised to *integer* powers m by naive
 truncated polynomial multiplication, and the coefficient of each x-power
 is then interpolated as a polynomial in m (Lagrange, exact rationals).
-No code is shared with the module's symbolic-binomial route.
+No code is shared with the module's route through the logarithm of the
+base series.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kcut import series
 
@@ -118,14 +117,14 @@ def _lagrange_check(
             assert table.get(j, b) == oracle[b][j], (j, b)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", range(1, series.MAX_K + 1))
 def test_expand_core_matches_interpolation_oracle(k: int) -> None:
     table = series.expand_core(k)
     base = _oracle_base(k, table.b_cap)
     _lagrange_check(table, base, k, table.b_cap)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, series.MAX_K + 1))
 def test_expand_h0_matches_interpolation_oracle(k: int) -> None:
     table = series.expand_h0(k)
     b_cap = table.b_cap
@@ -206,49 +205,6 @@ def test_base_series_low_order_closed_form(k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# BiSeries ring laws.
-# ---------------------------------------------------------------------------
-
-_fractions = st.fractions(
-    min_value=-5, max_value=5, max_denominator=12
-)
-
-
-def _biseries(j_cap: int = 3, b_cap: int = 4) -> st.SearchStrategy:
-    keys = st.tuples(
-        st.integers(min_value=0, max_value=j_cap),
-        st.integers(min_value=0, max_value=b_cap),
-    )
-    return st.dictionaries(keys, _fractions, max_size=6).map(
-        lambda d: series.BiSeries(j_cap, b_cap, d)
-    )
-
-
-@given(x=_biseries(), y=_biseries())
-@settings(max_examples=150, deadline=None)
-def test_ring_commutativity(x: series.BiSeries, y: series.BiSeries) -> None:
-    assert x + y == y + x
-    assert x * y == y * x
-
-
-@given(x=_biseries(), y=_biseries(), z=_biseries())
-@settings(max_examples=150, deadline=None)
-def test_ring_associativity_distributivity(
-    x: series.BiSeries, y: series.BiSeries, z: series.BiSeries
-) -> None:
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-
-
-def test_biseries_rejects_mismatched_caps() -> None:
-    a = series.BiSeries(2, 3, {(0, 0): F(1)})
-    b = series.BiSeries(2, 4, {(0, 0): F(1)})
-    with pytest.raises(ValueError):
-        _ = a + b
-
-
-# ---------------------------------------------------------------------------
 # Derived constants and the centering sequence.
 # ---------------------------------------------------------------------------
 
@@ -286,6 +242,20 @@ def test_constants_domain_errors() -> None:
         series.constants(0, 1)
     with pytest.raises(ValueError):
         series.constants(series.MAX_K + 1, 1)
+    with pytest.raises(ValueError):
+        series.constants(True, True)
+    with pytest.raises(ValueError):
+        series.constants(2, True)
+    with pytest.raises(ValueError):
+        series.expand_core(True)
+
+
+def test_constants_bool_k_leaves_cache_int() -> None:
+    """``lru_cache`` keys ``True`` and ``1`` alike, so an accepted
+    ``True`` would hand a bool ``k`` to every later ``constants(1, 1)``."""
+    with pytest.raises(ValueError):
+        series.constants(True, 1)
+    assert type(series.constants(1, 1).k) is int
 
 
 def test_constants_positivity() -> None:
