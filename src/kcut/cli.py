@@ -144,10 +144,10 @@ def _cmd_limit(args: argparse.Namespace) -> int:
             f"{x:.17g},{v:.17g}" for x, v in zip(grid, fn(grid, p))
         ]
     elif kind == "cf":
-        rows = ["t,real,imag"]
-        for t in grid:
-            z = limitdist.char_fn(float(t), p)
-            rows.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g}")
+        rows = ["t,real,imag"] + [
+            f"{t:.17g},{z.real:.17g},{z.imag:.17g}"
+            for t, z in zip(grid, limitdist.char_fn(grid, p))
+        ]
     else:  # cdf
         table = series.constants(args.k, args.r)
         vals = limitdist.limit_cdf(grid, p, table)

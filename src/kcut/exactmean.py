@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy import integrate
 
 from . import series
-from .cutsim import CompleteTree, _check_k
+from .cutsim import CompleteTree, _as_int, _check_k
 
 __all__ = [
     "MeanQuery",
@@ -67,6 +67,7 @@ class MeanQuery:
     variant: str = "node"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_int("n", self.n))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
         _check_k(self.k)
@@ -119,6 +120,7 @@ def record_prob(r: int, k: int, ancestors: int, y: float) -> float:
     """
     _check_k(k)
     series._check_r(r, k)
+    ancestors = _as_int("ancestors", ancestors)
     if ancestors < 0:
         raise ValueError(f"ancestors must be >= 0, got {ancestors!r}")
     if not y > 0.0:
@@ -187,6 +189,7 @@ def asymptotic_mean(
     expansion ``2**(m+1) * (1/m + 2/m**3 + O(m**-4))`` through its
     ``1/m**2`` term.
     """
+    n = _as_int("n", n)
     if n < 4:
         raise ValueError(f"asymptotic mean needs n >= 4, got {n!r}")
     if table is None:

@@ -2,14 +2,19 @@
 
 Each computes its quantity the slow, direct way and shares no logic
 with the code it checks: node heights and subtree sizes from the heap
-indices, the cutting procedure run one sample at a time, and the exact
-cut-count law of tiny trees by enumeration.
+indices, the cutting procedure run one sample at a time, the exact
+cut-count law of tiny trees by enumeration, and the Levy measure's
+block integrals by QUADPACK's oscillatory rule.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+from scipy import integrate, special
 
 from kcut.cutsim import CompleteTree, _check_k, substream
 
@@ -105,3 +110,55 @@ def brute_force_distribution(n: int, k: int) -> dict[int, Fraction]:
         return tuple(sorted(dist.items()))
 
     return dict(remaining((0,) * n))
+
+
+def levy_block_integrals(
+    r: int, k: int, gamma: float, tau: float, s_max: int = 80
+) -> tuple[complex, complex]:
+    """``V(tau) = integral_1^2 (e^{i tau y} - 1) d nu(y)`` and ``Vm(tau) =
+    V(tau) - i tau integral_1^2 y d nu(y)`` for the Levy measure of the
+    limit law with shape ``a = r/k`` and subsequence parameter ``gamma``.
+
+    The density is the series ``(gamma(a)**2 / y**2) * sum_{s=1}^{s_max}
+    4**(c-s) exp(theta_s) theta_s**(1-a)``, ``theta_s =
+    gammainccinv(a, 2**(c-s))``, summed point by point.  Its phase ``c``
+    jumps from 1 to 0 at the wrap ``2**(1 - c_1)``, ``c_1 = frac(gamma -
+    lg gamma(a))``, so [1, 2] is cut there, and on each piece the phase is
+    counted from the piece's right end, where it is 1 at the wrap and
+    ``c_1`` at 2.  The oscillatory parts are QUADPACK's QAWO rule
+    (``quad`` with ``weight="cos"`` and ``"sin"``), the mass and the mean
+    plain adaptive quadrature; each must report an error below 1e-11.
+    """
+    a = r / k
+    ga = math.gamma(a)
+    c_1 = (gamma - math.log2(ga)) % 1.0
+    wrap = 2.0 ** (1.0 - c_1)
+    s = np.arange(1, s_max + 1)
+
+    def quad(f, lo: float, hi: float, **weight) -> float:
+        value, abserr = integrate.quad(
+            f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400, **weight
+        )
+        if abserr > 1e-11:
+            raise ArithmeticError(f"oracle quadrature error {abserr:.1e}")
+        return value
+
+    cos_sin, mass, mean = 0.0, 0.0, 0.0
+    for lo, hi, c_hi in ((1.0, wrap, 1.0), (wrap, 2.0, c_1)):
+        if not hi > lo:
+            continue
+
+        def density(y: float, hi=hi, c_hi=c_hi) -> float:
+            # QUADPACK's nodes can overshoot the piece's end by an ulp.
+            c = min(c_hi, c_hi + math.log2(y / hi))
+            theta = special.gammainccinv(a, 2.0 ** (c - s))
+            terms = 4.0 ** (c - s) * np.exp(theta) * theta ** (1.0 - a)
+            return ga * ga / (y * y) * math.fsum(terms)
+
+        re = quad(density, lo, hi, weight="cos", wvar=tau)
+        im = quad(density, lo, hi, weight="sin", wvar=tau)
+        cos_sin += complex(re, im)
+        mass += quad(density, lo, hi)
+        mean += quad(lambda y: y * density(y), lo, hi)
+    v = cos_sin - mass
+    return v, v - 1j * tau * mean

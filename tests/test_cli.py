@@ -203,6 +203,11 @@ def test_limit_cf_csv(tmp_path) -> None:
     mid = lines[3].split(",")  # t = 0 row
     assert float(mid[1]) == pytest.approx(1.0)
     assert float(mid[2]) == pytest.approx(0.0)
+    # The rows come from one array call and equal calls one t at a time.
+    p = limitdist.LimitParams(1, 1, 0.0)
+    for line in lines[1:]:
+        t, real, imag = map(float, line.split(","))
+        assert complex(real, imag) == limitdist.char_fn(t, p)
 
 
 def test_limit_cdf_monotone_csv(tmp_path) -> None:

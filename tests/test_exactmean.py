@@ -70,6 +70,12 @@ def test_record_prob_domain_errors() -> None:
             exactmean.record_prob(r, k, 0, math.inf)
     with pytest.raises(ValueError):
         exactmean.record_prob(1, 1, -1, math.inf)
+    for ancestors in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="ancestors must be an integer"):
+            exactmean.record_prob(1, 2, ancestors, 1.0)
+    assert exactmean.record_prob(1, 2, np.int64(2), 1.0) == exactmean.record_prob(
+        1, 2, 2, 1.0
+    )
     with pytest.raises(ValueError):
         exactmean.record_prob(1, 1, 0, 0.0)
 
@@ -77,6 +83,11 @@ def test_record_prob_domain_errors() -> None:
 def test_mean_query_validation() -> None:
     with pytest.raises(ValueError):
         MeanQuery(0, 1, 1)
+    for n in (True, 7.5, 7.0, "7"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            MeanQuery(n, 1, 1)
+    query = MeanQuery(np.int64(7), 2, 1)
+    assert type(query.n) is int and query == MeanQuery(7, 2, 1)
     with pytest.raises(ValueError):
         MeanQuery(3, 0, 1)
     # Exact means need no series constants, so k has no upper cap.
@@ -169,5 +180,11 @@ def test_asymptotic_mean_full_tree_harmonic_pattern() -> None:
 def test_asymptotic_mean_validation() -> None:
     with pytest.raises(ValueError):
         exactmean.asymptotic_mean(3, 1, 1)
+    for n in (True, 2.0**20):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            exactmean.asymptotic_mean(n, 2, 1)
+    assert exactmean.asymptotic_mean(np.int64(2**20), 2, 1) == (
+        exactmean.asymptotic_mean(2**20, 2, 1)
+    )
     with pytest.raises(ValueError):
         exactmean.asymptotic_mean(16, 2, 1, table=series.constants(2, 2))

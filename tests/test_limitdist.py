@@ -15,7 +15,7 @@ from scipy import integrate, special
 from kcut import limitdist, series
 from kcut.cutsim import substream
 from kcut.limitdist import LimitParams, ScaleParams
-from oracles import subtree_size
+from oracles import levy_block_integrals, subtree_size
 
 RNG = np.random.default_rng(20260825)
 
@@ -226,19 +226,6 @@ def test_tail_matches_density_derivative() -> None:
             assert err < 1e-7 * max(1.0, abs(want))
 
 
-def test_profile_matches_scalar_density() -> None:
-    # The spline profile that the CF and the CDF use, against the series,
-    # on both sides of the kink.
-    for r, k, g in ((1, 1, 0.0), (1, 2, 0.3), (2, 3, 0.9), (1, 8, 0.5), (8, 8, 0.7)):
-        p = LimitParams(r, k, g)
-        prof = limitdist._profile(p)
-        x = np.concatenate(
-            [np.geomspace(0.05, 40.0, 301), prof.kink + np.array([-1e-9, 1e-9])]
-        )
-        want = limitdist.levy_density(x, p)
-        np.testing.assert_allclose(prof.dens(x), want, rtol=1e-10, atol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Block moments of the Levy measure.
 # ---------------------------------------------------------------------------
@@ -375,19 +362,75 @@ def test_char_fn_two_copies_identity() -> None:
             assert abs(lhs - rhs) <= 1e-8
 
 
-def test_char_fn_quad_ibp_seam() -> None:
-    # The panel-quadrature and integration-by-parts routes agree near
-    # the switchover frequency.
-    m = limitdist._machine(LimitParams(1, 2, 0.3))
-    tau = np.array([1500.0, 2500.0])
-    gap = np.abs(m._v_quad(tau, compensated=False) - m._v_ibp(tau))
-    assert np.all(gap <= 1e-7)
+def test_char_fn_array_equals_per_element_calls(monkeypatch) -> None:
+    # One array call equals per-element calls bitwise, negative t by
+    # conjugation, with one exponent call for the whole array; a 0-d t
+    # gives a complex, t up to 1e300 stays finite (the fold weights 2**j
+    # alone overflow from about 1e146), and a non-finite entry is named
+    # in the error.
+    p = LimitParams(2, 3, 0.9)
+    t = np.concatenate(
+        [[0.0, -0.0, 1e-10, -3e-7, 1e150, -1e300], np.linspace(-40, 40, 45)]
+    )
+    singles = np.array([limitdist.char_fn(float(v), p) for v in t])
+    calls = []
+    exponent = limitdist._CfMachine.exponent
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return exponent(self, t)
+
+    monkeypatch.setattr(limitdist._CfMachine, "exponent", counted)
+    whole = limitdist.char_fn(t.reshape(3, 17), p)
+    assert calls == [t.size]
+    assert whole.shape == (3, 17)
+    assert np.array_equal(whole.ravel(), singles)
+    assert np.all(np.abs(singles) <= 1.0)
+    assert np.array_equal(limitdist.char_fn(-t, p), np.conj(singles))
+    for zero_d in (1.3, np.float64(1.3), np.array(1.3)):
+        assert type(limitdist.char_fn(zero_d, p)) is complex
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            limitdist.char_fn(np.array([0.5, bad, 1.0]), p)
+
+
+def test_block_integrals_match_oscillatory_quadrature() -> None:
+    # V and Vm on [1, 2] against QUADPACK's oscillatory rule on the series
+    # density, on both sides of the wrap, from small frequencies (moment
+    # series) through the Filon panels.  a = 1 and 1/2 are smooth on each
+    # piece; for 1/2 < a < 1 the density is singular at the wrap.
+    taus = np.array([1 / 32, 1 / 2, 16.0, 1500.0, 2500.0, 8000.0])
+    g_five = (-math.log2(5.0)) % 1.0
+    shapes = ((1, 1, 0.0), (1, 2, g_five), (2, 3, 0.9), (7, 8, 0.3))
+    for r, k, g in shapes:
+        m = limitdist._machine(LimitParams(r, k, g))
+        rel = 1e-9 if r / k in (1.0, 0.5) else 1e-6
+        v = m._v(taus, np.zeros(taus.size, dtype=bool))
+        vm = m._v(taus, np.ones(taus.size, dtype=bool))
+        for i, tau in enumerate(taus):
+            ref_v, ref_vm = levy_block_integrals(r, k, g, float(tau))
+            assert abs(v[i] - ref_v) <= rel * max(1.0, abs(ref_v)), (r, k)
+            assert abs(vm[i] - ref_vm) <= rel * max(1.0, abs(ref_vm)), (r, k)
+
+
+def test_exponent_continuous_in_gamma_at_block_edge() -> None:
+    # At gamma0 = frac(lg Gamma(r/k)) the wrap lies on the block's edge.
+    # Moving gamma by 1e-9 either way moves the wrap, and the density's
+    # jump with it, by about as much, so the exponent may move by little.
+    t = np.array([1e-10, 1e-6, 0.5, 1.0, 4.0, 8.0, 16.0, 31.0])
+    for r, k in ((1, 1), (2, 2), (1, 2), (2, 3), (7, 8)):
+        g0 = math.log2(math.gamma(r / k)) % 1.0
+        base = limitdist._machine(LimitParams(r, k, g0)).exponent(t)
+        for g in (g0 - 1e-9, g0 + 1e-9):
+            if 0.0 <= g <= 1.0:
+                moved = limitdist._machine(LimitParams(r, k, g)).exponent(t)
+                assert np.max(np.abs(moved - base)) <= 1e-7, (r, k, g)
 
 
 def test_exponent_array_equals_per_element_calls() -> None:
-    # One array call prices every branch (t = 0, Taylor folds, shared
-    # quadrature groups, integration by parts) exactly as calls made one
-    # t at a time do.
+    # One array call prices every branch (t = 0, moment-series and Filon
+    # folds, panels on both Filon routes, fold counts that differ with t)
+    # exactly as calls made one t at a time do.
     t = np.concatenate(
         [[0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 32.0, 40), [700.0, 2500.0]]
     )
@@ -453,6 +496,14 @@ def test_limit_cdf_non_finite_w() -> None:
         limitdist.limit_cdf(math.nan, p)
     with pytest.raises(ValueError, match="nan"):
         limitdist.limit_cdf(np.array([0.0, math.nan, math.inf]), p)
+
+
+def test_limit_cdf_far_left_tail() -> None:
+    # Far in the light left tail the CDF of W is below 1e-300, so what
+    # the evaluator returns there is its own error.
+    p = LimitParams(1, 2, (-math.log2(5.0)) % 1.0)
+    got = limitdist._cdf_cache(p).cdf_w(np.array([-1e4, -1e6, -1e8]))
+    assert np.all(got <= 2e-9), got
 
 
 def test_limit_cdf_far_w() -> None:
