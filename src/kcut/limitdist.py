@@ -22,13 +22,13 @@ Provided here:
 - ``f_constant``                    -- the drift series;
 - ``char_fn``                       -- the characteristic function at
   an array of ``t``, assembled from dyadic folds of block integrals over
-  [1, 2]; each comes from one Filon rule, a cubic interpolant of the
-  density on graded panels integrated exactly against ``e^{i tau y}``;
+  [1, 2]; each comes from a cubic interpolant of the density on panels,
+  graded toward the wrap where ``r`` does not divide ``k``, integrated
+  exactly against ``e^{i tau y}``;
 - ``limit_cdf``                     -- CDF of the limit ``1 - C3*W`` by
-  characteristic-function inversion (Gil-Pelaez), with a cached
-  Filon-type quadrature so one transform evaluation serves arbitrarily
-  many points, each block of points costing a few matrix products; the
-  blocks run on all CPUs (:func:`kcut.cutsim.resolve_threads`);
+  characteristic-function inversion (Gil-Pelaez), with cached cubic
+  panels of the integrand so one transform evaluation serves arbitrarily
+  many points, each block of points costing a few matrix products;
 - ``cdf_certificate``               -- the accuracy data of that cache;
 - ``xi_sampler_batch``              -- the fast triangular-array
   sampler at cost polylog(n) per draw, for any ``n``.  Its sums
@@ -40,9 +40,14 @@ Provided here:
   (1, 1) and 0.089, 0.059, 0.039 for (1, 2) (seed 20260825, 100k
   draws).
 
-Every evaluation of ``Q`` and ``Q^{-1}``, scalar or vectorized, goes
-through :mod:`kcut.specfun`, the package's one scipy-backed route; every
-Levy series sums ``s = 1..s_max`` of one ``_thetas`` array call.
+The characteristic function's block integrals and the CDF's inversion
+integral are one Filon rule, cubics integrated exactly against
+``e^{isy}``, evaluated by one class, :class:`_Filon`, in fixed blocks of
+points on all CPUs (:func:`kcut.cutsim.resolve_threads`), with values
+that do not depend on the worker count.  Every evaluation of ``Q`` and
+``Q^{-1}``, scalar or vectorized, goes through :mod:`kcut.specfun`, the
+package's one scipy-backed route; every Levy series sums ``s =
+1..s_max`` of one ``_thetas`` array call.
 """
 
 from __future__ import annotations
@@ -354,41 +359,150 @@ _NODE_OFFS = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 # Inverse of the Vandermonde matrix on those nodes: maps four samples to
 # monomial coefficients in the scaled variable s = u/h.
 _V4_INV = np.linalg.inv(np.vander(_NODE_OFFS, 4, increasing=True))
-# Terms of the power series of a panel's moments where |z h| < 1/2.
+# Terms of the power series of a panel's moments where |s h| < 1/2.
 _SERIES_TERMS = 18
+# Rows of J(s) that a Filon evaluation returns: Re and Im, or Im only.
+_RE_IM = slice(0, 2)
+_IM = slice(1, 2)
+# i**n = _I_POW[n % 4], exactly.
+_I_POW = np.array([1.0, 1j, -1.0, -1j])
 
 
-def _panel_tables(values: np.ndarray, widths: np.ndarray) -> tuple:
-    """Cubic coefficients and Filon tables of panels sampled at
-    ``_NODE_OFFS``.
+def _real_tables(table: np.ndarray) -> np.ndarray:
+    """``(2, m, 2 * panels)`` real form of the complex ``(panels, m)``
+    ``table``: in row 0 (1), columns ``2j`` and ``2j + 1``, times ``Re
+    E_j`` and ``Im E_j``, sum to Re (Im) of ``sum_j E_j * table[j]``."""
+    out = np.empty((2, table.shape[1], 2 * table.shape[0]))
+    out[0, :, 0::2], out[0, :, 1::2] = table.real.T, -table.imag.T
+    out[1, :, 0::2], out[1, :, 1::2] = table.imag.T, table.real.T
+    return out
 
-    ``values[j]`` are a function's values at the four nodes of panel
-    ``j``, of width ``h_j = widths[j]``; ``g_j`` is the cubic through
-    them in ``u``, the distance from the panel's start.  Returns
+
+class _Filon:
+    """The Filon rule of one function on panels: its cubic interpolants
+    integrated exactly against ``e^{isy}``.
+
+    ``values[j]`` are the function's values at the four nodes
+    ``_NODE_OFFS`` of panel ``j``, from ``y_j = edges[j]`` to ``edges[j +
+    1]``, of width ``h_j``; ``g_j`` is the cubic through them in ``u``,
+    the distance from ``y_j``.  The build keeps
 
     - ``coeffs[j, p]``, with ``g_j(u) = sum_p coeffs[j, p] (u/h_j)**p``;
     - ``beta[j, n] = h_j**(n+1)/n! * sum_p coeffs[j, p]/(p+n+1)``, the
-      moments ``integral_0^h_j u**n/n! g_j(u) du`` for ``n < 18``: where
-      ``|z h_j| < 1/2``, ``integral_0^h_j g_j(u) e^{zu} du = sum_n z**n
-      beta[j, n]``;
-    - ``g_lo[j, k]`` and ``g_hi[j, k]``, the derivatives ``g_j^(k)`` at
-      ``u = 0`` and ``u = h_j``, ``k <= 3``: for any ``z != 0`` the same
-      integral is exactly ``sum_k (-1)**k z**-(k+1) (e^{z h_j} g_hi[j, k]
-      - g_lo[j, k])`` (integration by parts).
+      moments ``integral_0^h_j u**n/n! g_j(u) du`` for ``n < 18``;
+    - ``series``, the real tables of ``i**n beta[j, n]``: where ``|s h_j|
+      < 1/2``, panel ``j`` gives ``E_j sum_n s**n i**n beta[j, n]`` with
+      ``E_j = e^{is y_j}``;
+    - ``ibp_hi`` and ``ibp_lo``, those of ``-i**(k+1)`` times the
+      derivatives ``g_j^(k)``, ``k <= 3``, at ``u = h_j`` and ``u = 0``:
+      elsewhere panel ``j`` gives exactly ``sum_k s**-(k+1) (E_{j+1}
+      ibp_hi[j, k] - E_j ibp_lo[j, k])`` (integration by parts).
+
+    The tables are real (:func:`_real_tables`), so Re and Im of the sums
+    come from matrix products with the phases' (Re, Im) pairs, and each
+    power of the real ``s`` is a step of Horner's rule.
     """
-    coeffs = np.einsum("ij,pj->pi", _V4_INV, values)
-    h = widths[:, None]
-    n = np.arange(_SERIES_TERMS)
-    powers = np.arange(4)
-    beta = (h ** (n + 1) / special.factorial(n)) * (
-        coeffs @ (1.0 / (powers[:, None] + n[None, :] + 1))
-    )
-    # falling[k, p] = p!/(p-k)!.
-    falling = np.array([[math.perm(pw, k) for pw in powers] for k in powers])
-    scale = h ** -powers
-    g_lo = coeffs * np.diag(falling) * scale
-    g_hi = (coeffs @ falling.T) * scale
-    return coeffs, beta, g_lo, g_hi
+
+    def __init__(self, edges: np.ndarray, values: np.ndarray) -> None:
+        self.edges = edges
+        self.widths = np.diff(edges)
+        self.coeffs = np.einsum("ij,pj->pi", _V4_INV, values)
+        h = self.widths[:, None]
+        n = np.arange(_SERIES_TERMS)
+        powers = np.arange(4)
+        self.beta = (h ** (n + 1) / special.factorial(n)) * (
+            self.coeffs @ (1.0 / (powers[:, None] + n[None, :] + 1))
+        )
+        # falling[k, p] = p!/(p-k)!.
+        falling = np.array([[math.perm(pw, k) for pw in powers] for k in powers])
+        scale = h ** -powers
+        ibp_phase = -_I_POW[(powers + 1) % 4]
+        self.series = _real_tables(self.beta * _I_POW[n % 4])
+        self.ibp_hi = _real_tables((self.coeffs @ falling.T) * scale * ibp_phase)
+        self.ibp_lo = _real_tables(
+            self.coeffs * np.diag(falling) * scale * ibp_phase
+        )
+
+    def integral(self, s: np.ndarray, panels: int, parts: slice) -> np.ndarray:
+        """Rows ``parts`` (``_RE_IM`` or ``_IM``) of ``J(s) = sum_j
+        integral_0^h_j g_j(u) e^{is(y_j + u)} du`` over the first
+        ``panels`` panels, at every real ``s`` of the 1-d array ``s``;
+        shape ``(rows, s.size)``.
+
+        The points are priced in fixed blocks, split over
+        :func:`kcut.cutsim.resolve_threads` workers with their scratch
+        allocated on the calling thread.  Each point's sums over the
+        panels are a matrix-vector product of their own, so no value
+        depends on its block or on the worker count.
+        """
+        rows = self.series[parts].shape[0]
+        tables = [
+            t[parts].reshape(-1, t.shape[-1])[:, : 2 * panels]
+            for t in (self.series, self.ibp_hi, self.ibp_lo)
+        ]
+        out = np.empty((rows, s.size))
+        chunk = max(1, _PASS_SIZE // len(self.edges))
+        blocks = -(-s.size // chunk)
+        # A block's phase table holds chunk * len(edges) values.
+        workers = _worker_count(blocks, chunk * len(self.edges), None)
+
+        def start(lo: int, hi: int):
+            size = min(chunk, s.size) * (panels + 1)
+            scratch = (
+                np.empty(size, dtype=complex),
+                np.empty(size, dtype=complex),
+                np.empty(2 * size, dtype=bool),
+            )
+
+            def run() -> None:
+                for i in range(lo * chunk, min(hi * chunk, s.size), chunk):
+                    out[:, i : i + chunk] = self._block(
+                        s[i : i + chunk], panels, rows, tables, scratch
+                    ).T
+
+            return run
+
+        _on_workers(blocks, workers, start)
+        return out
+
+    def _block(self, s, n, rows, tables, scratch) -> np.ndarray:
+        """:meth:`integral` of one block of points, ``(points, rows)``,
+        in ``scratch`` (phases, one masked copy of them, two masks)."""
+        series_t, hi_t, lo_t = tables
+        c = s.size
+        e_flat, part_flat, mask_flat = scratch
+        part = part_flat[: c * n].reshape(c, n)
+
+        # Per point, sum_j (Re, Im) of E_j over the masked panels times a
+        # table: a matrix-vector product of its own.
+        def panel_sums(mask, e_part, table):
+            part[...] = 0.0
+            np.copyto(part, e_part, where=mask)
+            sums = (table @ part.view(float)[:, :, None])[:, :, 0]
+            return sums.reshape(c, rows, -1)
+
+        e = e_flat[: c * (n + 1)].reshape(c, n + 1)
+        np.multiply.outer(s, self.edges[: n + 1], out=e.imag)
+        np.cos(e.imag, out=e.real)
+        np.sin(e.imag, out=e.imag)
+        small = mask_flat[: c * n].reshape(c, n)
+        large = mask_flat[c * n : 2 * c * n].reshape(c, n)
+        # |s| h_j, in part's real halves until panel_sums fills it.
+        s_h = part.real
+        np.multiply(np.abs(s)[:, None], self.widths[None, :n], out=s_h)
+        np.less(s_h, 0.5, out=small)
+        np.logical_not(small, out=large)
+        terms = panel_sums(small, e[:, :-1], series_t)
+        vals = terms[..., -1]
+        for col in range(_SERIES_TERMS - 2, -1, -1):
+            vals = vals * s[:, None] + terms[..., col]
+        ibp = panel_sums(large, e[:, 1:], hi_t)
+        ibp -= panel_sums(large, e[:, :-1], lo_t)
+        u = 1.0 / np.where(large.any(axis=1), s, 1.0)[:, None]
+        ibp_sum = ibp[..., 3]
+        for col in range(2, -1, -1):
+            ibp_sum = ibp[..., col] + u * ibp_sum
+        return vals + u * ibp_sum
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +521,28 @@ _CF_SERIES_TAU = 0.25
 _CF_FOLD_EXP = 24
 # Points t per fold table of the exponent, which bounds its memory.
 _CF_T_BLOCK = 1024
+# Beyond |t| = _FAR_T char_fn is 0 to double precision: Re I(t) is about
+# -2t for every shape, so |char_fn| underflows to 0 from t ~ 400 on.  Im
+# I(t), about -t M_1 lg t, is no longer a double from |t| ~ 1e306 on, so
+# these points are set directly.
+_FAR_T = 1.0e300
 
 
 def _block_panels(p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
     """Panel edges on [1, 2] and the density at each panel's four nodes.
 
     The phase ``c(y) = c_1 + lg y``, ``c_1 = c(1)``, wraps from 1 to 0 at
-    ``y_w = 2**(1 - c_1)``, where the density jumps (``a = 1``) or, for
-    ``1/2 < a < 1``, is singular like ``(1 - c)**((1 - a)/a)``.  So [1, 2]
-    is split into ``[1, y_w]`` with phases ``[c_1, 1]`` and ``[y_w, 2]``
-    with phases ``[0, c_1]``; either may be empty.  A piece of phase
-    length ``L`` gets ``count = ceil(48 L)`` equal panels, and its last
-    is halved ``ceil(lg(L / count / (1 - c_hi)))`` times toward the
-    piece's right end, at most (and where ``c_hi = 1``) 40 times.  Nodes
+    ``y_w = 2**(1 - c_1)``, where the density jumps (``a = 1``) or goes
+    like ``(1 - c)**((1 - a)/a)``.  That power is smooth where ``(1 -
+    a)/a = k/r - 1`` is an integer, that is where ``r`` divides ``k``;
+    otherwise some derivative of the density, for ``1/2 < a < 1`` the
+    density itself, is unbounded at the wrap.  So [1, 2] is split into
+    ``[1, y_w]`` with phases ``[c_1, 1]`` and ``[y_w, 2]`` with phases
+    ``[0, c_1]``; either may be empty.  A piece of phase length ``L`` gets
+    ``count = ceil(48 L)`` equal panels.  Where ``r`` does not divide
+    ``k``, its last is halved ``ceil(lg(L / count / (1 - c_hi)))`` times
+    toward the piece's right end, at most (and where ``c_hi = 1``) 40
+    times, so ``a = 1/m`` and ``a = 1`` get 48-49 panels in all.  Nodes
     take their phase from their piece's right end, ``c_hi + lg(y /
     y_hi)``, and the piece ends get theirs exactly, 1 just left of the
     wrap and 0 just right of it, as in :func:`levy_block_mean`: the jump
@@ -434,7 +557,7 @@ def _block_panels(p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
         if not lo < hi:
             continue
         count = math.ceil(_CF_PANELS * (c_hi - c_lo))
-        halvings = _CF_HALVINGS
+        halvings = _CF_HALVINGS if p.k % p.r else 0
         if c_hi < 1.0:
             ratio = (c_hi - c_lo) / count / (1.0 - c_hi)
             halvings = min(max(math.ceil(math.log2(ratio)), 0), halvings)
@@ -469,66 +592,27 @@ class _CfMachine:
     ``V(tau) = integral_1^2 (e^{i tau y} - 1) d nu``.  Every ``V`` and
     ``Vm`` comes from one Filon rule: the density is interpolated by a
     cubic on each panel of :func:`_block_panels`, and the cubics are
-    integrated exactly (:func:`_panel_tables`).  Below ``tau = 1/4``
+    integrated exactly (:class:`_Filon`, asked for Re and Im of ``J(tau)``,
+    the evaluator that also inverts the CDF).  Below ``tau = 1/4``
     that is the power series ``sum_n (i tau)**n M_n/n!``, ``n < 18``, in
     the interpolant's moments ``M_n``, from ``n = 1`` for ``V`` and from
     ``n = 2`` for ``Vm``, so nothing cancels.  Above it, it is the sum of
     the panels' integrals against ``e^{i tau y}`` minus ``M_0``, and
-    also minus ``i tau M_1`` for ``Vm``.
+    also minus ``i tau M_1`` for ``Vm``.  Against QUADPACK's oscillatory
+    rule on the series density, ``V`` and ``Vm`` are within 1e-9 where
+    ``r`` divides ``k`` (48-49 panels) and 2e-7 for ``1/2 < r/k < 1``.
     """
 
     def __init__(self, p: LimitParams) -> None:
-        self.edges, values = _block_panels(p)
-        self.widths = np.diff(self.edges)
-        _, beta, g_lo, g_hi = _panel_tables(values, self.widths)
-        self.beta_t = np.ascontiguousarray(beta.T)
-        self.ends_t = np.ascontiguousarray(np.concatenate([g_hi, -g_lo]).T)
+        self.filon = _Filon(*_block_panels(p))
         # moments[n] = M_n/n! = sum_j integral_0^h_j (y_j + u)**n/n! g_j(u)
         # du, from beta by the binomial theorem.
+        beta, edges = self.filon.beta, self.filon.edges
         n = np.arange(_SERIES_TERMS)
-        taylor = self.edges[:-1, None] ** n / special.factorial(n)
+        taylor = edges[:-1, None] ** n / special.factorial(n)
         self.moments = np.array(
             [np.sum(beta[:, : i + 1] * taylor[:, i::-1]) for i in n]
         )
-
-    def _filon(self, tau: np.ndarray) -> np.ndarray:
-        """``integral_1^2 e^{i tau y} g(y) dy`` of the interpolant ``g`` at
-        every ``tau``, from a panel's power series where ``tau h_j < 1/2``
-        and its integration by parts elsewhere.  Each tau's sums over the
-        panels are matrix products of their own, whatever else is in
-        ``tau``."""
-        n = self.widths.size
-        out = np.empty(tau.shape, dtype=complex)
-        step = max(1, _PASS_SIZE // (n + 1))
-        # E_j = exp(i tau y_j) at the starts of the panels where tau h_j <
-        # 1/2, and at both ends of the others, zero elsewhere.
-        starts = np.empty((step, n), dtype=complex)
-        ends = np.empty((step, 2 * n), dtype=complex)
-        for i in range(0, tau.size, step):
-            t = tau[i : i + step]
-            arg = np.multiply.outer(t, self.edges)
-            e = np.empty(arg.shape, dtype=complex)
-            np.cos(arg, out=e.real)
-            np.sin(arg, out=e.imag)
-            wide = np.multiply.outer(t, self.widths) >= 0.5
-            for part, src, mask in (
-                (starts[: t.size], e[:, :-1], ~wide),
-                (ends[: t.size, :n], e[:, 1:], wide),
-                (ends[: t.size, n:], e[:, :-1], wide),
-            ):
-                part.fill(0.0)
-                np.copyto(part, src, where=mask)
-            # sum_j E_j beta[j, m] and the ends' sums sum_j (E_{j+1} g_hi[j,
-            # k] - E_j g_lo[j, k]), in (Re, Im) pairs, as complex columns.
-            series = self.beta_t @ starts[: t.size].view(float).reshape(-1, n, 2)
-            sums = self.ends_t @ ends[: t.size].view(float).reshape(-1, 2 * n, 2)
-            series = series.view(complex)[..., 0].T
-            sums = sums.view(complex)[..., 0].T
-            z = 1j * t
-            out[i : i + step] = polyval(z, series, tensor=False) + polyval(
-                -1.0 / z, sums, tensor=False
-            ) / z
-        return out
 
     def _v(self, tau: np.ndarray, compensated: np.ndarray) -> np.ndarray:
         """``Vm`` where ``compensated``, else ``V``, at every ``tau > 0``."""
@@ -540,7 +624,8 @@ class _CfMachine:
         v = (acc * z + mom[1]) * z
         out[low] = np.where(compensated[low], acc * z * z, v)
         high = ~low
-        out[high] = self._filon(tau[high]) - mom[0]
+        re, im = self.filon.integral(tau[high], self.filon.widths.size, _RE_IM)
+        out[high] = (re - mom[0]) + 1j * im
         out[high] -= np.where(compensated[high], 1j * tau[high] * mom[1], 0.0)
         return out
 
@@ -604,15 +689,18 @@ def char_fn(t, p: LimitParams):
     ``exp(i f t + I(t))`` with the drift from :func:`f_constant` and the
     compensated Levy integral assembled by dyadic folding, from one
     exponent call on ``|t|``; ``char_fn(-t) = conj(char_fn(t))`` and
-    ``|char_fn(t)| <= 1``.  A NaN or infinite ``t`` raises ``ValueError``
-    naming it.
+    ``|char_fn(t)| <= 1``.  ``|t|`` beyond ``1e300`` gives exactly 0.  A
+    NaN or infinite ``t`` raises ``ValueError`` naming it.
     """
     t = np.asarray(t, dtype=float)
     bad = t[~np.isfinite(t)]
     if bad.size:
         raise ValueError(f"t must be finite, got {float(bad[0])!r}")
     a = np.abs(t)
-    phi = np.exp(1j * f_constant(p) * a + _machine(p).exponent(a))
+    near = a <= _FAR_T
+    phi = np.zeros(t.shape, dtype=complex)
+    a = a[near]
+    phi[near] = np.exp(1j * f_constant(p) * a + _machine(p).exponent(a))
     phi = np.where(t < 0.0, np.conj(phi), phi)
     return complex(phi) if t.ndim == 0 else phi
 
@@ -645,15 +733,6 @@ _PROBE_OMEGA = np.concatenate(
 _FAR_OMEGA = 1.0e100
 
 
-def _im_table(table: np.ndarray) -> np.ndarray:
-    """Real ``(m, 2 * panels)`` table whose columns ``2j`` and ``2j + 1``,
-    times ``Re E_j`` and ``Im E_j``, sum to ``Im(E_j * table[j])``."""
-    out = np.empty((table.shape[1], 2 * table.shape[0]))
-    out[:, 0::2] = table.imag.T
-    out[:, 1::2] = table.real.T
-    return out
-
-
 class _CdfCache:
     """Cached Gil-Pelaez inversion data for one parameter set.
 
@@ -661,18 +740,13 @@ class _CdfCache:
     ``char_fn(t) = e^{itf} psi(t)`` so the oscillation frequency is
     ``omega = x - f``, and is split as ``1/t + (psi(t)-1)/t``; the first
     part integrates in closed form (the sine integral), the second is
-    interpolated by panelwise cubics ``g_j`` whose oscillatory integrals
-    are exact (a Filon rule).  The panels run to ``_T_MAX``, and ``psi``
-    comes from one :meth:`_CfMachine.exponent` call on all distinct
-    nodes.
-
-    The build stores the Filon tables of :func:`_panel_tables` for ``z =
-    -i omega``.  With one complex exponential ``E_j = exp(-i omega t_j)``
-    per (point, edge), a block of points then costs matrix products.
-    Only the imaginary part enters the CDF and ``z`` is imaginary, so the
-    tables are kept real: each power of ``z`` picks the real or imaginary
-    part of its coefficient (:func:`_im_table`).  So the CDF at any batch
-    of points, however far in the tails, needs no further ``psi``.
+    interpolated by panelwise cubics whose oscillatory integrals are
+    exact: the :class:`_Filon` rule that also prices the characteristic
+    function, asked for ``Im J(-omega)`` only.  The panels run to
+    ``_T_MAX``, and ``psi`` comes from one :meth:`_CfMachine.exponent`
+    call on all distinct nodes.  So the CDF at any batch of points,
+    however far in the tails, needs no further ``psi``, and a block of
+    points costs a few matrix products.
 
     ``err_estimate`` is the largest change on a probe grid between the
     CDF summed over the panels that end at or below ``_T_MAX / 2`` and
@@ -683,19 +757,30 @@ class _CdfCache:
     """
 
     def __init__(self, p: LimitParams) -> None:
-        self.p = p
         self.f = f_constant(p)
-        self._build(_machine(p))
-        half = int(np.searchsorted(self.edges, 0.5 * _T_MAX, side="right")) - 1
-        scratch = self._block_scratch(_PROBE_OMEGA.size)
-        move = self._cdf_block(_PROBE_OMEGA, half, scratch) - self._cdf_block(
-            _PROBE_OMEGA, len(self.coeffs), scratch
+        edges = [_T_FLOOR]
+        while edges[-1] < 2.0:
+            edges.append(edges[-1] * _GEO_RATIO)
+        while edges[-1] < _T_MAX:
+            edges.append(min(edges[-1] + _PANEL_H, _T_MAX))
+        edges = np.array(edges)
+        # Four equispaced nodes per panel; a panel's last node is the
+        # next panel's first, and psi is computed once per distinct node.
+        nodes = edges[:-1, None] + np.diff(edges)[:, None] * _NODE_OFFS
+        flat, where = np.unique(nodes, return_inverse=True)
+        psi = np.exp(_machine(p).exponent(flat))
+        self.filon = _Filon(edges, (psi[where].reshape(nodes.shape) - 1.0) / nodes)
+        half = int(np.searchsorted(edges, 0.5 * _T_MAX, side="right")) - 1
+        move = self._cdf(_PROBE_OMEGA, half) - self._cdf(
+            _PROBE_OMEGA, edges.size - 1
         )
-        self.err_estimate = float(np.max(np.abs(move))) + self._tail_bound()
+        psi_mid = psi[min(np.searchsorted(flat, 0.5 * _T_MAX), flat.size - 1)]
+        self.err_estimate = float(
+            np.max(np.abs(move)) + self._tail_bound(abs(psi[-1]), abs(psi_mid))
+        )
 
-    def _tail_bound(self) -> float:
-        psi_end = abs(self.psi_end)
-        psi_mid = abs(self.psi_mid)
+    @staticmethod
+    def _tail_bound(psi_end: float, psi_mid: float) -> float:
         if psi_end <= 0.0:
             return 0.0
         decay = (
@@ -706,127 +791,31 @@ class _CdfCache:
         decay = max(decay, 1.0e-3)
         return psi_end / (math.pi * decay * _T_MAX)
 
-    def _build(self, machine: _CfMachine) -> None:
-        edges = [_T_FLOOR]
-        while edges[-1] < 2.0:
-            edges.append(edges[-1] * _GEO_RATIO)
-        t = edges[-1]
-        while t < _T_MAX:
-            t = min(t + _PANEL_H, _T_MAX)
-            edges.append(t)
-        self.edges = np.array(edges)
-        self.widths = np.diff(self.edges)
-        # Four equispaced nodes per panel; a panel's last node is the
-        # next panel's first, and psi is computed once per distinct node.
-        nodes = self.edges[:-1, None] + self.widths[:, None] * _NODE_OFFS
-        flat, where = np.unique(nodes, return_inverse=True)
-        psi = np.exp(machine.exponent(flat))
-        g2 = (psi[where].reshape(nodes.shape) - 1.0) / nodes
-        self.coeffs, beta, g_lo, g_hi = _panel_tables(g2, self.widths)
-        self.psi_end = complex(psi[-1])
-        mid_idx = np.searchsorted(flat, 0.5 * _T_MAX)
-        self.psi_mid = complex(psi[min(mid_idx, len(flat) - 1)])
-        n = np.arange(_SERIES_TERMS)
-        # Each column times its unit phase: z**n = (-i)**n omega**n and
-        # (-1)**k z**-(k+1) = (-1)**k i**(k+1) omega**-(k+1).
-        self.series = _im_table(beta * np.array([1, -1j, -1, 1j])[n % 4])
-        ibp_phase = np.array([1j, 1, -1j, -1])
-        self.ibp_hi = _im_table(g_hi * ibp_phase)
-        self.ibp_lo = _im_table(g_lo * ibp_phase)
-
     def cdf_w(self, x: np.ndarray) -> np.ndarray:
         """CDF of W at the points ``x`` (vectorized).
 
         Points with ``|x - f|`` beyond ``_FAR_OMEGA`` get 0 or 1 directly.
-        The others are priced in fixed blocks of points, each on its own,
-        and the blocks are split over :func:`kcut.cutsim.resolve_threads`
-        workers, so the values do not depend on the worker count.
+        The others go through :meth:`_Filon.integral`, whose values do not
+        depend on the worker count.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         omega = x - self.f
         out = (omega > 0.0).astype(float)
         near = np.abs(omega) <= _FAR_OMEGA
-        omega = omega[near]
-        vals = np.empty_like(omega)
-        chunk = max(1, _PASS_SIZE // len(self.edges))
-        blocks = -(-omega.size // chunk)
-        # A block's phase table holds chunk * len(edges) values.
-        workers = _worker_count(blocks, chunk * len(self.edges), None)
-
-        def start(lo: int, hi: int):
-            scratch = self._block_scratch(chunk)
-
-            def run() -> None:
-                for i in range(lo * chunk, min(hi * chunk, omega.size), chunk):
-                    vals[i : i + chunk] = self._cdf_block(
-                        omega[i : i + chunk], len(self.coeffs), scratch
-                    )
-
-            return run
-
-        _on_workers(blocks, workers, start)
-        out[near] = vals
+        out[near] = self._cdf(omega[near], self.filon.widths.size)
         return out
 
-    def _block_scratch(self, rows: int) -> tuple[np.ndarray, ...]:
-        """Flat scratch of :meth:`_cdf_block` for up to ``rows`` points:
-        the phases, one masked copy of them and two masks."""
-        size = rows * len(self.edges)
-        return (
-            np.empty(size, dtype=complex),
-            np.empty(size, dtype=complex),
-            np.empty(2 * size, dtype=bool),
-        )
-
-    def _cdf_block(
-        self, omega: np.ndarray, n_panels: int, scratch: tuple[np.ndarray, ...]
-    ) -> np.ndarray:
+    def _cdf(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
         """CDF at ``omega = x - f`` from the first ``n_panels`` panels,
         with the closed-form 1/t part taken to the end of the last.
-        ``scratch`` comes from :meth:`_block_scratch`, so a worker's block
-        allocates no large temporaries of its own.
 
         Raises :class:`NumericError` for a value outside ``[-_CDF_TOL, 1 +
         _CDF_TOL]``, NaN included; values inside that band are clipped to
         [0, 1].
         """
-        t_end = self.edges[n_panels]
-        c, n = omega.size, n_panels
-        e_flat, part_flat, mask_flat = scratch
-        part = part_flat[: c * n].reshape(c, n)
-
-        # Filon panels for (psi - 1)/t, with E[:, j] = exp(-i omega t_j).
-        # Each point's sums over panels are a matrix-vector product of
-        # their own, so no point's value depends on the other points of
-        # its block.
-        def panel_sums(mask, e_part, table):
-            part[...] = 0.0
-            np.copyto(part, e_part, where=mask)
-            return (table[:, : 2 * n] @ part.view(float)[:, :, None])[:, :, 0]
-
-        e = e_flat[: c * (n + 1)].reshape(c, n + 1)
-        np.multiply.outer(-omega, self.edges[: n + 1], out=e.imag)
-        np.cos(e.imag, out=e.real)
-        np.sin(e.imag, out=e.imag)
-        small = mask_flat[: c * n].reshape(c, n)
-        large = mask_flat[c * n : 2 * c * n].reshape(c, n)
-        # |omega| h_j, in part's real halves until panel_sums fills it.
-        omega_h = part.real
-        np.multiply(np.abs(omega)[:, None], self.widths[None, :n], out=omega_h)
-        np.less(omega_h, 0.5, out=small)
-        np.logical_not(small, out=large)
-        # terms[:, n] = Im((-i)**n S_n) for the series S_n of the small
-        # panels, and ibp[:, k] likewise, so Horner in omega and in 1/omega
-        # gives Im J of the panels.
-        terms = panel_sums(small, e[:, :-1], self.series)
-        im_j = terms[:, -1]
-        for col in range(_SERIES_TERMS - 2, -1, -1):
-            im_j = im_j * omega + terms[:, col]
-        ibp = panel_sums(large, e[:, 1:], self.ibp_hi)
-        ibp -= panel_sums(large, e[:, :-1], self.ibp_lo)
-        u = 1.0 / np.where(large.any(axis=1), omega, 1.0)
-        im_j += u * (ibp[:, 0] + u * (ibp[:, 1] + u * (ibp[:, 2] + u * ibp[:, 3])))
+        im_j = self.filon.integral(-omega, n_panels, _IM)[0]
         # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
+        t_end = self.filon.edges[n_panels]
         vals = 0.5 + (special.sici(omega * t_end)[0] - im_j) / math.pi
         # Written so that a NaN is outside.
         outside = ~((vals >= -_CDF_TOL) & (vals <= 1.0 + _CDF_TOL))
@@ -859,15 +848,17 @@ def limit_cdf(
     [0, 1] by more than 1e-4.  The estimate covers the truncation of the
     inversion integral only, not the discretization of ``psi`` by
     panelwise cubics nor the error of ``psi`` itself, whose block
-    integrals are within about 3e-10 of an oscillatory quadrature for
-    ``r/k`` = 1 and 1/2 and 2e-7 for ``1/2 < r/k < 1`` (see
+    integrals are within 1e-9 of an oscillatory quadrature where ``r``
+    divides ``k`` and 2e-7 for ``1/2 < r/k < 1`` (see
     :class:`_CfMachine`); values are clipped to [0, 1] within the 1e-4
     band.  ``w = +inf`` gives exactly 1 and
     ``w = -inf`` exactly 0, as does any finite ``w`` whose ``x = (1 -
     w) / C3`` lies beyond ``1e100`` of the drift, where both tails are
     below double precision; a NaN in ``w`` raises ``ValueError``.  The
-    points are priced in blocks on :func:`kcut.cutsim.resolve_threads`
-    workers, with values that do not depend on the worker count.
+    points are priced by the Filon evaluator that also prices the
+    characteristic function, in blocks on
+    :func:`kcut.cutsim.resolve_threads` workers, with values that do not
+    depend on the worker count.
     """
     if table is None:
         table = series.constants(p.k, p.r)
@@ -903,8 +894,8 @@ def cdf_certificate(p: LimitParams) -> dict:
     cache = _cdf_cache(p)
     return {
         "cdf_err_estimate": cache.err_estimate,
-        "cdf_t_max": float(cache.edges[-1]),
-        "cdf_panels": len(cache.coeffs),
+        "cdf_t_max": float(cache.filon.edges[-1]),
+        "cdf_panels": cache.filon.widths.size,
     }
 
 

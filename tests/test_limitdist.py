@@ -366,11 +366,13 @@ def test_char_fn_array_equals_per_element_calls(monkeypatch) -> None:
     # One array call equals per-element calls bitwise, negative t by
     # conjugation, with one exponent call for the whole array; a 0-d t
     # gives a complex, t up to 1e300 stays finite (the fold weights 2**j
-    # alone overflow from about 1e146), and a non-finite entry is named
-    # in the error.
+    # alone overflow from about 1e146), beyond it char_fn is exactly 0
+    # without pricing the exponent (its imaginary part overflows from about
+    # 1e306), and a non-finite entry is named in the error.
     p = LimitParams(2, 3, 0.9)
+    far = [1e306, 8e307, 1.7e308, -1.7e308]
     t = np.concatenate(
-        [[0.0, -0.0, 1e-10, -3e-7, 1e150, -1e300], np.linspace(-40, 40, 45)]
+        [[0.0, -0.0, 1e-10, -3e-7, 1e150, -1e300], np.linspace(-40, 40, 45), far]
     )
     singles = np.array([limitdist.char_fn(float(v), p) for v in t])
     calls = []
@@ -381,10 +383,11 @@ def test_char_fn_array_equals_per_element_calls(monkeypatch) -> None:
         return exponent(self, t)
 
     monkeypatch.setattr(limitdist._CfMachine, "exponent", counted)
-    whole = limitdist.char_fn(t.reshape(3, 17), p)
-    assert calls == [t.size]
-    assert whole.shape == (3, 17)
+    whole = limitdist.char_fn(t.reshape(5, 11), p)
+    assert calls == [t.size - len(far)]
+    assert whole.shape == (5, 11)
     assert np.array_equal(whole.ravel(), singles)
+    assert np.all(singles[-len(far) :] == 0.0)
     assert np.all(np.abs(singles) <= 1.0)
     assert np.array_equal(limitdist.char_fn(-t, p), np.conj(singles))
     for zero_d in (1.3, np.float64(1.3), np.array(1.3)):
@@ -397,14 +400,20 @@ def test_char_fn_array_equals_per_element_calls(monkeypatch) -> None:
 def test_block_integrals_match_oscillatory_quadrature() -> None:
     # V and Vm on [1, 2] against QUADPACK's oscillatory rule on the series
     # density, on both sides of the wrap, from small frequencies (moment
-    # series) through the Filon panels.  a = 1 and 1/2 are smooth on each
-    # piece; for 1/2 < a < 1 the density is singular at the wrap.
+    # series) through the Filon panels.  Where r divides k (a = 1 and 1/m)
+    # the density is smooth on each piece, and its 48-49 equal panels are
+    # not graded; otherwise some derivative is unbounded at the wrap.
     taus = np.array([1 / 32, 1 / 2, 16.0, 1500.0, 2500.0, 8000.0])
     g_five = (-math.log2(5.0)) % 1.0
-    shapes = ((1, 1, 0.0), (1, 2, g_five), (2, 3, 0.9), (7, 8, 0.3))
+    shapes = (
+        (1, 1, 0.0), (1, 2, g_five), (2, 3, 0.9), (7, 8, 0.3), (1, 3, 0.2),
+        (3, 8, 0.4),
+    )
     for r, k, g in shapes:
         m = limitdist._machine(LimitParams(r, k, g))
-        rel = 1e-9 if r / k in (1.0, 0.5) else 1e-6
+        rel = 1e-9 if k % r == 0 else 1e-6
+        if k % r == 0:
+            assert m.filon.widths.size <= 49, (r, k)
         v = m._v(taus, np.zeros(taus.size, dtype=bool))
         vm = m._v(taus, np.ones(taus.size, dtype=bool))
         for i, tau in enumerate(taus):
@@ -528,10 +537,12 @@ def test_limit_cdf_thread_invariance(
 ) -> None:
     """The CDF's blocks of points run on KCUT_THREADS workers, and the
     values are bitwise equal at any worker count, for point counts around
-    the block size, with infinite and far-tail points mixed in."""
+    the block size, with infinite and far-tail points mixed in.  So is the
+    CF exponent, whose Filon frequencies span several blocks, with t = 0
+    and moment-series t among them."""
     p = LimitParams(r, k, g)
     cache = limitdist._cdf_cache(p)
-    block = max(1, limitdist._PASS_SIZE // len(cache.edges))
+    block = max(1, limitdist._PASS_SIZE // len(cache.filon.edges))
     rng = np.random.default_rng(7)
     special_w = [math.inf, -math.inf, 1e300, -1.7e308]
     for size in (0, 1, block - 1, block, block + 1, 3 * block + 7):
@@ -546,6 +557,15 @@ def test_limit_cdf_thread_invariance(
             if want is None:
                 want = got
             assert np.array_equal(got, want), (size, threads)
+    machine = limitdist._machine(p)
+    t = np.concatenate([[0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 3e3, 400)])
+    want = None
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("KCUT_THREADS", threads)
+        got = machine.exponent(t)
+        if want is None:
+            want = got
+        assert np.array_equal(got, want), threads
 
 
 def test_limit_cdf_table_mismatch() -> None:
@@ -577,7 +597,7 @@ def test_cdf_cache_one_exponent_call_per_node(monkeypatch) -> None:
 
     monkeypatch.setattr(limitdist._CfMachine, "exponent", counted)
     cache = limitdist._CdfCache(LimitParams(1, 2, 0.3))
-    assert len(cache.coeffs) == 369
+    assert len(cache.filon.coeffs) == 369
     assert len(calls) == 1
     assert calls[0].size == np.unique(calls[0]).size == 3 * 369 + 1
     assert cache.err_estimate < 1e-10
@@ -613,7 +633,8 @@ def _per_panel_cdf(cache, omega: np.ndarray) -> np.ndarray:
     """CDF of W at ``omega = x - f`` by a loop over the cache's panels,
     one set of Filon moments per panel: the oracle of the matrix-product
     evaluator."""
-    t_end = cache.edges[-1]
+    filon = cache.filon
+    t_end = filon.edges[-1]
     w_nz = np.where(omega == 0.0, 1.0, omega)
     j_total = np.where(
         omega == 0.0,
@@ -621,7 +642,7 @@ def _per_panel_cdf(cache, omega: np.ndarray) -> np.ndarray:
         special.exp1(1j * w_nz * limitdist._T_FLOOR)
         - special.exp1(1j * w_nz * t_end),
     )
-    for start, h, coeff in zip(cache.edges[:-1], cache.widths, cache.coeffs):
+    for start, h, coeff in zip(filon.edges[:-1], filon.widths, filon.coeffs):
         m = _filon_moments(omega, float(h))
         acc = (
             coeff[0] * m[0]
@@ -657,8 +678,8 @@ def test_cdf_matches_per_panel_filon_loop() -> None:
 
 
 def test_limit_cdf_fails_loudly_outside_unit_interval(monkeypatch) -> None:
-    # series[0, 0] multiplies Re E_0 = cos(1e-10 omega), about 1, in Im of
-    # the first panel's integral of (psi - 1)/t; raising it by delta
+    # series[1, 0, 0] multiplies Re E_0 = cos(1e-10 omega), about 1, in Im
+    # of the first panel's integral of (psi - 1)/t; raising it by delta
     # lowers every CDF value of W by delta/pi, and in the light left
     # tail that pushes values below 0.
     p = LimitParams(1, 1, 0.0)
@@ -667,9 +688,9 @@ def test_limit_cdf_fails_loudly_outside_unit_interval(monkeypatch) -> None:
     w = np.linspace(20.0, 40.0, 5)
     assert np.all(limitdist.limit_cdf(w, p, table) > 1.0 - 1e-5)
     for delta, fails in ((5e-5, False), (2e-4, True)):
-        perturbed = cache.series.copy()
-        perturbed[0, 0] += math.pi * delta
-        monkeypatch.setattr(cache, "series", perturbed)
+        perturbed = cache.filon.series.copy()
+        perturbed[1, 0, 0] += math.pi * delta
+        monkeypatch.setattr(cache.filon, "series", perturbed)
         if fails:
             with pytest.raises(limitdist.NumericError, match="outside"):
                 limitdist.limit_cdf(w, p, table)
