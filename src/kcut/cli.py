@@ -102,10 +102,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     counts = batch(tree, args.k, args.seed, args.samples)
     lines = ["sample_index,r,count"]
-    for i in range(counts.shape[0]):
-        for r in range(1, args.k + 1):
-            lines.append(f"{i},{r},{counts[i, r - 1]}")
-        lines.append(f"{i},total,{counts[i].sum()}")
+    for i, (row, total) in enumerate(
+        zip(counts.tolist(), counts.sum(axis=1).tolist())
+    ):
+        for r, c in enumerate(row, 1):
+            lines.append(f"{i},{r},{c}")
+        lines.append(f"{i},total,{total}")
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {counts.shape[0]} samples to {args.out}")
     return 0

@@ -5,7 +5,11 @@ Two views of the same law are implemented:
 - ``simulate_process_batch`` -- the literal cutting procedure: repeatedly
   pick a uniform node still connected to the root, increase its counter,
   and detach its subtree once the counter reaches ``k``; stop when the
-  root is removed.  Returns the number of cuts.
+  root is removed.  Returns the number of cuts.  The samples of a chunk
+  cut in lockstep; each carries its connected flags from cut to cut and
+  picks through counts of connected nodes per block of about
+  ``sqrt(n)`` heap columns, so a pick reads about ``sqrt(n)`` values of
+  a sample, not ``n``.
 - ``simulate_records_batch`` -- the equivalent clock/record construction:
   each node ``v`` carries cumulative exponential clock sums ``T_{1,v} <
   ... < T_{k,v}``; ``v`` is an ``r``-record iff ``T_{r,v}`` is below the
@@ -417,11 +421,18 @@ def simulate_process_batch(
     """Vectorized cut-count totals from the direct process, shape
     ``(n_samples,)``.
 
-    All samples of a chunk advance in lockstep: each step rebuilds the
-    connected set from the counters by a parent-to-child sweep, then
-    every unfinished sample picks one uniform connected node.  Sample
-    ``i`` consumes the uniforms of substream ``(seed, first_index + i)``
-    in cut order, one per cut.
+    All samples of a chunk advance in lockstep, one cut per step.  Each
+    sample keeps its node counters, its connected flags and the number
+    of connected nodes in each block of ``2**ceil(lg(n + 1) / 2)`` heap
+    columns, so a pick reads about ``sqrt(n)`` values per sample.  It
+    takes ``j = floor(u * count)`` and finds the ``(j + 1)``-th connected
+    node in heap order: the block from a cumulative sum of the block
+    counts, the node from one over that block.  When a node's counter
+    reaches ``k``, its subtree's flags are cleared level by level: at
+    depth ``d`` below ``v`` it is the heap range ``v * 2**d .. (v + 1) *
+    2**d - 1``, which lies inside one block or covers whole ones.
+    Sample ``i`` consumes the uniforms of substream ``(seed,
+    first_index + i)`` in cut order, one per cut.
     ``chunk`` (samples in flight at once, shared by the ``threads``
     workers; see :func:`resolve_threads`) defaults to the package's
     32 MB scratch budget for the ``k * n`` uniforms of a sample.
@@ -431,50 +442,86 @@ def simulate_process_batch(
     out = np.empty(n_samples, dtype=np.int64)
     # A node's counter reaches k, so int16 holds it only for k < 2**15.
     counter = np.int16 if k < 1 << 15 else np.int64
+    # Columns 0 .. n in blocks of 2**shift; column 0 is never connected.
+    shift = (n.bit_length() + 1) // 2
+    width, blocks = 1 << shift, (n >> shift) + 1
 
     def worker(rows: int):
         # Every cut consumes exactly one uniform, and there are at most
         # k*n cuts, so the whole per-sample stream is drawn up front.
         u = np.empty((rows, k * n))
         cnt = np.empty((rows, n + 1), dtype=counter)
-        conn = np.empty((rows, n + 1), dtype=bool)
-        cum = np.empty((rows, n + 1), dtype=np.int64)
+        conn = np.empty((rows, blocks, width), dtype=bool)
+        flat = conn.reshape(rows, blocks * width)
+        per = np.empty((rows, blocks), dtype=np.int64)
+        index = np.arange(rows)
 
         def draw(j: int, rng: np.random.Generator) -> None:
             rng.random(out=u[j])
 
+        def clear(rs: np.ndarray, vs: np.ndarray) -> None:
+            # Disconnect the subtree of node vs[i] in row rs[i], one
+            # depth below it at a time, keeping the block counts.
+            d = 0
+            while rs.size:
+                first = vs << d
+                if d <= shift:
+                    b = first >> shift
+                    cols = (first & (width - 1))[:, None] + np.arange(1 << d)
+                    at = (rs[:, None], b[:, None], cols)
+                    per[rs, b] -= conn[at].sum(axis=1)
+                    conn[at] = False
+                else:
+                    b = (first >> shift)[:, None] + np.arange(1 << (d - shift))
+                    r = np.broadcast_to(rs[:, None], b.shape)
+                    inside = b < blocks
+                    at = (r[inside], b[inside])
+                    per[at] = 0
+                    conn[at] = False
+                d += 1
+                deeper = (vs << d) <= n
+                rs, vs = rs[deeper], vs[deeper]
+
         def sweep(lo: int, hi: int) -> None:
-            # Row i of cnt, conn and cum belongs to the i-th unfinished
+            # Row i of cnt, conn and per belongs to the i-th unfinished
             # sample, whose uniforms are row live[i] of u.  Every
             # unfinished sample cuts once per step.
             live = np.arange(hi - lo)
-            cnt[: live.size] = 0
+            a = live.size
+            cnt[:a] = 0
+            flat[:a] = False
+            flat[:a, 1 : n + 1] = True
+            per[:a] = conn[:a].sum(axis=2)
             step = 0
-            while live.size:
-                a = live.size
-                ca, ok = cnt[:a], conn[:a]
-                np.less(ca, k, out=ok)
-                ok[:, 0] = False
-                for h in range(1, tree.max_height + 1):
-                    lo_h, hi_h = 1 << h, min(2 << h, n + 1)
-                    # Left (even) children, then right (odd) ones: the
-                    # c-th of either kind has parent lo_h // 2 + c.
-                    for start in (lo_h, lo_h + 1):
-                        kids = ok[:, start:hi_h:2]
-                        kids &= ok[:, lo_h // 2 : lo_h // 2 + kids.shape[1]]
-                counts = ok.sum(axis=1)
+            while a:
+                ia = index[:a]
+                below = np.cumsum(per[:a], axis=1)
+                counts = below[:, -1]
                 j = np.floor(u[live, step] * counts).astype(np.int64)
                 j = np.minimum(j, counts - 1)
-                np.cumsum(ok, axis=1, out=cum[:a])
-                pick = np.less_equal(cum[:a], j[:, None], out=ok).sum(axis=1)
-                ca[np.arange(a), pick] += 1
-                finished = (pick == 1) & (ca[:, 1] == k)
+                # Block b holds the (j+1)-th connected node; j becomes
+                # its rank among the connected nodes of that block.
+                b = (below <= j[:, None]).sum(axis=1)
+                j -= below[ia, b] - per[ia, b]
+                seen = np.cumsum(conn[ia, b], axis=1)
+                pick = b * width + (seen <= j[:, None]).sum(axis=1)
+                hits = cnt[ia, pick] + 1
+                cnt[ia, pick] = hits
+                # The root's k-th hit ends a sample; any other node's
+                # disconnects its subtree.
+                dead = hits == k
+                finished = dead & (pick == 1)
+                dead &= ~finished
+                if dead.any():
+                    clear(ia[dead], pick[dead])
+                step += 1
                 if finished.any():
-                    out[lo + live[finished]] = step + 1
+                    out[lo + live[finished]] = step
                     keep = ~finished
                     live = live[keep]
-                    cnt[: live.size] = ca[keep]
-                step += 1
+                    a = live.size
+                    for buf in (cnt, conn, per):
+                        buf[:a] = buf[: keep.size][keep]
 
         return draw, sweep
 

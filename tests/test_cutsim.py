@@ -403,6 +403,59 @@ def test_process_determinism_and_batch_agreement() -> None:
     assert np.array_equal(batch, rechunked)
 
 
+@pytest.mark.parametrize(
+    "split",
+    [{}, {"chunk": 5, "threads": 2}],
+    ids=["whole", "chunk5-threads2"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [21, 31, 100, 256])
+def test_process_batch_matches_plain_process(
+    n: int, k: int, split, monkeypatch
+) -> None:
+    """The lockstep sweep, with its carried connected flags and block
+    counts, gives the plain process's total row for row.  n = 21 and
+    100 leave the last level part full and n + 1 off the block width;
+    k = 1 makes every cut a removal; chunks of 5 on two workers
+    (threaded here despite the short rows) finish samples at different
+    steps across chunk and worker boundaries."""
+    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
+    tree, seed, first = CompleteTree(n), 4, 5
+    totals = cutsim.simulate_process_batch(tree, k, seed, 12, first, **split)
+    assert totals.tolist() == [
+        simulate_process(tree, k, seed, first + i) for i in range(12)
+    ]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=-(2**63), max_value=2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_process_batch_matches_plain_process_property(
+    n: int, k: int, seed: int
+) -> None:
+    tree = CompleteTree(n)
+    totals = cutsim.simulate_process_batch(tree, k, seed, 6, chunk=4)
+    assert totals.tolist() == [
+        simulate_process(tree, k, seed, i) for i in range(6)
+    ]
+
+
+def test_process_batch_peak_without_cumulative_rows() -> None:
+    """Besides the uniforms (32 MB by default) a process batch holds the
+    counters, the connected flags and the block counts; no step builds
+    a cumulative sum over whole rows."""
+    tracemalloc.start()
+    try:
+        cutsim.simulate_process_batch(CompleteTree(127), 2, 0, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * 2**20
+
+
 def test_process_batch_counts_past_int16() -> None:
     # k = 2**15 + 1 overflows an int16 counter; the batch must still
     # match the plain reference.
