@@ -198,12 +198,6 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
-def _check_samples(k: int, n_samples: int) -> None:
-    _check_k(k)
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
-
-
 def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
     """Samples in flight at once in one batch call, over all its
     workers: ``chunk`` if given, else as many as keep the largest
@@ -250,35 +244,45 @@ def _run_batch(
     first_index: int,
     chunk: int | None,
     threads: int | None,
-    worker: Callable[[int], tuple[Callable, Callable]],
+    worker: Callable[[int, np.ndarray], tuple[Callable, Callable]],
     row_scratch: int | None = None,
-) -> None:
-    """Run one batch of samples ``0 .. n_samples - 1`` on worker threads.
+    result: tuple[tuple[int, ...], type] = ((), np.float64),
+) -> np.ndarray:
+    """Run one batch of samples ``0 .. n_samples - 1`` on worker threads
+    and return its output, an array of shape ``(n_samples, *shape)`` and
+    type ``dtype`` for ``result = (shape, dtype)``.
 
-    ``row_values`` is the size of a sample's largest scratch row, and
-    ``row_scratch`` (default ``row_values``) the float64 values per
-    sample that the 32 MB budget counts.  The samples
+    ``n_samples``, ``seed`` and ``first_index`` must be integers, not
+    bools (``ValueError`` naming the one that is not); ``n_samples`` is
+    at least 0.  ``row_values`` is the size of a sample's largest
+    scratch row, and ``row_scratch`` (default ``row_values``) the
+    float64 values per sample that the 32 MB budget counts.  The samples
     are split into one contiguous range per worker.  For each worker,
-    ``worker(rows)`` is called once; it allocates scratch for ``rows``
-    samples and returns ``(draw, sweep)``.  Then, chunk by chunk,
-    ``draw(j, rng)`` fills scratch row ``j`` for sample ``lo + j`` from
-    the generator keyed ``(seed, first_index + lo + j)``, and
-    ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` from the first
-    ``hi - lo`` rows.  Each sample owns its key, so the results do not
-    depend on the worker count or the chunk.
+    ``worker(rows, out)`` is called once; it allocates scratch for
+    ``rows`` samples and returns ``(draw, sweep)``.  Then, chunk by
+    chunk, ``draw(j, rng)`` fills scratch row ``j`` for sample ``lo +
+    j`` from the generator keyed ``(seed, first_index + lo + j)``, and
+    ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` into ``out`` from
+    the first ``hi - lo`` rows.  Each sample owns its key, so the results
+    do not depend on the worker count or the chunk.
 
     The workers are :func:`_worker_count` of the samples and
     ``row_values``, capped at :func:`_chunk_rows`, which they share.
     """
-    seed, first_index = operator.index(seed), operator.index(first_index)
+    n_samples = _as_int("n_samples", n_samples)
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
+    seed, first_index = _as_int("seed", seed), _as_int("first_index", first_index)
+    shape, dtype = result
+    out = np.empty((n_samples, *shape), dtype=dtype)
     in_flight = _chunk_rows(row_scratch or row_values, chunk)
     workers = min(_worker_count(n_samples, row_values, threads), in_flight)
     rows = in_flight // workers
     if n_samples == 0:
-        return
+        return out
 
     def start(lo: int, hi: int) -> Callable[[], None]:
-        draw, sweep = worker(min(rows, hi - lo))
+        draw, sweep = worker(min(rows, hi - lo), out)
 
         def run() -> None:
             stream = _Restream(seed)
@@ -291,6 +295,7 @@ def _run_batch(
         return run
 
     _on_workers(n_samples, workers, start)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +325,10 @@ def _records_batch(
     record.  The edge variant is the node sweep with the root's ``k``-th
     clock set to infinity and the root's row dropped.
     """
-    _check_samples(k, n_samples)
+    _check_k(k)
     n = tree.n
-    out = np.empty((n_samples, k), dtype=np.int64)
 
-    def worker(rows: int):
+    def worker(rows: int, out: np.ndarray):
         t = np.empty((rows, n, k))
         # anc[:, v-1] = min of k-th clocks over proper ancestors of v.
         anc = np.empty((rows, n))
@@ -361,8 +365,10 @@ def _records_batch(
 
         return draw, sweep
 
-    _run_batch(n_samples, n * k, seed, first_index, chunk, threads, worker)
-    return out
+    return _run_batch(
+        n_samples, n * k, seed, first_index, chunk, threads, worker,
+        result=((k,), np.int64),
+    )
 
 
 def simulate_records_batch(
@@ -437,16 +443,15 @@ def simulate_process_batch(
     workers; see :func:`resolve_threads`) defaults to the package's
     32 MB scratch budget for the ``k * n`` uniforms of a sample.
     """
-    _check_samples(k, n_samples)
+    _check_k(k)
     n = tree.n
-    out = np.empty(n_samples, dtype=np.int64)
     # A node's counter reaches k, so int16 holds it only for k < 2**15.
     counter = np.int16 if k < 1 << 15 else np.int64
     # Columns 0 .. n in blocks of 2**shift; column 0 is never connected.
     shift = (n.bit_length() + 1) // 2
     width, blocks = 1 << shift, (n >> shift) + 1
 
-    def worker(rows: int):
+    def worker(rows: int, out: np.ndarray):
         # Every cut consumes exactly one uniform, and there are at most
         # k*n cuts, so the whole per-sample stream is drawn up front.
         u = np.empty((rows, k * n))
@@ -525,8 +530,10 @@ def simulate_process_batch(
 
         return draw, sweep
 
-    _run_batch(n_samples, k * n, seed, first_index, chunk, threads, worker)
-    return out
+    return _run_batch(
+        n_samples, k * n, seed, first_index, chunk, threads, worker,
+        result=((), np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

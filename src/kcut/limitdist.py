@@ -30,15 +30,9 @@ Provided here:
   panels of the integrand so one transform evaluation serves arbitrarily
   many points, each block of points costing a few matrix products;
 - ``cdf_certificate``               -- the accuracy data of that cache;
-- ``xi_sampler_batch``              -- the fast triangular-array
-  sampler at cost polylog(n) per draw, for any ``n``.  Its sums
-  are centred by the array's exact truncated mean, one quadrature per
-  weight class, and converge in law to the same limit.  For ``a != 1``
-  it prices ``Q`` only on the clocks whose terms can add up to 1e-13.
-  Along the fixed-gamma ladder ``n = 2**40, 2**80, 2**160`` the KS
-  distance to ``limit_cdf`` falls as 0.073, 0.045, 0.028 for (r, k) =
-  (1, 1) and 0.089, 0.059, 0.039 for (1, 2) (seed 20260825, 100k
-  draws).
+- ``xi_sampler_batch``              -- the triangular-array sampler,
+  polylog(n) per draw for any ``n``: per weight class, a binomial count
+  of the clocks that matter and that many truncated clocks.
 
 The characteristic function's block integrals and the CDF's inversion
 integral are one Filon rule, cubics integrated exactly against
@@ -53,6 +47,7 @@ package's one scipy-backed route; every Levy series sums ``s =
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,8 +57,7 @@ from scipy import integrate, special
 
 from . import series, specfun
 from .cutsim import (
-    CompleteTree, _as_int, _check_samples, _on_workers, _run_batch,
-    _worker_count,
+    CompleteTree, _as_int, _on_workers, _run_batch, _worker_count, substream,
 )
 
 __all__ = [
@@ -904,74 +898,60 @@ def cdf_certificate(p: LimitParams) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _xi_weights(scale: ScaleParams) -> np.ndarray:
-    """``m * n_v / n`` for all nodes of height at most L, in index order,
-    from :meth:`kcut.cutsim.CompleteTree.size_classes`.  The weights are
-    exact ratios of Python ints, so any ``n`` works."""
-    n, m = scale.n, scale.m
-    if (1 << (scale.L + 1)) - 1 > n:
+def _xi_classes(scale: ScaleParams) -> tuple[tuple[int, int], ...]:
+    """``(size, count)`` of the nodes of height at most ``L`` in exact
+    ints, from :meth:`kcut.cutsim.CompleteTree.size_classes`, by
+    increasing size; a size found on two levels is one class."""
+    if (1 << (scale.L + 1)) - 1 > scale.n:
         raise ValueError("height cutoff exceeds the tree; n too small")
-    levels = CompleteTree(n).size_classes()[: scale.L + 1]
-    sizes, counts = zip(*(c for level in levels for c in level))
-    return np.repeat([m * size / n for size in sizes], counts)
+    merged: Counter[int] = Counter()
+    for level in CompleteTree(scale.n).size_classes()[: scale.L + 1]:
+        merged.update(dict(level))
+    return tuple(sorted(merged.items()))
 
 
 # Breakpoints of the centring quadrature, in units of the clock scale
 # (k!/m)**(1/k) past the truncation point, and the clock span covered.
 _XI_SPLITS = (0.5, 2.0, 8.0, 32.0)
 _XI_T_SPAN = 60.0
-# Total of the xi terms one draw may leave out, in W units (see
-# xi_sampler_batch).
+# Total of the xi terms one draw may leave out, in W units.
 _XI_SKIP = 1.0e-13
 
 
 @lru_cache(maxsize=32)
 def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
-    """Exact centring of the xi array, in W units.
-
-    Returns ``sum_v E[xi_v 1[xi_v <= h]] - f + integral_h^1 x dnu`` with
-    ``h = 2**(beta - alpha) * gamma(a)``: the array's own truncated mean
-    at ``h``, moved to the limit law's truncation at 1.  Each expectation
-    is one quadrature over the clock ``T ~ Gamma(k, 1)`` from the point
-    ``t*`` where ``xi_v`` falls to ``h``, and nodes of equal weight share
-    it (a level has at most three weights).  The integrand
-    ``Q(a, m T**k / k!)`` decays over a clock width of order
-    ``(k!/m)**(1/k)``, which is narrow for large ``m``, so the interval is
-    split at fixed multiples of that width past ``t*``.
+    """Exact centring of the xi array, in W units: ``sum_v E[xi_v
+    1[xi_v <= h]] - f + integral_h^1 x dnu`` with ``h = 2**(beta - alpha)
+    * gamma(a)``, the array's own truncated mean moved to the limit's
+    truncation at 1.  Each class of :func:`_xi_classes` takes one
+    quadrature over its clock ``T ~ Gamma(k, 1)`` from the point ``t*``
+    where ``xi_v`` falls to ``h``.  The integrand ``Q(a, m T**k / k!)``
+    decays over a clock width ``(k!/m)**(1/k)``, narrow for large ``m``,
+    so the interval is split at fixed multiples of it past ``t*``.
     """
-    a = p.a
-    k = p.k
-    ga = math.gamma(a)
-    kfact = math.factorial(k)
+    a, k = p.a, p.k
+    ga, kfact, log_gk = math.gamma(a), math.factorial(k), math.lgamma(k)
     h = 2.0 ** (scale.beta - scale.alpha) * ga
     width = (kfact / scale.m) ** (1.0 / k)
-    log_gk = math.lgamma(k)
 
     def integrand(t: float) -> float:
         q = specfun.q(a, scale.m * t**k / kfact)
         return float(q) * t ** (k - 1) * math.exp(-t - log_gk)
 
     total = 0.0
-    for w, count in zip(*np.unique(_xi_weights(scale), return_counts=True)):
+    for size, count in _xi_classes(scale):
+        w = scale.m * size / scale.n
         cap = h / (w * ga)
-        if cap >= 1.0:
-            t_star = 0.0
-        else:
-            t_star = (kfact * specfun.q_inv(a, cap) / scale.m) ** (1.0 / k)
+        # For cap >= 1 every term is at most h, and q_inv gives t* = 0.
+        t_star = (kfact * specfun.q_inv(a, cap) / scale.m) ** (1.0 / k)
         t_end = t_star + _XI_T_SPAN
         splits = [t_star + c * width for c in _XI_SPLITS]
         value, abserr = integrate.quad(
-            integrand,
-            t_star,
-            t_end,
-            points=[t for t in splits if t < t_end],
-            epsabs=1.0e-12,
-            limit=300,
+            integrand, t_star, t_end, points=[t for t in splits if t < t_end],
+            epsabs=1.0e-12, limit=300,
         )
         if abserr > 1.0e-9:
-            raise NumericError(
-                f"centring quadrature error {abserr:.2e} above tolerance"
-            )
+            raise NumericError(f"centring quadrature error {abserr:.2e}")
         total += count * w * ga * value
     if h < 1.0:
         block = levy_block_mean(p, h, 1.0)
@@ -980,6 +960,38 @@ def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
     else:
         block = 0.0
     return total - f_constant(p) + block
+
+
+# Standard deviations of the trial count that a draw's budget covers,
+# and the default scratch of a chunk of draws, in float64 values.
+_XI_MARGIN = 3.0
+_XI_CHUNK_VALUES = 1 << 20
+
+
+@lru_cache(maxsize=32)
+def _xi_plan(scale: ScaleParams, p: LimitParams) -> tuple:
+    """``(ga_weights, tables, t_cut, z_cut, power, trials)`` of the xi
+    draws (:func:`xi_sampler_batch`): per class, ``gamma(a) m size / n``
+    and the Binomial(count, ``P(k, t_cut)``) CDF until it reaches 1; the
+    cut; whether the power proposal reads fewer uniforms per kept clock
+    than the Gamma(k) one; and the trials of a draw's budget."""
+    k, (sizes, counts) = p.k, zip(*_xi_classes(scale))
+    ga_weights = math.gamma(p.a) * np.array([scale.m * z / scale.n for z in sizes])
+    total = math.fsum(c * w for c, w in zip(counts, ga_weights))
+    # The factor keeps total * Q(a, z_cut) <= 1e-13 after rounding.
+    z_cut = float(specfun.q_inv(p.a, _XI_SKIP / total)) * (1.0 + 1e-12)
+    t_cut = math.exp((math.lgamma(k + 1) + math.log(z_cut / scale.m)) / k)
+    p_cut = float(special.gammainc(k, t_cut))
+    power_rate = p_cut * math.exp(math.lgamma(k + 1) - k * math.log(t_cut))
+    power = 2.0 / power_rate < k / p_cut
+    rate = power_rate if power else p_cut
+    # Trials until a Binomial(nodes, p_cut) count of clocks is accepted.
+    kept = sum(counts) * p_cut
+    sd = math.sqrt(kept * (2.0 - p_cut - rate)) / rate
+    cdfs = [special.bdtr(np.arange(c + 1), c, p_cut) for c in counts]
+    tables = [f[: min(int(np.searchsorted(f, 1.0)), c)] for f, c in zip(cdfs, counts)]
+    trials = math.ceil(kept / rate + _XI_MARGIN * sd) + 1
+    return ga_weights, tables, t_cut, z_cut, power, trials
 
 
 def xi_sampler_batch(
@@ -994,118 +1006,105 @@ def xi_sampler_batch(
 ) -> np.ndarray:
     """Draws of the triangular-array approximation to ``1 - C3*W``,
     shape ``(n_samples,)``; draw ``i`` uses substream ``(seed,
-    first_index + i)``.
+    first_index + i)``.  Each is ``1 - C3 * (sum_v xi_v - centre)`` over
+    the nodes of height at most ``L``, with i.i.d. Gamma(k, 1) clocks
+    ``T_v``, ``xi_v = (m n_v / n) gamma(a) Q(a, m T_v**k / k!)`` and the
+    exact truncated mean of :func:`_xi_centre`.  The draws converge in
+    law to the limit along ``frac(lg n - lg lg n) -> gamma``, at no rate
+    the paper gives: along ``n = 2**40, 2**80, 2**160`` (seed 20260825,
+    100k draws) the KS distance to :func:`limit_cdf` is 0.074, 0.043,
+    0.025 for (r, k) = (1, 1) and 0.089, 0.062, 0.040 for (1, 2).
 
-    Each draw takes i.i.d. Gamma(k, 1) clocks ``T_v`` for every node of
-    height at most ``L``, each the in-order sum of the node's row of
-    ``k`` node-major exponentials (the k-th clock of the record sweep),
-    and returns ``1 - C3 * (sum_v xi_v - centre)`` with
+    Only clocks at or below ``t_cut`` are drawn: with ``S = sum_v
+    gamma(a) w_v`` and ``z_cut = m t_cut**k / k!``, ``S Q(a, z_cut) <=
+    1e-13``, so the others move a draw by less than ``C3 * 1e-13``.  A
+    class of :func:`_xi_classes` is exchangeable, so it needs only its
+    count of such clocks, Binomial(count, ``P(k, t_cut)``), and that many
+    Gamma(k) clocks truncated to ``[0, t_cut]``.  Draw ``i`` reads its
+    substream's uniforms in order: one per class, whose binomial inverse
+    CDF is the count; then trials of one proposal, whose accepted clocks
+    fill the classes in order and add ``w gamma(a) Q(a, z)``:
 
-        xi_v   = (m n_v / n) * gamma(a) * Q(a, m T_v**k / k!),
-        centre = sum_v E[xi_v 1[xi_v <= h]] - f + integral_h^1 x dnu,
-        h      = 2**(beta - alpha) * gamma(a),
+    - ``U1, U2``: ``x = t_cut U1**(1/k)``, accepted if ``U2 <= exp(-x)``;
+      ``z = z_cut U1``;
+    - ``U1 .. Uk``: ``T = -log(U1 ... Uk)``, accepted if ``T <= t_cut``;
+      ``z = z_cut (T / t_cut)**k``.
 
-    the classical centring of a triangular array by its exact truncated
-    mean (see :func:`_xi_centre`).  The draws converge in law to the
-    limit as ``n`` grows along a subsequence with ``frac(lg n - lg lg
-    n) -> gamma``; the paper gives no rate.  Along the fixed-gamma
-    ladder ``n = 2**40, 2**80, 2**160`` (seed 20260825, 100k draws) the
-    KS distance to :func:`limit_cdf` is 0.073, 0.045, 0.028 for (r, k) =
-    (1, 1) and 0.089, 0.059, 0.039 for (1, 2).  A tree on ``2**40``
-    nodes is itself far from the limit: its Levy mass above 1 is 1.312
-    against ``levy_tail(1) = 1.466``.
-
-    For ``a != 1`` the sum skips the negligible terms: with ``S = sum_v
-    gamma(a) w_v``, a clock past ``t_cut = (k! z_cut / m)**(1/k)``, where
-    ``z_cut = q_inv(a, 1e-13 / S)``, has ``xi_v < gamma(a) w_v 1e-13 /
-    S``, so those terms add less than 1e-13 in all and the draw moves by
-    at most ``C3 * 1e-13``.  At ``n = 2**160`` only 10-15 % of the clocks
-    are kept.  For ``a = 1``, where ``Q`` is ``exp``, every term is
-    priced.
-
-    Cost is O(2**L) = polylog(n) per draw.  ``chunk`` (samples in flight
-    at once, shared by the ``threads`` workers; see
-    :func:`kcut.cutsim.resolve_threads`) defaults to the package's 32 MB
-    scratch budget for rows of clocks, their compacted copy and mask;
-    each worker draws a row's exponentials into one ``(N, k)`` scratch,
-    masks the clocks at or below ``t_cut``, prices ``Q`` on the kept
-    ones only, compacted, and sums every row in place in one buffer,
-    with zeros for the skipped terms.  Neither ``chunk`` nor ``threads``
-    changes the output.
+    :func:`_xi_plan` takes the one with fewer uniforms per clock: at ``n
+    = 2**160``, k = 2, about 3700 a draw against 16 382 exponentials for
+    all clocks.  A worker reads each draw's budget, the mean trials plus
+    three standard deviations, in one call (a draw that runs short reads
+    on in its substream), then accepts, counts, prices and sums over the
+    chunk.  ``chunk`` (draws in flight, shared by the ``threads``
+    workers; see :func:`kcut.cutsim.resolve_threads`) defaults to 8 MB of
+    scratch: the sweep's temporaries come from the workers' own malloc
+    arenas, which keep them.  Neither changes the output.
     """
-    if table is None:
-        table = series.constants(p.k, p.r)
-    if table.k != p.k or table.r != p.r:
-        raise ValueError("constant table does not match limit params")
-    if scale.k != p.k:
-        raise ValueError(
-            f"scale has k={scale.k} but limit params have k={p.k}"
-        )
-    _check_samples(p.k, n_samples)
-    a = p.a
-    weights = _xi_weights(scale)
-    ga_weights = math.gamma(a) * weights
-    z_per_clock = scale.m / math.factorial(p.k)
+    table = series.constants(p.k, p.r) if table is None else table
+    if (table.k, table.r, scale.k) != (p.k, p.r, p.k):
+        raise ValueError(f"constant table or scale does not match {p}")
+    ga_weights, tables, t_cut, z_cut, power, trials = _xi_plan(scale, p)
+    k, classes, per = p.k, len(tables), 2 if power else p.k
+    width = classes + per * trials
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
-    out = np.empty(n_samples)
-    # For a = 1, Q is exp, which costs less than the mask: no skip.
-    skip = a != 1.0
-    row_scratch = None
-    if skip:
-        z_cut = specfun.q_inv(a, _XI_SKIP / math.fsum(ga_weights))
-        t_cut = (z_cut / z_per_clock) ** (1.0 / p.k)
-        # The clocks, their compacted copy and the mask (a byte each).
-        row_scratch = 2 * weights.size + -(-weights.size // 8)
+    # The budget, two trial arrays and the kept clocks with their cells.
+    row_scratch = width + 5 * trials
+    chunk = max(1, _XI_CHUNK_VALUES // row_scratch) if chunk is None else chunk
 
-    def worker(rows: int):
-        buf = np.empty((rows, weights.size))
-        clocks = np.empty((weights.size, p.k))
-        if skip:
-            keep = np.empty((rows, weights.size), dtype=bool)
-            kept = np.empty(rows * weights.size)
-            # Rows compacted per call: np.compress allocates an index
-            # array the size of its output, so this bounds it.
-            slab = max(1, _PASS_SIZE // weights.size)
+    def accept(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Each trial's flag; the accepted trials' U1 (power) or U1 ... Uk.
+        u = u.reshape(len(u), -1, per)
+        v = u[:, :, 0].copy()
+        if power:
+            w = np.sqrt(v) if k == 2 else np.power(v, 1.0 / k)
+            flag = u[:, :, 1] <= np.exp(np.multiply(w, -t_cut, out=w), out=w)
+        else:
+            for i in range(1, k):
+                v *= u[:, :, i]
+            flag = v >= math.exp(-t_cut)
+        return flag, np.compress(flag.ravel(), v.ravel())
+
+    def extra(i: int, missing: int) -> np.ndarray:
+        # Draw i's next `missing` accepted trials past its budget.
+        rng, more = substream(seed, int(first_index) + int(i)), np.empty(0)
+        rng.random(width)
+        while more.size < missing:
+            more = np.append(more, accept(rng.random((1, width - classes)))[1])
+        return more[:missing]
+
+    def worker(rows: int, out: np.ndarray):
+        budget = np.empty((rows, width))
+        cells = np.empty((rows, classes + 1), dtype=np.int64)
+        is_class = np.arange(cells.size) % (classes + 1) < classes
 
         def draw(j: int, rng: np.random.Generator) -> None:
-            # T_v = ((E_1 + E_2) + ...) + E_k over row v of node-major
-            # exponentials: the record sweep's k-th clock sum.
-            rng.standard_exponential(out=clocks)
-            t = buf[j]
-            t[...] = clocks[:, 0]
-            for r in range(1, p.k):
-                t += clocks[:, r]
+            rng.random(out=budget[j])
 
         def sweep(lo: int, hi: int) -> None:
-            # xi_v = weights * ga * Q(a, m T**k / k!), built in place;
-            # with the skip, Q is priced on the kept clocks only, in
-            # kept, and the other terms are 0.
-            xi = buf[: hi - lo]
-            z = xi
-            if skip:
-                mask = keep[: hi - lo]
-                np.less_equal(xi, t_cut, out=mask)
-                size = 0
-                for i in range(0, hi - lo, slab):
-                    part = mask[i : i + slab].ravel()
-                    end = size + np.count_nonzero(part)
-                    flat = xi[i : i + slab].ravel()
-                    np.compress(part, flat, out=kept[size:end])
-                    size = end
-                z = kept[:size]
-            np.power(z, p.k, out=z)
-            np.multiply(z, z_per_clock, out=z)
-            specfun.q(a, z, out=z)
-            if skip:
-                xi.fill(0.0)
-                np.place(xi, mask, z)
-            np.multiply(xi, ga_weights, out=xi)
-            out[lo:hi] = shift - table.c3 * xi.sum(axis=1)
+            # count[:, c] is class c's clocks, count[:, -1] the spare trials.
+            u, count = budget[: hi - lo], cells[: hi - lo]
+            for c, cdf in enumerate(tables):
+                count[:, c] = np.searchsorted(cdf, u[:, c], side="right")
+            flag, kept = accept(u[:, classes:])
+            got = np.count_nonzero(flag, axis=1)
+            count[:, -1] = got - count[:, :-1].sum(axis=1)
+            # A short row's last clocks go after its others, from the end.
+            for j in np.flatnonzero(count[:, -1] < 0)[::-1]:
+                kept = np.insert(kept, got[: j + 1].sum(), extra(lo + j, -count[j, -1]))
+                count[j, -1] = 0
+            kept = kept[np.repeat(is_class[: count.size], count.ravel())]
+            count[:, -1] = 0
+            at = np.repeat(np.arange(count.size), count.ravel())
+            if not power:
+                kept = np.power(np.log(kept) / -t_cut, k)
+            kept *= z_cut
+            specfun.q(p.a, kept, out=kept)
+            sums = np.bincount(at, weights=kept, minlength=count.size)
+            terms = sums.reshape(count.shape)[:, :-1] * ga_weights
+            out[lo:hi] = shift - table.c3 * terms.sum(axis=1)
 
         return draw, sweep
 
-    _run_batch(
-        n_samples, weights.size, seed, first_index, chunk, threads, worker,
-        row_scratch,
+    return _run_batch(
+        n_samples, width, seed, first_index, chunk, threads, worker, row_scratch
     )
-    return out

@@ -3,8 +3,9 @@
 Each computes its quantity the slow, direct way and shares no logic
 with the code it checks: node heights and subtree sizes from the heap
 indices, the cutting procedure run one sample at a time, the exact
-cut-count law of tiny trees by enumeration, and the Levy measure's
-block integrals by QUADPACK's oscillatory rule.
+cut-count law of tiny trees by enumeration, the Levy measure's block
+integrals by QUADPACK's oscillatory rule, and the xi array with a clock
+drawn for every node.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
+from kcut import limitdist, series, specfun
 from kcut.cutsim import CompleteTree, _check_k, substream
+from kcut.limitdist import LimitParams, ScaleParams
 
 
 def height(n: int, i: int) -> int:
@@ -162,3 +165,49 @@ def levy_block_integrals(
         mean += quad(lambda y: y * density(y), lo, hi)
     v = cos_sin - mass
     return v, v - 1j * tau * mean
+
+
+def xi_weights(scale: ScaleParams) -> np.ndarray:
+    """``m * n_v / n`` for all nodes of height at most L, in index order,
+    from :meth:`kcut.cutsim.CompleteTree.size_classes`.  The weights are
+    exact ratios of Python ints, so any ``n`` works."""
+    n, m = scale.n, scale.m
+    if (1 << (scale.L + 1)) - 1 > n:
+        raise ValueError("height cutoff exceeds the tree; n too small")
+    levels = CompleteTree(n).size_classes()[: scale.L + 1]
+    sizes, counts = zip(*(c for level in levels for c in level))
+    return np.repeat([m * size / n for size in sizes], counts)
+
+
+def xi_sampler_dense(
+    scale: ScaleParams,
+    p: LimitParams,
+    seed: int,
+    n_samples: int,
+    first_index: int = 0,
+) -> np.ndarray:
+    """The xi draws of :func:`kcut.limitdist.xi_sampler_batch` with a
+    clock for every node, one draw at a time: draw ``i`` sums row ``v``
+    of ``substream(seed, first_index + i)``'s node-major ``(N, k)``
+    exponentials in order into the Gamma(k) clock ``T_v``, and returns
+    ``1 - C3 * (sum_v w_v gamma(a) Q(a, m T_v**k / k!) - centre)`` over
+    all ``N`` nodes, with the package's centre; terms past ``q_inv(a,
+    1e-13 / sum_v w_v gamma(a))`` count as 0.  The law oracle of the
+    sparse sampler: it draws ``k N`` exponentials where that one reads a
+    few uniforms per clock below the cut."""
+    table = series.constants(p.k, p.r)
+    ga_weights = math.gamma(p.a) * xi_weights(scale)
+    shift = 1.0 + table.c3 * limitdist._xi_centre(scale, p)
+    z_cut = specfun.q_inv(p.a, 1e-13 / math.fsum(ga_weights))
+    out = np.empty(n_samples)
+    for i in range(n_samples):
+        rng = substream(seed, first_index + i)
+        exps = rng.standard_exponential((ga_weights.size, p.k))
+        clocks = exps[:, 0].copy()
+        for r in range(1, p.k):
+            clocks += exps[:, r]
+        z = scale.m / math.factorial(p.k) * clocks**p.k
+        near = z <= z_cut
+        terms = ga_weights[near] * specfun.q(p.a, z[near])
+        out[i] = shift - table.c3 * terms.sum()
+    return out

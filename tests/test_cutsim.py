@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import cutsim, series
+from kcut import cutsim, limitdist, series
 from kcut.cutsim import CompleteTree
 from oracles import (
     brute_force_distribution,
@@ -218,6 +218,34 @@ def test_batch_rejects_bad_k() -> None:
             cutsim.simulate_records_batch(tree, k, 1, 2)
         with pytest.raises(ValueError, match="k must be"):
             cutsim.simulate_process_batch(tree, k, 1, 2)
+
+
+def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
+    """Every batch takes ``n_samples``, ``seed`` and ``first_index`` as
+    integers: a bool or a float raises a ValueError naming the
+    parameter, and a negative seed keeps its 64-bit mask."""
+    tree = CompleteTree(7)
+    scale = limitdist.ScaleParams.from_n(1 << 20, 2)
+    params = limitdist.LimitParams(1, 2, scale.gamma)
+    batches = [
+        partial(cutsim.simulate_records_batch, tree, 2),
+        partial(cutsim.simulate_edge_records_batch, tree, 2),
+        partial(cutsim.simulate_process_batch, tree, 2),
+        partial(limitdist.xi_sampler_batch, scale, params, None),
+    ]
+    bad = [
+        ("seed", (True, 2), {}),
+        ("seed", (1.0, 2), {}),
+        ("n_samples", (1, True), {}),
+        ("n_samples", (1, 2.0), {}),
+        ("first_index", (1, 2), {"first_index": True}),
+        ("first_index", (1, 2), {"first_index": 1.5}),
+    ]
+    for batch in batches:
+        for name, args, kwargs in bad:
+            with pytest.raises(ValueError, match=name):
+                batch(*args, **kwargs)
+        assert np.array_equal(batch(-1, 3), batch((1 << 64) - 1, 3))
 
 
 def test_batch_chunk_must_be_positive() -> None:

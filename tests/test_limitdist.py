@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from kcut import limitdist, series
-from kcut.cutsim import substream
+from kcut import limitdist, series, specfun
+from kcut.cutsim import CompleteTree, substream
 from kcut.limitdist import LimitParams, ScaleParams
-from oracles import levy_block_integrals, subtree_size
+from oracles import (
+    levy_block_integrals, subtree_size, xi_sampler_dense, xi_weights,
+)
 
 RNG = np.random.default_rng(20260825)
 
@@ -755,7 +757,7 @@ def test_limit_cdf_vs_direct_inversion() -> None:
 
 def test_xi_weights_shape_and_values() -> None:
     sc = ScaleParams.from_n(1 << 20, 1)
-    w = limitdist._xi_weights(sc)
+    w = xi_weights(sc)
     assert w.size == (1 << (sc.L + 1)) - 1
     # Root weight is m * n / n = m; level-1 weights about half that.
     assert w[0] == pytest.approx(sc.m)
@@ -770,7 +772,7 @@ def test_xi_weights_match_per_node_sizes() -> None:
     want = np.array(
         [sc.m * subtree_size(sc.n, v) / sc.n for v in range(1, count + 1)]
     )
-    got = limitdist._xi_weights(sc)
+    got = xi_weights(sc)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -780,7 +782,7 @@ def test_xi_weights_beyond_float_range() -> None:
     exact ratios of ints and stay finite."""
     n = (1 << 1100) + 1
     sc = ScaleParams.from_n(n, 1)
-    w = limitdist._xi_weights(sc)
+    w = xi_weights(sc)
     assert w.size == (1 << (sc.L + 1)) - 1
     assert np.all(np.isfinite(w)) and np.all(w > 0.0)
     assert w[0] == sc.m
@@ -815,73 +817,194 @@ def test_xi_sampler_bounds_and_determinism() -> None:
     assert exact - asymptotic == pytest.approx(table.c3 * gap, abs=1e-7)
 
 
-@pytest.mark.parametrize("r, k", [(1, 1), (1, 2), (2, 3)])
-def test_xi_sampler_stream_definition(r: int, k: int) -> None:
-    """Draw i of seed s takes row v of ``substream(s, i)``'s node-major
-    ``(N, k)`` exponentials, sums it in order into the clock ``T_v`` and
-    adds ``w_v * gamma(a) * Q(a, m T_v**k / k!)`` over the nodes.  The
-    three cases take Q through exp, erfc and gammaincc."""
-    sc = ScaleParams.from_n(1 << 20, k)
-    p = LimitParams(r, k, sc.gamma)
-    table = series.constants(k, r)
-    a = p.a
-    weights = limitdist._xi_weights(sc)
-    shift = 1.0 + table.c3 * limitdist._xi_centre(sc, p)
-    got = limitdist.xi_sampler_batch(sc, p, table, seed=3, n_samples=8)
-    for i in (0, 7):
-        exps = substream(3, i).standard_exponential((weights.size, k))
-        xi = []
-        for w, row in zip(weights, exps):
-            t = 0.0
-            for e in row:
-                t += e
-            z = sc.m * t**k / math.factorial(k)
+def _xi_scalar_draw(
+    sc: ScaleParams, p: LimitParams, seed: int, i: int
+) -> tuple[list[float], list[float], list[int], list[int]]:
+    """Draw ``i`` of :func:`limitdist.xi_sampler_batch`, one uniform at a
+    time from ``substream(seed, i)``, with the cut and the proposal of
+    ``_xi_plan``.  Returns the kept terms ``gamma(a) w Q(a, z)``, and per
+    class (sizes merged over levels, increasing) ``gamma(a) w``, the kept
+    count and the node count."""
+    k, a = p.k, p.a
+    _, _, t_cut, z_cut, power, _ = limitdist._xi_plan(sc, p)
+    p_cut = special.gammainc(k, t_cut)
+    merged: dict[int, int] = {}
+    for level in CompleteTree(sc.n).size_classes()[: sc.L + 1]:
+        for size, count in level:
+            merged[size] = merged.get(size, 0) + count
+    sizes, nodes = zip(*sorted(merged.items()))
+    rng = substream(seed, i)
+    kept = []
+    for count in nodes:
+        u, j = rng.random(), 0
+        while j < count and special.bdtr(j, count, p_cut) <= u:
+            j += 1
+        kept.append(j)
+    terms = []
+    ga_weights = [math.gamma(a) * (sc.m * size / sc.n) for size in sizes]
+    for ga_w, want in zip(ga_weights, kept):
+        while want:
+            if power:
+                u1, u2 = rng.random(), rng.random()
+                if u2 > math.exp(-t_cut * u1 ** (1.0 / k)):
+                    continue
+                z = z_cut * u1
+            else:
+                prod = rng.random()
+                for _ in range(k - 1):
+                    prod *= rng.random()
+                if prod < math.exp(-t_cut):
+                    continue
+                z = z_cut * (-math.log(prod) / t_cut) ** k
             if a == 1.0:
                 q = math.exp(-z)
             elif a == 0.5:
                 q = math.erfc(math.sqrt(z))
             else:
                 q = float(special.gammaincc(a, z))
-            xi.append(w * math.gamma(a) * q)
-        want = shift - table.c3 * math.fsum(xi)
+            terms.append(ga_w * q)
+            want -= 1
+    return terms, ga_weights, kept, list(nodes)
+
+
+@pytest.mark.parametrize("r, k", [(1, 1), (1, 2), (2, 3)])
+def test_xi_sampler_stream_definition(r: int, k: int) -> None:
+    """Draw i of seed s reads ``substream(s, i)``'s uniforms in order:
+    one per class for its binomial count, then the trials of the plan's
+    proposal until every class is filled, and adds ``w gamma(a) Q(a,
+    z)`` over the accepted clocks.  The three cases take Q through exp,
+    erfc and gammaincc."""
+    sc = ScaleParams.from_n(1 << 20, k)
+    p = LimitParams(r, k, sc.gamma)
+    table = series.constants(k, r)
+    shift = 1.0 + table.c3 * limitdist._xi_centre(sc, p)
+    got = limitdist.xi_sampler_batch(sc, p, table, seed=3, n_samples=8)
+    for i in (0, 7):
+        terms = _xi_scalar_draw(sc, p, 3, i)[0]
+        want = shift - table.c3 * math.fsum(terms)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0), i
 
 
 @pytest.mark.parametrize("e", [40, 160])
 @pytest.mark.parametrize("r, k", [(1, 1), (1, 2), (2, 3)])
 def test_xi_sampler_skip_bound(r: int, k: int, e: int) -> None:
-    """For a != 1 each draw leaves out the terms whose Q is priced past
-    q_inv(a, 1e-13 / sum_v gamma(a) w_v), which add less than 1e-13 in
-    W units, so it is within C3 * 1e-13 plus rounding of the fsum over
-    all nodes.  For a = 1 nothing is left out, and each draw equals the
-    full sweep's weighted row sum bitwise."""
+    """The cut leaves out at most 1e-13 in W units: with ``S = sum_v
+    gamma(a) w_v``, ``S Q(a, z_cut) <= 1e-13``, and every clock past
+    ``t_cut`` has ``Q < Q(a, z_cut)``.  So each draw is within C3 *
+    1e-13, plus rounding, of the whole array: its kept terms, re-derived
+    one uniform at a time, and clocks past ``t_cut`` for every other
+    node, drawn here from Gamma(k) conditioned on ``T > t_cut``."""
     sc = ScaleParams.from_n(1 << e, k)
     p = LimitParams(r, k, sc.gamma)
     table = series.constants(k, r)
     a = p.a
-    ga_weights = math.gamma(a) * limitdist._xi_weights(sc)
+    _, _, t_cut, z_cut, _, _ = limitdist._xi_plan(sc, p)
+    ga_weights = math.gamma(a) * xi_weights(sc)
+    total = math.fsum(ga_weights)
+    assert total * specfun.q(a, z_cut) <= 1e-13
     z_per_clock = sc.m / math.factorial(k)
+    assert z_per_clock * t_cut**k == pytest.approx(z_cut, rel=1e-13)
     shift = 1.0 + table.c3 * limitdist._xi_centre(sc, p)
     got = limitdist.xi_sampler_batch(sc, p, table, seed=3, n_samples=6)
     eps = np.finfo(float).eps
+    rng = np.random.default_rng(e)
     for i, draw in enumerate(got):
-        exps = substream(3, i).standard_exponential((ga_weights.size, k))
-        clocks = exps[:, 0].copy()
-        for col in range(1, k):
-            clocks += exps[:, col]
-        z = np.power(clocks, k) * z_per_clock
-        if a == 1.0:
-            q = np.exp(-z)
-        elif a == 0.5:
-            q = np.array([math.erfc(math.sqrt(v)) for v in z])
-        else:
-            q = special.gammaincc(a, z)
-        terms = ga_weights * q
-        if a == 1.0:
-            assert draw == shift - table.c3 * terms.sum(), i
-        want = shift - table.c3 * math.fsum(terms)
-        rounding = 16.0 * eps * (abs(shift) + table.c3 * math.fsum(terms))
-        assert abs(draw - want) <= table.c3 * 1e-13 + rounding, i
+        terms, class_weights, kept, nodes = _xi_scalar_draw(sc, p, 3, i)
+        assert draw == pytest.approx(
+            shift - table.c3 * math.fsum(terms), rel=1e-12, abs=0.0
+        ), i
+        left = np.repeat(class_weights, np.subtract(nodes, kept))
+        clocks = np.empty(0)
+        while clocks.size < left.size:
+            t = rng.gamma(k, size=2 * left.size)
+            clocks = np.concatenate([clocks, t[t > t_cut]])
+        far = left * specfun.q(a, z_per_clock * clocks[: left.size] ** k)
+        assert math.fsum(far) < 1e-13
+        whole = shift - table.c3 * math.fsum(terms + far.tolist())
+        rounding = 16.0 * eps * (abs(shift) + table.c3 * total)
+        assert abs(draw - whole) <= table.c3 * 1e-13 + rounding, i
+
+
+@pytest.mark.parametrize(
+    "r, k, e", [(1, 1, 40), (1, 2, 40), (2, 3, 40), (1, 1, 160),
+                (1, 2, 160), (2, 3, 160), (1, 8, 8)],
+)
+def test_xi_sampler_matches_dense_oracle(r: int, k: int, e: int) -> None:
+    """Two-sample KS of the sparse sampler against the dense oracle,
+    which draws a clock for every node, at the 1 % level ``1.63 sqrt(2 /
+    N)``.  The (1, 8) case at n = 2**8 takes the Gamma(k) proposal."""
+    sc = ScaleParams.from_n(1 << e, k)
+    p = LimitParams(r, k, sc.gamma)
+    size = 4000
+    sparse = np.sort(limitdist.xi_sampler_batch(sc, p, None, 11, size))
+    dense = np.sort(xi_sampler_dense(sc, p, 12, size))
+    both = np.concatenate([sparse, dense])
+    gap = np.searchsorted(sparse, both, "right") - np.searchsorted(
+        dense, both, "right"
+    )
+    assert np.abs(gap).max() / size <= 1.63 * math.sqrt(2.0 / size)
+
+
+def test_xi_plan_reads_at_most_the_dense_uniforms() -> None:
+    """The chosen proposal reads ``per * N * P(k, t_cut) / rate``
+    uniforms per draw on average, with ``per`` uniforms a trial: 2 at
+    rate ``k! P(k, t_cut) / t_cut**k`` for the power proposal, ``k`` at
+    rate ``P(k, t_cut)`` for the other.  That is never more than the
+    ``k N`` exponentials of a clock for every node; both sides are
+    compared per kept clock, divided by ``N P(k, t_cut)``."""
+    for e in (4, 8, 40, 160):
+        for k in range(1, 9):
+            sc = ScaleParams.from_n(1 << e, k)
+            for r in range(1, k + 1):
+                plan = limitdist._xi_plan(sc, LimitParams(r, k, sc.gamma))
+                t_cut, power = plan[2], plan[4]
+                p_cut = special.gammainc(k, t_cut)
+                if power:
+                    per, rate = 2, math.factorial(k) * p_cut / t_cut**k
+                else:
+                    per, rate = k, p_cut
+                assert per / rate <= k / p_cut, (e, k, r)
+
+
+def test_xi_sampler_budget_invariance(monkeypatch) -> None:
+    """A draw that runs out of its budget reads on in its own substream,
+    so the draws do not depend on the budget: with budgets far too small
+    (most rows need two more), they are bitwise those of the
+    default, at any chunk and thread count."""
+    sc = ScaleParams.from_n(1 << 40, 2)
+    p = LimitParams(1, 2, sc.gamma)
+    want = limitdist.xi_sampler_batch(sc, p, None, 4, 40, first_index=7)
+    trials = limitdist._xi_plan(sc, p)[5]
+    limitdist._xi_plan.cache_clear()
+    monkeypatch.setattr(limitdist, "_XI_MARGIN", -10.0)
+    try:
+        assert 2 * limitdist._xi_plan(sc, p)[5] < trials
+        for threads, chunk in ((1, None), (2, 3), (3, 1)):
+            got = limitdist.xi_sampler_batch(
+                sc, p, None, 4, 40, first_index=7, chunk=chunk,
+                threads=threads,
+            )
+            assert np.array_equal(got, want), (threads, chunk)
+    finally:
+        limitdist._xi_plan.cache_clear()
+
+
+def test_xi_centre_matches_dense_weight_classes() -> None:
+    """The centring from the merged class list equals, to 1e-15, the
+    values it had when it summed over the distinct weights of a weight
+    per node."""
+    cases = [
+        (1, 1, 1 << 40, 3.5205432073009737),
+        (1, 2, 1 << 160, 5.318509319007321),
+        (2, 3, (1 << 40) + 12345, 3.007724298168986),
+        (1, 8, 1 << 8, -1.5212165239423565),
+        (1, 1, (1 << 1100) + 1, 6.8881280751352705),
+        (3, 4, 1 << 80, 2.940730784213684),
+    ]
+    for r, k, n, want in cases:
+        sc = ScaleParams.from_n(n, k)
+        got = limitdist._xi_centre(sc, LimitParams(r, k, sc.gamma))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0), (r, k, n)
 
 
 def test_xi_sampler_split_invariance() -> None:
@@ -944,9 +1067,10 @@ def test_xi_sampler_threads_share_the_memory_budget() -> None:
 
 
 def test_xi_sampler_default_chunk_bounds_memory() -> None:
-    """At n = 2**160, k = 2 a row has 8191 clocks, so the default chunks
-    of all workers together hold 512 rows, one 32 MB budget, and every
-    step works in them."""
+    """At n = 2**160, k = 2 a draw counts about 14 000 values of
+    uniforms and scratch, so the default chunks of all workers together
+    hold about 300 draws, one 32 MB budget, and every step works in
+    them."""
     sc = ScaleParams.from_n(1 << 160, 2)
     p = LimitParams(1, 2, sc.gamma)
     table = series.constants(2, 1)
@@ -986,7 +1110,7 @@ def _truncated_mean_gap(n: int, r: int, k: int) -> float:
     kfact = math.factorial(k)
     width = (kfact / sc.m) ** (1.0 / k)
     total = 0.0
-    for wv, cnt in zip(*np.unique(limitdist._xi_weights(sc), return_counts=True)):
+    for wv, cnt in zip(*np.unique(xi_weights(sc), return_counts=True)):
         cap = h / (wv * ga)
         if cap >= 1.0:
             tstar = 0.0
