@@ -40,7 +40,6 @@ at most ``chunk`` samples, by default as many as fit one 32 MB budget
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -81,9 +80,10 @@ def substream(seed: int, sample_index: int) -> np.random.Generator:
 
     This is the package-wide stream-split rule.  Any partition of a
     sample range across threads or processes reproduces identical draws
-    because each sample owns its counter-based key.
+    because each sample owns its counter-based key.  Both arguments must
+    be integers, not bools (``ValueError`` naming the one that is not).
     """
-    seed, sample_index = operator.index(seed), operator.index(sample_index)
+    seed, sample_index = _as_int("seed", seed), _as_int("sample_index", sample_index)
     key = np.array([seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -205,6 +205,7 @@ def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
     Draws never depend on the chunk."""
     if chunk is None:
         return max(1, _SCRATCH_VALUES // floats_per_row)
+    chunk = _as_int("chunk", chunk)
     if chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     return chunk

@@ -194,19 +194,18 @@ def _thetas(c, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
     return y, specfun.q_inv(p.a, y)
 
 
-def _density_terms(c, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
+def _density_terms(c, p: LimitParams) -> np.ndarray:
     """Density-series terms ``4**(c-s) exp(theta_s) theta_s**(1-a)`` at
     the phases ``c``, built in place with ``4**(c-s)`` inside the ``exp``
-    (``exp(theta_s)`` overflows for ``s >= 1024``), and ``theta_1``."""
+    (``exp(theta_s)`` overflows for ``s >= 1024``)."""
     c = np.asarray(c, dtype=float)
     y, theta = _thetas(c, p)
-    theta1 = theta[..., 0].copy()
     terms = np.subtract(c[..., None], np.arange(1, p.s_max + 1), out=y)
     terms *= 2.0 * math.log(2.0)
     terms += theta
     np.exp(terms, out=terms)
     terms *= np.power(theta, 1.0 - p.a, out=theta)
-    return terms, theta1
+    return terms
 
 
 def _support(x, what: str) -> np.ndarray:
@@ -251,7 +250,7 @@ def levy_density(x, p: LimitParams):
     ga = math.gamma(p.a)
 
     def row_sum(x, c):
-        return ga * ga / (x * x) * _density_terms(c, p)[0].sum(axis=-1)
+        return ga * ga / (x * x) * _density_terms(c, p).sum(axis=-1)
 
     return _per_point(x, p, "density point x", row_sum)
 
@@ -417,11 +416,10 @@ class _Filon:
             self.coeffs * np.diag(falling) * scale * ibp_phase
         )
 
-    def integral(self, s: np.ndarray, panels: int, parts: slice) -> np.ndarray:
+    def integral(self, s: np.ndarray, parts: slice) -> np.ndarray:
         """Rows ``parts`` (``_RE_IM`` or ``_IM``) of ``J(s) = sum_j
-        integral_0^h_j g_j(u) e^{is(y_j + u)} du`` over the first
-        ``panels`` panels, at every real ``s`` of the 1-d array ``s``;
-        shape ``(rows, s.size)``.
+        integral_0^h_j g_j(u) e^{is(y_j + u)} du`` over all panels, at
+        every real ``s`` of the 1-d array ``s``; shape ``(rows, s.size)``.
 
         The points are priced in fixed blocks, split over
         :func:`kcut.cutsim.resolve_threads` workers with their scratch
@@ -431,7 +429,7 @@ class _Filon:
         """
         rows = self.series[parts].shape[0]
         tables = [
-            t[parts].reshape(-1, t.shape[-1])[:, : 2 * panels]
+            t[parts].reshape(-1, t.shape[-1])
             for t in (self.series, self.ibp_hi, self.ibp_lo)
         ]
         out = np.empty((rows, s.size))
@@ -441,7 +439,7 @@ class _Filon:
         workers = _worker_count(blocks, chunk * len(self.edges), None)
 
         def start(lo: int, hi: int):
-            size = min(chunk, s.size) * (panels + 1)
+            size = min(chunk, s.size) * len(self.edges)
             scratch = (
                 np.empty(size, dtype=complex),
                 np.empty(size, dtype=complex),
@@ -451,7 +449,7 @@ class _Filon:
             def run() -> None:
                 for i in range(lo * chunk, min(hi * chunk, s.size), chunk):
                     out[:, i : i + chunk] = self._block(
-                        s[i : i + chunk], panels, rows, tables, scratch
+                        s[i : i + chunk], rows, tables, scratch
                     ).T
 
             return run
@@ -459,11 +457,11 @@ class _Filon:
         _on_workers(blocks, workers, start)
         return out
 
-    def _block(self, s, n, rows, tables, scratch) -> np.ndarray:
+    def _block(self, s, rows, tables, scratch) -> np.ndarray:
         """:meth:`integral` of one block of points, ``(points, rows)``,
         in ``scratch`` (phases, one masked copy of them, two masks)."""
         series_t, hi_t, lo_t = tables
-        c = s.size
+        c, n = s.size, self.widths.size
         e_flat, part_flat, mask_flat = scratch
         part = part_flat[: c * n].reshape(c, n)
 
@@ -476,14 +474,14 @@ class _Filon:
             return sums.reshape(c, rows, -1)
 
         e = e_flat[: c * (n + 1)].reshape(c, n + 1)
-        np.multiply.outer(s, self.edges[: n + 1], out=e.imag)
+        np.multiply.outer(s, self.edges, out=e.imag)
         np.cos(e.imag, out=e.real)
         np.sin(e.imag, out=e.imag)
         small = mask_flat[: c * n].reshape(c, n)
         large = mask_flat[c * n : 2 * c * n].reshape(c, n)
         # |s| h_j, in part's real halves until panel_sums fills it.
         s_h = part.real
-        np.multiply(np.abs(s)[:, None], self.widths[None, :n], out=s_h)
+        np.multiply(np.abs(s)[:, None], self.widths, out=s_h)
         np.less(s_h, 0.5, out=small)
         np.logical_not(small, out=large)
         terms = panel_sums(small, e[:, :-1], series_t)
@@ -568,7 +566,7 @@ def _block_panels(p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
         nodes = np.append(y[:-1, None] + h[:, None] * _NODE_OFFS[:3], hi)
         c = c_hi + np.log1p((nodes - hi) / hi) / math.log(2.0)
         c[0] = c_lo
-        dens = ga * ga / (nodes * nodes) * _density_terms(c, p)[0].sum(-1)
+        dens = ga * ga / (nodes * nodes) * _density_terms(c, p).sum(-1)
         values.append(dens[3 * np.arange(h.size)[:, None] + np.arange(4)])
         edges.append(y[1:])
     return np.concatenate(edges), np.concatenate(values)
@@ -618,7 +616,7 @@ class _CfMachine:
         v = (acc * z + mom[1]) * z
         out[low] = np.where(compensated[low], acc * z * z, v)
         high = ~low
-        re, im = self.filon.integral(tau[high], self.filon.widths.size, _RE_IM)
+        re, im = self.filon.integral(tau[high], _RE_IM)
         out[high] = (re - mom[0]) + 1j * im
         out[high] -= np.where(compensated[high], 1j * tau[high] * mom[1], 0.0)
         return out
@@ -728,65 +726,59 @@ _FAR_OMEGA = 1.0e100
 
 
 class _CdfCache:
-    """Cached Gil-Pelaez inversion data for one parameter set.
+    """Gil-Pelaez inversion of any characteristic function ``e^{itf}
+    psi(t)``, ``psi = exp(exponent(t))``, on the panels ``edges`` from a
+    small ``t > 0`` to ``t_max = edges[-1]``; the tests also invert
+    closed-form laws with it.
 
-    The integrand ``Im[char_fn(t) e^{-itx}]/t`` is rewritten with
-    ``char_fn(t) = e^{itf} psi(t)`` so the oscillation frequency is
-    ``omega = x - f``, and is split as ``1/t + (psi(t)-1)/t``; the first
-    part integrates in closed form (the sine integral), the second is
+    The integrand ``Im[e^{itf} psi(t) e^{-itx}]/t`` oscillates at
+    ``omega = x - f`` and is split as ``1/t + (psi(t)-1)/t``; the first
+    part is the sine integral ``Si(omega t_max)``, the second is
     interpolated by panelwise cubics whose oscillatory integrals are
-    exact: the :class:`_Filon` rule that also prices the characteristic
-    function, asked for ``Im J(-omega)`` only.  The panels run to
-    ``_T_MAX``, and ``psi`` comes from one :meth:`_CfMachine.exponent`
-    call on all distinct nodes.  So the CDF at any batch of points,
-    however far in the tails, needs no further ``psi``, and a block of
-    points costs a few matrix products.
+    exact: the :class:`_Filon` rule that also prices :func:`char_fn`,
+    asked for ``Im J(-omega)`` only.  ``exponent`` is called once, on
+    all distinct nodes, so a batch of points, however far in the tails,
+    costs a few matrix products per block and no further ``psi``.
 
     ``err_estimate`` is the largest change on a probe grid between the
-    CDF summed over the panels that end at or below ``_T_MAX / 2`` and
-    over all panels, plus the bound on the omitted tail beyond
-    ``_T_MAX``.  It covers the truncation of the inversion integral
-    only, not the cubic interpolation of ``psi`` or the error of
-    ``psi`` itself.
+    CDF from the panels that end at or below ``t_max / 2`` (a second
+    :class:`_Filon` on the same values) and from all panels, plus a bound
+    on the omitted tail beyond ``t_max``: the truncation of the
+    inversion integral only, not the cubic interpolation of ``psi`` or
+    the error of ``psi`` itself.
     """
 
-    def __init__(self, p: LimitParams) -> None:
-        self.f = f_constant(p)
-        edges = [_T_FLOOR]
-        while edges[-1] < 2.0:
-            edges.append(edges[-1] * _GEO_RATIO)
-        while edges[-1] < _T_MAX:
-            edges.append(min(edges[-1] + _PANEL_H, _T_MAX))
-        edges = np.array(edges)
+    def __init__(self, exponent, f: float, edges: np.ndarray) -> None:
+        self.f = f
         # Four equispaced nodes per panel; a panel's last node is the
         # next panel's first, and psi is computed once per distinct node.
         nodes = edges[:-1, None] + np.diff(edges)[:, None] * _NODE_OFFS
         flat, where = np.unique(nodes, return_inverse=True)
-        psi = np.exp(_machine(p).exponent(flat))
-        self.filon = _Filon(edges, (psi[where].reshape(nodes.shape) - 1.0) / nodes)
-        half = int(np.searchsorted(edges, 0.5 * _T_MAX, side="right")) - 1
-        move = self._cdf(_PROBE_OMEGA, half) - self._cdf(
-            _PROBE_OMEGA, edges.size - 1
-        )
-        psi_mid = psi[min(np.searchsorted(flat, 0.5 * _T_MAX), flat.size - 1)]
-        self.err_estimate = float(
-            np.max(np.abs(move)) + self._tail_bound(abs(psi[-1]), abs(psi_mid))
-        )
+        psi = np.exp(exponent(flat))
+        values = (psi[where].reshape(nodes.shape) - 1.0) / nodes
+        self.filon = _Filon(edges, values)
+        t_max = float(edges[-1])
+        half = int(np.searchsorted(edges, 0.5 * t_max, side="right")) - 1
+        truncated = _Filon(edges[: half + 1], values[:half])
+        move = self._cdf(truncated, _PROBE_OMEGA) - self._cdf(self.filon, _PROBE_OMEGA)
+        psi_mid = psi[min(np.searchsorted(flat, 0.5 * t_max), flat.size - 1)]
+        tail = self._tail_bound(t_max, abs(psi[-1]), abs(psi_mid))
+        self.err_estimate = float(np.max(np.abs(move)) + tail)
 
     @staticmethod
-    def _tail_bound(psi_end: float, psi_mid: float) -> float:
+    def _tail_bound(t_max: float, psi_end: float, psi_mid: float) -> float:
         if psi_end <= 0.0:
             return 0.0
         decay = (
-            math.log(psi_mid / psi_end) / (0.5 * _T_MAX)
+            math.log(psi_mid / psi_end) / (0.5 * t_max)
             if 0.0 < psi_end < psi_mid
             else 1.0
         )
         decay = max(decay, 1.0e-3)
-        return psi_end / (math.pi * decay * _T_MAX)
+        return psi_end / (math.pi * decay * t_max)
 
     def cdf_w(self, x: np.ndarray) -> np.ndarray:
-        """CDF of W at the points ``x`` (vectorized).
+        """CDF at the points ``x`` (vectorized).
 
         Points with ``|x - f|`` beyond ``_FAR_OMEGA`` get 0 or 1 directly.
         The others go through :meth:`_Filon.integral`, whose values do not
@@ -796,21 +788,21 @@ class _CdfCache:
         omega = x - self.f
         out = (omega > 0.0).astype(float)
         near = np.abs(omega) <= _FAR_OMEGA
-        out[near] = self._cdf(omega[near], self.filon.widths.size)
+        out[near] = self._cdf(self.filon, omega[near])
         return out
 
-    def _cdf(self, omega: np.ndarray, n_panels: int) -> np.ndarray:
-        """CDF at ``omega = x - f`` from the first ``n_panels`` panels,
-        with the closed-form 1/t part taken to the end of the last.
+    @staticmethod
+    def _cdf(filon: _Filon, omega: np.ndarray) -> np.ndarray:
+        """CDF at ``omega = x - f`` from the panels of ``filon``, with the
+        closed-form 1/t part taken to the end of its last panel.
 
         Raises :class:`NumericError` for a value outside ``[-_CDF_TOL, 1 +
         _CDF_TOL]``, NaN included; values inside that band are clipped to
         [0, 1].
         """
-        im_j = self.filon.integral(-omega, n_panels, _IM)[0]
+        im_j = filon.integral(-omega, _IM)[0]
         # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
-        t_end = self.filon.edges[n_panels]
-        vals = 0.5 + (special.sici(omega * t_end)[0] - im_j) / math.pi
+        vals = 0.5 + (special.sici(omega * filon.edges[-1])[0] - im_j) / math.pi
         # Written so that a NaN is outside.
         outside = ~((vals >= -_CDF_TOL) & (vals <= 1.0 + _CDF_TOL))
         if outside.any():
@@ -824,7 +816,14 @@ class _CdfCache:
 
 @lru_cache(maxsize=8)
 def _cdf_cache(p: LimitParams) -> _CdfCache:
-    return _CdfCache(p)
+    """The inversion of :func:`char_fn` for ``p``, on panels geometric
+    from ``_T_FLOOR`` past 2, then ``_PANEL_H`` wide to ``_T_MAX``."""
+    edges = [_T_FLOOR]
+    while edges[-1] < 2.0:
+        edges.append(edges[-1] * _GEO_RATIO)
+    while edges[-1] < _T_MAX:
+        edges.append(min(edges[-1] + _PANEL_H, _T_MAX))
+    return _CdfCache(_machine(p).exponent, f_constant(p), np.array(edges))
 
 
 def limit_cdf(
@@ -834,25 +833,24 @@ def limit_cdf(
 ):
     """CDF of the limit variable ``1 - C3(r) * W`` (vectorized in ``w``).
 
-    ``C3`` comes from the constant table for ``(k, r)``.  Raises
-    :class:`NumericError` if the inversion's internal error estimate
-    (the largest probe-grid change between truncating the inversion
-    integral at ``_T_MAX / 2`` and at ``_T_MAX``, plus the bound on the
-    omitted tail) exceeds 1e-4, or if a computed value lies outside
-    [0, 1] by more than 1e-4.  The estimate covers the truncation of the
-    inversion integral only, not the discretization of ``psi`` by
-    panelwise cubics nor the error of ``psi`` itself, whose block
-    integrals are within 1e-9 of an oscillatory quadrature where ``r``
-    divides ``k`` and 2e-7 for ``1/2 < r/k < 1`` (see
-    :class:`_CfMachine`); values are clipped to [0, 1] within the 1e-4
-    band.  ``w = +inf`` gives exactly 1 and
-    ``w = -inf`` exactly 0, as does any finite ``w`` whose ``x = (1 -
+    ``C3`` comes from the constant table for ``(k, r)``.  The CDF of W is
+    the module's one Gil-Pelaez inversion (:class:`_CdfCache`, checked in
+    the tests against the Cauchy and normal laws), built once per ``p``
+    from :func:`char_fn`'s exponent and drift.  Raises
+    :class:`NumericError` if its error estimate (the largest probe-grid
+    change between truncating the inversion integral at ``_T_MAX / 2``
+    and at ``_T_MAX``, plus the bound on the omitted tail) exceeds 1e-4,
+    or if a computed value lies outside [0, 1] by more than 1e-4; values
+    inside that band are clipped.  The estimate covers the truncation
+    only, not the discretization of ``psi`` by panelwise cubics nor the
+    error of ``psi`` itself, whose block integrals are within 1e-9 of an
+    oscillatory quadrature where ``r`` divides ``k`` and 2e-7 for ``1/2
+    < r/k < 1`` (see :class:`_CfMachine`).  ``w = +inf`` gives exactly 1
+    and ``w = -inf`` exactly 0, as does any finite ``w`` whose ``x = (1 -
     w) / C3`` lies beyond ``1e100`` of the drift, where both tails are
     below double precision; a NaN in ``w`` raises ``ValueError``.  The
-    points are priced by the Filon evaluator that also prices the
-    characteristic function, in blocks on
-    :func:`kcut.cutsim.resolve_threads` workers, with values that do not
-    depend on the worker count.
+    points are priced in blocks on :func:`kcut.cutsim.resolve_threads`
+    workers, with values that do not depend on the worker count.
     """
     if table is None:
         table = series.constants(p.k, p.r)

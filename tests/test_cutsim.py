@@ -221,9 +221,10 @@ def test_batch_rejects_bad_k() -> None:
 
 
 def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
-    """Every batch takes ``n_samples``, ``seed`` and ``first_index`` as
-    integers: a bool or a float raises a ValueError naming the
-    parameter, and a negative seed keeps its 64-bit mask."""
+    """Every batch takes ``n_samples``, ``seed``, ``first_index`` and
+    ``chunk`` as integers: a bool or a float raises a ValueError naming
+    the parameter, as do a negative count and a chunk below 1, and a
+    negative seed keeps its 64-bit mask."""
     tree = CompleteTree(7)
     scale = limitdist.ScaleParams.from_n(1 << 20, 2)
     params = limitdist.LimitParams(1, 2, scale.gamma)
@@ -240,6 +241,10 @@ def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
         ("n_samples", (1, 2.0), {}),
         ("first_index", (1, 2), {"first_index": True}),
         ("first_index", (1, 2), {"first_index": 1.5}),
+        ("n_samples", (1, -1), {}),
+        ("chunk", (1, 2), {"chunk": True}),
+        ("chunk", (1, 2), {"chunk": 2.5}),
+        ("chunk", (1, 2), {"chunk": 0}),
     ]
     for batch in batches:
         for name, args, kwargs in bad:
@@ -338,6 +343,19 @@ def _assert_same_draws(
     assert got.integers(2**32, dtype=np.uint32) == want.integers(
         2**32, dtype=np.uint32
     )
+
+
+def test_substream_rejects_bool_and_non_integer_keys() -> None:
+    """``substream`` keys by integers only: ``True`` does not stand for 1
+    nor a float for an int, in either argument."""
+    for args, name in (
+        ((True, 0), "seed"),
+        ((1.0, 0), "seed"),
+        ((2, True), "sample_index"),
+        ((2, 1.0), "sample_index"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            cutsim.substream(*args)
 
 
 def test_restream_draws_equal_substream() -> None:
