@@ -14,11 +14,17 @@ Two views of the same law are implemented:
   each node ``v`` carries cumulative exponential clock sums ``T_{1,v} <
   ... < T_{k,v}``; ``v`` is an ``r``-record iff ``T_{r,v}`` is below the
   minimum ``k``-th clock sum over its proper ancestors.  The total
-  record count across ``r`` has the same law as the cut count.
+  record count across ``r`` has the same law as the cut count.  The
+  sums are never formed: a clock is ``-log U`` for a uniform ``U``, so
+  the running product ``P_{r,v} = U_{1,v} ... U_{r,v}`` is
+  ``e^{-T_{r,v}}``, and ``v`` is an ``r``-record iff ``P_{r,v}`` exceeds
+  the largest ``P_{k,a}`` of its proper ancestors ``a``.  ``k`` is at
+  most 256: ``P_k`` is subnormal only if ``T_k > 708``, with probability
+  7e-86 at ``k = 256`` (but 4e-15 at 512).
 - ``simulate_edge_records_batch`` -- the edge variant: only non-root
   nodes can be records and the ancestor minimum skips the root
   (equivalently, the root's ``k``-th clock is conditioned to be
-  infinite, which is how it is computed).
+  infinite, its product 0, which is how it is computed).
 
 ``rescale_counts`` applies the affine normalization under which record
 counts converge in law.  The plain single-sample process run and the
@@ -70,8 +76,8 @@ _SCRATCH_VALUES = 1 << 22
 
 # Rows of fewer values run on one thread.  Below this the per-sample
 # loop, which holds the GIL, dominates and threads lose.  Records with
-# k = 2 on 2 CPUs, two threads against one: 1.45x the time at n = 63,
-# 1.03x at n = 255 (510 values a row), 0.77x at n = 511.
+# k = 2 on 2 CPUs, two threads against one (best of 11): 1.36-1.42x the
+# time at n = 63, about even (0.99-1.19x) at n = 255 to 511, 0.77x at 767.
 _MIN_THREADED_ROW = 512
 
 
@@ -317,51 +323,54 @@ def _records_batch(
     """Per-order record counts for samples ``first_index ..
     first_index + n_samples - 1`` as an ``(n_samples, k)`` int64 array.
 
-    Each sample draws its ``(n, k)`` exponentials node-major from its own
-    substream; the ancestor minima come from a level sweep vectorized
-    across the chunk.  Then each order ``r`` takes one comparison of the
-    ``r``-th clock sums with the minima into a contiguous ``(rows, n)``
-    mask and one count along its rows.  A node whose ``r``-th clock sum
-    ties an ancestor minimum exactly (a probability-zero event) is not a
-    record.  The edge variant is the node sweep with the root's ``k``-th
-    clock set to infinity and the root's row dropped.
+    Each sample draws its ``k * n`` uniforms order-major, as ``(k, n)``
+    (the ``n`` nodes' first uniforms, then their second, ...), from its
+    own substream, and turns them into the running products ``P_r =
+    e^{-T_r}`` along the orders.  The ancestor maxima of ``P_k`` come
+    from a level sweep vectorized across the chunk, on contiguous ``(rows,
+    n)`` rows; then each order ``r`` takes one comparison ``P_r > max``
+    into a mask and one count along its rows.  A tie (probability zero)
+    is not a record.  A uniform of exactly 0 (probability 2**-53 a value)
+    is an infinite clock: no record of its order or later, and no bound
+    on its descendants.  The edge variant is the node sweep with the
+    root's ``P_k`` set to 0 and the root's row dropped.
     """
     _check_k(k)
+    if k > 256:  # P_k stays a normal double: see the module docstring
+        raise ValueError(f"k must be at most 256 for records, got {k}")
     n = tree.n
 
     def worker(rows: int, out: np.ndarray):
-        t = np.empty((rows, n, k))
-        # anc[:, v-1] = min of k-th clocks over proper ancestors of v.
+        t = np.empty((rows, k, n))
+        # anc[:, v-1] = max of k-th products over proper ancestors of v.
         anc = np.empty((rows, n))
-        anc[:, 0] = np.inf
+        anc[:, 0] = 0.0
         mask = np.empty((rows, n), dtype=bool)
 
         def draw(j: int, rng: np.random.Generator) -> None:
-            rng.standard_exponential(out=t[j])
+            rng.random(out=t[j])
 
         def sweep(lo: int, hi: int) -> None:
             c = hi - lo
             tc, ac = t[:c], anc[:c]
             for r in range(1, k):
-                tc[:, :, r] += tc[:, :, r - 1]
+                tc[:, r] *= tc[:, r - 1]
             if edge:
-                tc[:, 0, k - 1] = np.inf
-            tk = tc[:, :, k - 1]
+                tc[:, k - 1, 0] = 0.0
+            pk = tc[:, k - 1]
             # Level h holds nodes 2**h .. 2**(h+1) - 1, children of the
             # level above taken in order, two apiece: the first children
-            # get the minima directly, the second children a copy.
+            # get the maxima directly, the second children a copy.
             for h in range(1, tree.max_height + 1):
                 lo_h, hi_h = 1 << h, min(2 << h, n + 1)
                 first = ac[:, lo_h - 1 : hi_h - 1 : 2]
                 up = slice(lo_h // 2 - 1, lo_h // 2 - 1 + first.shape[1])
-                np.minimum(ac[:, up], tk[:, up], out=first)
+                np.maximum(ac[:, up], pk[:, up], out=first)
                 second = ac[:, lo_h : hi_h - 1 : 2]
                 second[...] = first[:, : second.shape[1]]
-            # One order at a time: a sum along contiguous rows is far
-            # cheaper than one over the middle axis of a (c, n, k) mask.
             is_record = mask[:c]
             for r in range(k):
-                np.less(tc[:, :, r], ac, out=is_record)
+                np.greater(tc[:, r], ac, out=is_record)
                 out[lo:hi, r] = is_record[:, int(edge) :].sum(axis=1)
 
         return draw, sweep
@@ -383,7 +392,8 @@ def simulate_records_batch(
 ) -> np.ndarray:
     """Node-variant record counts, shape ``(n_samples, k)``.
 
-    Column ``r - 1`` holds ``X_{n,r}``.  Sample ``i`` uses substream
+    Column ``r - 1`` holds ``X_{n,r}``, for ``k`` at most 256.  Sample
+    ``i`` reads its ``k * n`` uniforms, order-major, from substream
     ``(seed, first_index + i)``, so disjoint ranges computed anywhere
     assemble into the same sequence.  ``chunk`` (samples in flight at
     once, shared by the ``threads`` workers; see :func:`resolve_threads`)

@@ -745,7 +745,9 @@ class _CdfCache:
     :class:`_Filon` on the same values) and from all panels, plus a bound
     on the omitted tail beyond ``t_max``: the truncation of the
     inversion integral only, not the cubic interpolation of ``psi`` or
-    the error of ``psi`` itself.
+    the error of ``psi`` itself.  The probe's CDF values are clipped to
+    [0, 1] but not checked, so an integral that has not converged by
+    ``t_max / 2`` gives a large estimate, not a failed build.
     """
 
     def __init__(self, exponent, f: float, edges: np.ndarray) -> None:
@@ -760,7 +762,9 @@ class _CdfCache:
         t_max = float(edges[-1])
         half = int(np.searchsorted(edges, 0.5 * t_max, side="right")) - 1
         truncated = _Filon(edges[: half + 1], values[:half])
-        move = self._cdf(truncated, _PROBE_OMEGA) - self._cdf(self.filon, _PROBE_OMEGA)
+        move = np.clip(self._raw_cdf(truncated, _PROBE_OMEGA), 0.0, 1.0) - np.clip(
+            self._raw_cdf(self.filon, _PROBE_OMEGA), 0.0, 1.0
+        )
         psi_mid = psi[min(np.searchsorted(flat, 0.5 * t_max), flat.size - 1)]
         tail = self._tail_bound(t_max, abs(psi[-1]), abs(psi_mid))
         self.err_estimate = float(np.max(np.abs(move)) + tail)
@@ -792,17 +796,21 @@ class _CdfCache:
         return out
 
     @staticmethod
-    def _cdf(filon: _Filon, omega: np.ndarray) -> np.ndarray:
+    def _raw_cdf(filon: _Filon, omega: np.ndarray) -> np.ndarray:
         """CDF at ``omega = x - f`` from the panels of ``filon``, with the
-        closed-form 1/t part taken to the end of its last panel.
-
-        Raises :class:`NumericError` for a value outside ``[-_CDF_TOL, 1 +
-        _CDF_TOL]``, NaN included; values inside that band are clipped to
-        [0, 1].
-        """
+        closed-form 1/t part taken to the end of its last panel; neither
+        checked nor clipped."""
         im_j = filon.integral(-omega, _IM)[0]
         # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
-        vals = 0.5 + (special.sici(omega * filon.edges[-1])[0] - im_j) / math.pi
+        return 0.5 + (special.sici(omega * filon.edges[-1])[0] - im_j) / math.pi
+
+    @classmethod
+    def _cdf(cls, filon: _Filon, omega: np.ndarray) -> np.ndarray:
+        """:meth:`_raw_cdf`, checked: raises :class:`NumericError` for a
+        value outside ``[-_CDF_TOL, 1 + _CDF_TOL]``, NaN included; values
+        inside that band are clipped to [0, 1].
+        """
+        vals = cls._raw_cdf(filon, omega)
         # Written so that a NaN is outside.
         outside = ~((vals >= -_CDF_TOL) & (vals <= 1.0 + _CDF_TOL))
         if outside.any():
@@ -860,7 +868,7 @@ def limit_cdf(
             f"(k={p.k}, r={p.r})"
         )
     cache = _cdf_cache(p)
-    if cache.err_estimate > _CDF_TOL:
+    if not cache.err_estimate <= _CDF_TOL:  # a NaN estimate fails too
         raise NumericError(
             f"CDF inversion error estimate {cache.err_estimate:.2e} "
             f"exceeds {_CDF_TOL:.0e}"

@@ -85,6 +85,17 @@ def test_simulate_bad_n_exits_2(tmp_path) -> None:
     assert rc == 2
 
 
+def test_simulate_k_past_record_bound_exits_2(tmp_path, capsys) -> None:
+    rc = cli.main(
+        [
+            "simulate", "--n", "7", "--k", "300", "--samples", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert rc == 2
+    assert "k must be at most 256" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exact-mean
 # ---------------------------------------------------------------------------

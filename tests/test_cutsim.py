@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import cutsim, limitdist, series
+from kcut import cutsim, exactmean, harness, limitdist, series
 from kcut.cutsim import CompleteTree
 from oracles import (
     brute_force_distribution,
@@ -187,26 +187,27 @@ def test_records_batch_split_invariance() -> None:
 def test_records_batch_matches_naive_sweep(
     n: int, k: int, split, monkeypatch
 ) -> None:
-    """Both variants equal a per-node loop over the same node-major
-    draws: ``v`` is an r-record iff ``T_{r,v}`` is below the least k-th
-    clock of its proper ancestors, the root excluded in the edge
-    variant, where the root itself never counts.  n = 21 leaves the
-    last level part full; chunks of 5 on two workers (threaded here
-    despite the short rows) put the per-order counts of one batch
-    across chunk and worker boundaries."""
+    """Both variants equal a per-node loop over the same order-major
+    uniforms: with ``P_{r,v} = U_{1,v} ... U_{r,v}``, ``v`` is an
+    r-record iff ``P_{r,v}`` exceeds the largest k-th product of its
+    proper ancestors (0 if none), the root excluded in the edge variant,
+    where the root itself never counts.  n = 21 leaves the last level
+    part full; chunks of 5 on two workers (threaded here despite the
+    short rows) put the per-order counts of one batch across chunk and
+    worker boundaries."""
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     tree, seed, first = CompleteTree(n), 4, 5
     node = cutsim.simulate_records_batch(tree, k, seed, 12, first, **split)
     edge = cutsim.simulate_edge_records_batch(tree, k, seed, 12, first, **split)
     for i in range(12):
-        e = cutsim.substream(seed, first + i).standard_exponential((tree.n, k))
-        t = np.cumsum(e, axis=1)
+        u = cutsim.substream(seed, first + i).random((k, tree.n))
+        p = np.cumprod(u, axis=0)
         want_node, want_edge = np.zeros(k, int), np.zeros(k, int)
         for v in range(1, tree.n + 1):
-            above = [t[(v >> s) - 1, k - 1] for s in range(1, v.bit_length())]
-            want_node += t[v - 1] < min(above, default=math.inf)
+            above = [p[k - 1, (v >> s) - 1] for s in range(1, v.bit_length())]
+            want_node += p[:, v - 1] > max(above, default=0.0)
             if v > 1:
-                want_edge += t[v - 1] < min(above[:-1], default=math.inf)
+                want_edge += p[:, v - 1] > max(above[:-1], default=0.0)
         assert node[i].tolist() == want_node.tolist()
         assert edge[i].tolist() == want_edge.tolist()
 
@@ -218,6 +219,17 @@ def test_batch_rejects_bad_k() -> None:
             cutsim.simulate_records_batch(tree, k, 1, 2)
         with pytest.raises(ValueError, match="k must be"):
             cutsim.simulate_process_batch(tree, k, 1, 2)
+    # A record batch multiplies k uniforms per node, at most 256 of them.
+    # At k = 256 the root of n = 3 is a record of every order.
+    for batch, least, most in (
+        (cutsim.simulate_records_batch, 1, 3),
+        (cutsim.simulate_edge_records_batch, 0, 2),
+    ):
+        with pytest.raises(ValueError, match="k must be at most 256 .*got 257"):
+            batch(tree, 257, 1, 2)
+        counts = batch(CompleteTree(3), 256, 1, 2)
+        assert counts.shape == (2, 256)
+        assert least <= counts.min() and counts.max() <= most
 
 
 def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
@@ -263,7 +275,7 @@ def test_batch_chunk_must_be_positive() -> None:
 
 
 def test_records_batch_default_chunk_bounds_memory() -> None:
-    """With the default chunk a batch holds about 32 MB of clocks at a
+    """With the default chunk a batch holds about 32 MB of uniforms at a
     time, however many samples it is asked for."""
     tracemalloc.start()
     try:
@@ -276,8 +288,9 @@ def test_records_batch_default_chunk_bounds_memory() -> None:
 
 def test_records_batch_peak_without_temporaries() -> None:
     """The level sweep writes into per-worker buffers: besides the
-    32 MB of clocks a batch holds only the ancestor minima and one
-    ``(rows, n)`` record mask, reused for every order."""
+    32 MB of uniforms, turned into running products in place, a batch
+    holds only the ancestor maxima and one ``(rows, n)`` record mask,
+    reused for every order."""
     tracemalloc.start()
     try:
         cutsim.simulate_records_batch(CompleteTree(2**15 - 1), 2, 0, 300)
@@ -285,6 +298,36 @@ def test_records_batch_peak_without_temporaries() -> None:
     finally:
         tracemalloc.stop()
     assert peak <= 60 * 2**20
+
+
+@pytest.mark.parametrize("variant", ["node", "edge"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_records_per_order_means_match_exactmean(k: int, variant: str) -> None:
+    """Each order's mean record count at n = 255 lies within 4 standard
+    errors of the exact mean from independent quadrature."""
+    batch = {
+        "node": cutsim.simulate_records_batch,
+        "edge": cutsim.simulate_edge_records_batch,
+    }[variant]
+    n, n_samples = 255, 100_000
+    counts = batch(CompleteTree(n), k, 1900 + 10 * k + (variant == "edge"), n_samples)
+    for r in range(1, k + 1):
+        want = exactmean.expected_records(
+            exactmean.MeanQuery(n=n, k=k, r=r, variant=variant)
+        )
+        draws = counts[:, r - 1]
+        se = draws.std(ddof=1) / math.sqrt(n_samples)
+        assert abs(draws.mean() - want) <= 4.0 * se, (r, draws.mean(), want, se)
+
+
+def test_records_and_process_totals_agree_in_law_k3() -> None:
+    """Record totals and process cut counts at n = 63, k = 3 pass a
+    two-sample KS test at the 0.1 % level, 1.95 * sqrt(2/N)."""
+    tree, n_each = CompleteTree(63), 20_000
+    recs = cutsim.simulate_records_batch(tree, 3, 1931, n_each).sum(axis=1)
+    proc = cutsim.simulate_process_batch(tree, 3, 1932, n_each)
+    stat = harness.ks_two_sample(recs, proc)
+    assert stat < 1.95 * math.sqrt(2.0 / n_each)
 
 
 def test_records_mean_monotone_in_n() -> None:

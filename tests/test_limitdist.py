@@ -795,6 +795,20 @@ def test_inversion_certificate_bounds_truncation_error() -> None:
     assert error <= cache.err_estimate
 
 
+def test_inversion_certificate_reports_unconverged_integral(monkeypatch) -> None:
+    """Cauchy with scale 0.02 has |psi(16)| = e^-0.32: the CDF truncated
+    at t_max / 2 leaves [0, 1] by 3e-2 on the probe grid.  The build
+    reports that as a large err_estimate (measured 0.40 against an error
+    of 0.10) instead of raising, and limit_cdf refuses such a cache."""
+    cache = limitdist._CdfCache(lambda t: -0.02 * t, 0.0, _inversion_edges())
+    x = np.linspace(-50.0, 50.0, 20_001)
+    error = np.max(np.abs(cache.cdf_w(x) - _cauchy_cdf(0.02, 0.0)(x)))
+    assert error <= cache.err_estimate
+    monkeypatch.setattr(limitdist, "_cdf_cache", lambda p: cache)
+    with pytest.raises(limitdist.NumericError, match="error estimate .* exceeds"):
+        limitdist.limit_cdf(0.5, LimitParams(1, 2, 0.0))
+
+
 def test_limit_cdf_moves_little_at_half_panel_width() -> None:
     """The limit CDF's panels are those of _inversion_edges, and halving
     them (ratio 1.05, width 0.125) moves the CDF by at most 1e-5 on
