@@ -32,12 +32,14 @@ exact cut-count law of tiny trees, which the simulators are checked
 against, are test oracles in ``tests/oracles.py``.
 
 Randomness is counter-based: sample ``i`` of seed ``s`` always draws
-from a Philox generator keyed ``(s, i)``, so results are reproducible
-and independent of how samples are partitioned across threads or
-chunks.  Every batch here and in :mod:`kcut.limitdist` runs through one
-runner, :func:`_run_batch`: it splits the samples into one contiguous
-range per worker thread (:func:`resolve_threads`: all CPUs unless told
-otherwise), and each worker re-keys one generator per sample and
+from an SFC64 generator whose state is the Philox block at counter
+``i`` under key ``(s, 0)`` (:func:`substream`), so results are
+reproducible and independent of how samples are partitioned across
+threads or chunks.  Every batch here and in :mod:`kcut.limitdist` runs
+through one runner, :func:`_run_batch`: it splits the samples into one
+contiguous range per worker thread (:func:`resolve_threads`: all CPUs
+unless told otherwise), and each worker reads the states of a chunk's
+samples in one Philox call, re-keys one generator per sample and
 allocates its scratch once.  The chunks of all workers together hold
 at most ``chunk`` samples, by default as many as fit one 32 MB budget
 (:func:`_chunk_rows`).
@@ -75,45 +77,99 @@ THREADS_ENV = "KCUT_THREADS"
 _SCRATCH_VALUES = 1 << 22
 
 # Rows of fewer values run on one thread.  Below this the per-sample
-# loop, which holds the GIL, dominates and threads lose.  Records with
-# k = 2 on 2 CPUs, two threads against one (best of 11): 1.36-1.42x the
-# time at n = 63, about even (0.99-1.19x) at n = 255 to 511, 0.77x at 767.
-_MIN_THREADED_ROW = 512
+# loop, which holds the GIL, dominates and threads lose.  Two threads
+# against one on 2 CPUs, k = 2, best of 11, two runs: records 1.13-1.17x
+# the time at 126 values a row (n = 63), 1.13-1.19x at 510, 0.96-0.97x
+# at 766, 0.88-0.97x at 1022 and 0.80-0.87x at 1534; xi draws 1.07x at
+# 164 values, 1.12-1.20x at 328 and 0.73x at 2059.  The process batch
+# loses at every size measured: 1.11-1.15x at 126 values, 1.21-1.24x at
+# 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.
+_MIN_THREADED_ROW = 1024
+
+
+class _Unseeded(np.random.bit_generator.ISeedSequence):
+    """Zero seed words, for a bit generator whose state is set right
+    after it is built: a ``SeedSequence`` would spend microseconds
+    hashing words that are then overwritten."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_UNSEEDED = _Unseeded()
 
 
 def substream(seed: int, sample_index: int) -> np.random.Generator:
-    """Generator for one sample: Philox keyed by ``(seed, sample_index)``.
+    """Generator for one sample: SFC64 whose 256-bit state is the Philox
+    block at counter ``sample_index`` under key ``(seed, 0)``.
 
     This is the package-wide stream-split rule.  Any partition of a
     sample range across threads or processes reproduces identical draws
-    because each sample owns its counter-based key.  Both arguments must
-    be integers, not bools (``ValueError`` naming the one that is not).
+    because each sample owns its state; Philox serves only as a keyed
+    hash of the index, so distinct indices get distinct, effectively
+    independent SFC64 streams.  Both arguments are taken modulo
+    ``2**64``.  They must be integers, not bools (``ValueError`` naming
+    the one that is not).
     """
     seed, sample_index = _as_int("seed", seed), _as_int("sample_index", sample_index)
-    key = np.array([seed & _MASK64, sample_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _Restream(seed).at(sample_index)
 
 
 class _Restream:
-    """One generator that :meth:`at` re-keys in place to the state of a
-    fresh ``substream(seed, i)``: key ``(seed, i)``, zero counter, empty
-    buffers.  Re-keying costs about a tenth of building a generator."""
+    """One SFC64 generator that :meth:`at` re-keys in place to the state
+    of a fresh ``substream(seed, i)``.
+
+    :meth:`fetch` reads the states of a range of samples with one Philox
+    call (two if the range wraps past index ``2**64 - 1``); :meth:`at`
+    then sets each from its row, in under 1 us a sample.
+    """
 
     def __init__(self, seed: int) -> None:
-        self._gen = substream(seed, 0)
-        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-        # The state setter copies these arrays, so they can be reused.
-        self._state = {
+        self._philox = np.random.Philox(_UNSEEDED)
+        self._gen = np.random.Generator(np.random.SFC64(_UNSEEDED))
+        # The state setters copy what they are given, so these dicts are
+        # reused: _blocks sets the counter, at the SFC64 words.
+        self._keys = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": self._key},
-            "buffer": np.zeros(4, np.uint64),
+            "state": {"counter": None, "key": [seed & _MASK64, 0]},
+            "buffer": [0] * 4,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self._state = {
+            "bit_generator": "SFC64",
+            "state": {"state": None},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._first, self._states = 0, ()
+
+    def _blocks(self, start: int, count: int) -> np.ndarray:
+        # Philox blocks at counters start .. start + count - 1, for
+        # 0 <= start <= start + count <= 2**64.  Numpy's Philox adds 1 to
+        # its 256-bit counter before each block, so it starts one below:
+        # 2**256 - 1 for start = 0.
+        below = [(start - 1) & _MASK64] + [0 if start else _MASK64] * 3
+        self._keys["state"]["counter"] = below
+        self._philox.state = self._keys
+        return self._philox.random_raw(4 * count).reshape(count, 4)
+
+    def fetch(self, first: int, count: int) -> None:
+        """Read the states of samples ``first .. first + count - 1``."""
+        start = first & _MASK64
+        head = min(count, _MASK64 + 1 - start)
+        states = self._blocks(start, head)
+        if head < count:  # the indices wrap to 0 mid-range
+            states = np.concatenate([states, self._blocks(0, count - head)])
+        self._first, self._states = first, states
 
     def at(self, sample_index: int) -> np.random.Generator:
-        self._key[1] = sample_index & _MASK64
+        row = sample_index - self._first
+        if not 0 <= row < len(self._states):
+            self.fetch(sample_index, 1)
+            row = 0
+        self._state["state"]["state"] = self._states[row]
         self._gen.bit_generator.state = self._state
         return self._gen
 
@@ -220,7 +276,7 @@ def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
 def _worker_count(n_rows: int, row_values: int, threads: int | None) -> int:
     """Workers for ``n_rows`` rows of work of ``row_values`` values each:
     :func:`resolve_threads` of ``threads``, capped at ``n_rows``; rows of
-    fewer than 512 values get one worker."""
+    fewer than ``_MIN_THREADED_ROW`` values get one worker."""
     workers = min(resolve_threads(threads), max(n_rows, 1))
     return 1 if row_values < _MIN_THREADED_ROW else workers
 
@@ -295,6 +351,7 @@ def _run_batch(
             stream = _Restream(seed)
             for a in range(lo, hi, rows):
                 b = min(a + rows, hi)
+                stream.fetch(first_index + a, b - a)
                 for j in range(b - a):
                     draw(j, stream.at(first_index + a + j))
                 sweep(a, b)

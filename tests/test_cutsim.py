@@ -401,11 +401,22 @@ def test_substream_rejects_bool_and_non_integer_keys() -> None:
             cutsim.substream(*args)
 
 
+def _philox_block(seed: int, i: int) -> np.ndarray:
+    """The Philox block at counter ``(i, 0, 0, 0)`` under key ``(seed,
+    0)``, straight from numpy's Philox, which adds 1 to its 256-bit
+    counter before each block."""
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    return np.random.Philox(counter=(i - 1) % 2**256, key=key).random_raw(4)
+
+
 def test_restream_draws_equal_substream() -> None:
     """A re-keyed generator is in the state of a fresh substream, also
     after a draw that leaves half a 64-bit word buffered.  Numpy integer
     seeds and indices key the same streams as Python ints, in
-    ``substream`` and in the batch functions."""
+    ``substream`` and in the batch functions.  A substream's SFC64 state
+    is the Philox block at its index, also at the top of the index
+    range, and a fetch or a batch that wraps past index ``2**64 - 1``
+    goes on at sample 0."""
     for seed in (0, 7, -1):
         stream = cutsim._Restream(seed)
         for i in (0, 1, 13, 2**64 + 5, 1):
@@ -421,10 +432,56 @@ def test_restream_draws_equal_substream() -> None:
             first_index=np.int64(1),
         )
         assert np.array_equal(got, want)
+    # Philox4x64-10 at counter 0 under key 0, from Random123's known
+    # answers: this pins what "the block at counter i" means.
+    assert _philox_block(0, 0).tolist() == [
+        0x16554D9ECA36314C, 0xDB20FE9D672D0FDC,
+        0xD7E772CEE186176B, 0x7E68B68AEC7BA23B,
+    ]
+    top = 2**64
+    for seed in (3, -2):
+        for i in (0, 1, top - 3, top - 2, top - 1):
+            state = cutsim.substream(seed, i).bit_generator.state
+            assert state["bit_generator"] == "SFC64"
+            assert np.array_equal(state["state"]["state"], _philox_block(seed, i))
+        # One fetch across the wrap: indices top - 3 .. top + 2 are
+        # samples top - 3 .. top - 1, then 0, 1, 2.
+        stream = cutsim._Restream(seed)
+        stream.fetch(top - 3, 6)
+        for i in range(top - 3, top + 3):
+            _assert_same_draws(stream.at(i), cutsim.substream(seed, i % top))
+        across = cutsim.simulate_records_batch(
+            CompleteTree(7), 2, seed, 6, first_index=top - 3, chunk=4
+        )
+        assert np.array_equal(
+            across[3:], cutsim.simulate_records_batch(CompleteTree(7), 2, seed, 3)
+        )
 
 
-_RECORDS_TREE = CompleteTree(300)  # 600 values a row: threads engage
-_PROCESS_TREE = CompleteTree(256)  # 512 values a row
+def test_substreams_look_independent() -> None:
+    """Adjacent substreams share no visible structure: the first uniforms
+    of 10**5 consecutive substreams pass a KS test for uniformity at the
+    1 % level, and the first 1024 uniforms of each of 1000 substreams
+    are uncorrelated with the next one's, position by position, within
+    4 standard errors of 0."""
+    stream = cutsim._Restream(2026)
+    count = 100_000
+    stream.fetch(0, count)
+    first = np.sort([stream.at(i).random() for i in range(count)])
+    steps = np.arange(1, count + 1) / count
+    ks = max(np.max(steps - first), np.max(first - (steps - 1 / count)))
+    assert ks < math.sqrt(-math.log(0.005) / 2) / math.sqrt(count)
+
+    rows = np.array([stream.at(i).random(1024) for i in range(1000)])
+    pairs = rows[:-1].size
+    rho = np.corrcoef(rows[:-1].ravel(), rows[1:].ravel())[0, 1]
+    assert abs(rho) < 4 / math.sqrt(pairs)
+
+
+# Rows of 600 and 512 values: the tests below set _MIN_THREADED_ROW to 1
+# so that threads engage on them.
+_RECORDS_TREE = CompleteTree(300)
+_PROCESS_TREE = CompleteTree(256)
 _BATCHES = {
     "node": partial(cutsim.simulate_records_batch, _RECORDS_TREE, 2, 5),
     "edge": partial(cutsim.simulate_edge_records_batch, _RECORDS_TREE, 2, 5),
@@ -433,7 +490,8 @@ _BATCHES = {
 
 
 @pytest.mark.parametrize("kind", ["node", "edge", "process"])
-def test_batch_thread_and_chunk_invariance(kind) -> None:
+def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
+    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     batch = _BATCHES[kind]
     for first in (0, 13):
         for size in (0, 1, 2, 5, 40):
@@ -449,9 +507,10 @@ def test_batch_thread_and_chunk_invariance(kind) -> None:
                     assert np.array_equal(got, want), (threads, chunk)
 
 
-def test_batch_threads_stress() -> None:
+def test_batch_threads_stress(monkeypatch) -> None:
     """Eight workers, more than most test hosts have cores, switching
     every microsecond, still fill every row with its own sample."""
+    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     tree = _RECORDS_TREE
     want = cutsim.simulate_records_batch(tree, 2, 8, 400, threads=1)
     interval = sys.getswitchinterval()
