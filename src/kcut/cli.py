@@ -101,14 +101,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else cutsim.simulate_records_batch
     )
     counts = batch(tree, args.k, args.seed, args.samples)
-    lines = ["sample_index,r,count"]
-    for i, (row, total) in enumerate(
-        zip(counts.tolist(), counts.sum(axis=1).tolist())
-    ):
-        for r, c in enumerate(row, 1):
-            lines.append(f"{i},{r},{c}")
-        lines.append(f"{i},total,{total}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # One line per order and one total per sample, as (index, value)
+    # pairs, formatted in one pass.
+    samples, k = counts.shape
+    pairs = np.empty((samples, k + 1, 2), dtype=np.int64)
+    pairs[:, :, 0] = np.arange(samples)[:, None]
+    pairs[:, :k, 1] = counts
+    pairs[:, k, 1] = counts.sum(axis=1)
+    lines = "".join(f"%d,{r},%d\n" for r in range(1, k + 1)) + "%d,total,%d\n"
+    body = (lines * samples) % tuple(pairs.ravel().tolist())
+    _write_text(args.out, "sample_index,r,count\n" + body)
     print(f"wrote {counts.shape[0]} samples to {args.out}")
     return 0
 

@@ -39,10 +39,16 @@ threads or chunks.  Every batch here and in :mod:`kcut.limitdist` runs
 through one runner, :func:`_run_batch`: it splits the samples into one
 contiguous range per worker thread (:func:`resolve_threads`: all CPUs
 unless told otherwise), and each worker reads the states of a chunk's
-samples in one Philox call, re-keys one generator per sample and
-allocates its scratch once.  The chunks of all workers together hold
-at most ``chunk`` samples, by default as many as fit one 32 MB budget
-(:func:`_chunk_rows`).
+samples in one Philox call and allocates its scratch once.  Short rows
+of uniforms, as the record and process batches read on small trees,
+are drawn by lanes (:func:`_fill_lanes`): all of a chunk's SFC64
+states step together as numpy ``uint64`` vectors, one column of the
+chunk's uniforms a step, where a Python call per sample would cost
+more than the row.  Longer rows, and chunks of few samples, re-key one
+generator per sample instead (the crossover is ``_LANE_ROW``).  Both
+give the same bits.  The chunks of all workers together hold at most
+``chunk`` samples, by default as many as fit one 32 MB budget
+(:func:`_chunk_rows`), lane scratch included.
 """
 
 from __future__ import annotations
@@ -85,6 +91,25 @@ _SCRATCH_VALUES = 1 << 22
 # loses at every size measured: 1.11-1.15x at 126 values, 1.21-1.24x at
 # 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.
 _MIN_THREADED_ROW = 1024
+
+# Uniform rows of at most _LANE_ROW values are filled by lanes
+# (:func:`_fill_lanes`) in chunks of at least _LANE_ROWS_PER_VALUE rows a
+# value; other rows are filled per sample.  A lane step costs about
+# 3.5 us however few lanes it has, a re-keyed sample about 1.3 us
+# however short its row.  ns a value, lanes against per sample,
+# single-threaded, best of 5 or 7, Philox fetch included, on 2 CPUs:
+# 8.8 against 161 at 8 values x 10**6 rows; 4.3 against 11.9 at 126 x
+# 20 000; 4.2 against 7.2 at 254 x 20 000, 5.4 against 6.7 at 254 x
+# 2000, 7.4 against 6.8 at 254 x 1000; 4.5 against 4.2 at 510 x 4096
+# and 18 against 1.7 at 10 074 x 256.  At rows = 6 x values lanes win
+# or tie: 128 against 184 at 8 values, 8.5 against 11.8 at 126, 6.0
+# against 6.6 at 254 (at 4 x values, 7.4 against 6.5 at 254).  Between
+# 256 and 512 values they win only in full chunks, by up to 20 %.
+_LANE_ROW = 256
+_LANE_ROWS_PER_VALUE = 6
+# Lanes step this many columns before writing them into the rows
+# (32 against 16: 3.8 against 4.3 ns a value at 126 x 20 000).
+_LANE_COLUMNS = 32
 
 
 class _Unseeded(np.random.bit_generator.ISeedSequence):
@@ -155,14 +180,17 @@ class _Restream:
         self._philox.state = self._keys
         return self._philox.random_raw(4 * count).reshape(count, 4)
 
-    def fetch(self, first: int, count: int) -> None:
-        """Read the states of samples ``first .. first + count - 1``."""
+    def fetch(self, first: int, count: int) -> np.ndarray:
+        """Read the states of samples ``first .. first + count - 1`` and
+        return them, one row of four SFC64 words a sample."""
+        self._states = ()  # free the last range's states first
         start = first & _MASK64
         head = min(count, _MASK64 + 1 - start)
         states = self._blocks(start, head)
         if head < count:  # the indices wrap to 0 mid-range
             states = np.concatenate([states, self._blocks(0, count - head)])
         self._first, self._states = first, states
+        return states
 
     def at(self, sample_index: int) -> np.random.Generator:
         row = sample_index - self._first
@@ -172,6 +200,53 @@ class _Restream:
         self._state["state"]["state"] = self._states[row]
         self._gen.bit_generator.state = self._state
         return self._gen
+
+
+def _lane_words(row_values: int) -> int:
+    """Scratch words a lane of :func:`_fill_lanes` takes on rows of
+    ``row_values`` values: its column block and five state words."""
+    return min(_LANE_COLUMNS, row_values) + 5
+
+
+def _fill_lanes(states: np.ndarray, rows: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill row ``j`` of ``rows`` with the first uniforms of the SFC64
+    generator in state ``states[j]``, as its ``random(out=rows[j])``
+    would, bit for bit.
+
+    The generators step together, one lane each: word ``j`` of the
+    vectors ``a, b, c, w`` is generator ``j``'s state, and a step is
+    numpy's ``sfc64_next`` and ``next_double`` on whole vectors::
+
+        tmp = a + b + w;  w += 1;  a = b ^ (b >> 11)
+        b = c + (c << 3);  c = rotl(c, 24) + tmp
+        value = (tmp >> 11) * 2**-53
+
+    uint64 arrays wrap silently (numpy scalars would warn), so every
+    operand here is an array.  The outputs of a block of steps, one
+    column each, are written into the rows together.  ``scratch`` is a
+    uint64 array of :func:`_lane_words` rows and at least
+    ``len(states)`` columns, one a lane.
+    """
+    count, values = rows.shape
+    width = len(scratch) - 5
+    cols = scratch[:width, :count]
+    a, b, c, w, s = scratch[width:, :count]
+    np.copyto(scratch[width : width + 4, :count], states.T)
+    for first in range(0, values, width):
+        block = cols[: min(width, values - first)]
+        for tmp in block:
+            np.add(a, b, out=tmp)
+            tmp += w
+            w += 1
+            np.right_shift(b, 11, out=a)
+            a ^= b
+            np.multiply(c, 9, out=b)  # c + (c << 3)
+            np.right_shift(c, 40, out=s)
+            c <<= 24
+            c |= s
+            c += tmp
+        block >>= 11
+        np.multiply(block.T, 2.0**-53, out=rows[:, first : first + len(block)])
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -307,7 +382,7 @@ def _run_batch(
     first_index: int,
     chunk: int | None,
     threads: int | None,
-    worker: Callable[[int, np.ndarray], tuple[Callable, Callable]],
+    worker: Callable[[int, np.ndarray], tuple[np.ndarray | Callable, Callable]],
     row_scratch: int | None = None,
     result: tuple[tuple[int, ...], type] = ((), np.float64),
 ) -> np.ndarray:
@@ -318,19 +393,31 @@ def _run_batch(
     ``n_samples``, ``seed`` and ``first_index`` must be integers, not
     bools (``ValueError`` naming the one that is not); ``n_samples`` is
     at least 0.  ``row_values`` is the size of a sample's largest
-    scratch row, and ``row_scratch`` (default ``row_values``) the
-    float64 values per sample that the 32 MB budget counts.  The samples
-    are split into one contiguous range per worker.  For each worker,
-    ``worker(rows, out)`` is called once; it allocates scratch for
-    ``rows`` samples and returns ``(draw, sweep)``.  Then, chunk by
-    chunk, ``draw(j, rng)`` fills scratch row ``j`` for sample ``lo +
-    j`` from the generator keyed ``(seed, first_index + lo + j)``, and
-    ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` into ``out`` from
-    the first ``hi - lo`` rows.  Each sample owns its key, so the results
-    do not depend on the worker count or the chunk.
+    scratch row, and ``row_scratch`` the float64 values per sample that
+    the 32 MB budget counts: by default ``row_values``, plus the lane
+    scratch where lanes may fill the rows.  The samples are split into
+    one contiguous range per worker.  For each worker, ``worker(rows,
+    out)`` is called once; it allocates scratch for ``rows`` samples and
+    returns ``(fill, sweep)``.  Then, chunk by chunk, the chunk's rows
+    are filled, row ``j`` from the generator keyed ``(seed, first_index
+    + lo + j)`` for sample ``lo + j``, and ``sweep(lo, hi)`` finishes
+    samples ``lo .. hi - 1`` into ``out`` from the first ``hi - lo``
+    rows.  Each sample owns its key, so the results do not depend on the
+    worker count or the chunk.
+
+    ``fill`` is either a ``(rows, row_values)`` float64 block that takes
+    each sample's first ``row_values`` uniforms, or a callable
+    ``draw(j, rng)`` that fills row ``j`` from the generator ``rng``.  A
+    block of rows of at most ``_LANE_ROW`` values is filled by lanes
+    (:func:`_fill_lanes`, all of a chunk's generators stepped together)
+    where the chunk holds at least ``_LANE_ROWS_PER_VALUE * row_values``
+    samples, since a step costs about as much for one lane as for
+    hundreds.  Every other row is filled per sample, one re-keyed
+    generator and one call each.  Both give the same bits.
 
     The workers are :func:`_worker_count` of the samples and
     ``row_values``, capped at :func:`_chunk_rows`, which they share.
+    Rows short enough for lanes run on one worker.
     """
     n_samples = _as_int("n_samples", n_samples)
     if n_samples < 0:
@@ -338,22 +425,41 @@ def _run_batch(
     seed, first_index = _as_int("seed", seed), _as_int("first_index", first_index)
     shape, dtype = result
     out = np.empty((n_samples, *shape), dtype=dtype)
-    in_flight = _chunk_rows(row_scratch or row_values, chunk)
+    lanes = row_values <= _LANE_ROW
+    if row_scratch is None:
+        row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
+    in_flight = _chunk_rows(row_scratch, chunk)
     workers = min(_worker_count(n_samples, row_values, threads), in_flight)
     rows = in_flight // workers
+    min_lane_rows = _LANE_ROWS_PER_VALUE * row_values
     if n_samples == 0:
         return out
 
     def start(lo: int, hi: int) -> Callable[[], None]:
-        draw, sweep = worker(min(rows, hi - lo), out)
+        fill, sweep = worker(min(rows, hi - lo), out)
+        scratch = None
+        if callable(fill):
+            draw = fill
+        else:
+            if lanes and len(fill) >= min_lane_rows:
+                shape = (_lane_words(row_values), len(fill))
+                scratch = np.empty(shape, dtype=np.uint64)
+
+            def draw(j: int, rng: np.random.Generator) -> None:
+                rng.random(out=fill[j])
 
         def run() -> None:
             stream = _Restream(seed)
             for a in range(lo, hi, rows):
                 b = min(a + rows, hi)
-                stream.fetch(first_index + a, b - a)
-                for j in range(b - a):
-                    draw(j, stream.at(first_index + a + j))
+                if scratch is not None and b - a >= min_lane_rows:
+                    _fill_lanes(
+                        stream.fetch(first_index + a, b - a), fill[: b - a], scratch
+                    )
+                else:
+                    stream.fetch(first_index + a, b - a)
+                    for j in range(b - a):
+                        draw(j, stream.at(first_index + a + j))
                 sweep(a, b)
 
         return run
@@ -404,9 +510,6 @@ def _records_batch(
         anc[:, 0] = 0.0
         mask = np.empty((rows, n), dtype=bool)
 
-        def draw(j: int, rng: np.random.Generator) -> None:
-            rng.random(out=t[j])
-
         def sweep(lo: int, hi: int) -> None:
             c = hi - lo
             tc, ac = t[:c], anc[:c]
@@ -430,7 +533,7 @@ def _records_batch(
                 np.greater(tc[:, r], ac, out=is_record)
                 out[lo:hi, r] = is_record[:, int(edge) :].sum(axis=1)
 
-        return draw, sweep
+        return t.reshape(rows, k * n), sweep
 
     return _run_batch(
         n_samples, n * k, seed, first_index, chunk, threads, worker,
@@ -527,10 +630,6 @@ def simulate_process_batch(
         conn = np.empty((rows, blocks, width), dtype=bool)
         flat = conn.reshape(rows, blocks * width)
         per = np.empty((rows, blocks), dtype=np.int64)
-        index = np.arange(rows)
-
-        def draw(j: int, rng: np.random.Generator) -> None:
-            rng.random(out=u[j])
 
         def clear(rs: np.ndarray, vs: np.ndarray) -> None:
             # Disconnect the subtree of node vs[i] in row rs[i], one
@@ -556,9 +655,8 @@ def simulate_process_batch(
                 rs, vs = rs[deeper], vs[deeper]
 
         def sweep(lo: int, hi: int) -> None:
-            # Row i of cnt, conn and per belongs to the i-th unfinished
-            # sample, whose uniforms are row live[i] of u.  Every
-            # unfinished sample cuts once per step.
+            # Row i of u, cnt, conn and per belongs to sample lo + i;
+            # live holds the unfinished ones, which cut once per step.
             live = np.arange(hi - lo)
             a = live.size
             cnt[:a] = 0
@@ -566,37 +664,32 @@ def simulate_process_batch(
             flat[:a, 1 : n + 1] = True
             per[:a] = conn[:a].sum(axis=2)
             step = 0
-            while a:
-                ia = index[:a]
-                below = np.cumsum(per[:a], axis=1)
+            while live.size:
+                below = np.cumsum(per[live], axis=1)
                 counts = below[:, -1]
                 j = np.floor(u[live, step] * counts).astype(np.int64)
                 j = np.minimum(j, counts - 1)
                 # Block b holds the (j+1)-th connected node; j becomes
                 # its rank among the connected nodes of that block.
                 b = (below <= j[:, None]).sum(axis=1)
-                j -= below[ia, b] - per[ia, b]
-                seen = np.cumsum(conn[ia, b], axis=1)
+                j -= below[np.arange(live.size), b] - per[live, b]
+                seen = np.cumsum(conn[live, b], axis=1)
                 pick = b * width + (seen <= j[:, None]).sum(axis=1)
-                hits = cnt[ia, pick] + 1
-                cnt[ia, pick] = hits
+                hits = cnt[live, pick] + 1
+                cnt[live, pick] = hits
                 # The root's k-th hit ends a sample; any other node's
                 # disconnects its subtree.
                 dead = hits == k
                 finished = dead & (pick == 1)
                 dead &= ~finished
                 if dead.any():
-                    clear(ia[dead], pick[dead])
+                    clear(live[dead], pick[dead])
                 step += 1
                 if finished.any():
                     out[lo + live[finished]] = step
-                    keep = ~finished
-                    live = live[keep]
-                    a = live.size
-                    for buf in (cnt, conn, per):
-                        buf[:a] = buf[: keep.size][keep]
+                    live = live[~finished]
 
-        return draw, sweep
+        return u, sweep
 
     return _run_batch(
         n_samples, k * n, seed, first_index, chunk, threads, worker,

@@ -12,10 +12,12 @@ limit law holds only along subsequences and no rate is known.  For 11a
 the triangular-array sampler runs at n = 2**40, 2**80, 2**160 with
 gamma fixed.  Its exact characteristic function approaches the limit's
 with no floor: at t = 0.25 the distance is 0.076, 0.042, 0.024, 0.013
-for k = 1 along lg n = 40, 80, 160, 320, halving as lg n doubles, so
-there is no constant-factor lg/ln slip.  The KS distance to the limit
-CDF is 0.075, 0.045, 0.026 (k = 1) and 0.087, 0.060, 0.042 (k = 2), and
-the stated 0.05 threshold applies at the top of the ladder.
+for k = 1 along lg n = 40, 80, 160, 320: each doubling of lg n
+multiplies it by 0.54-0.57, a little more than half, where a
+constant-factor lg/ln slip would leave a floor.  The KS distance to
+the limit CDF is 0.075, 0.045, 0.026 (k = 1) and 0.087, 0.060, 0.042
+(k = 2), and the stated 0.05 threshold applies at the top of the
+ladder.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from kcut import cli, limitdist
+from kcut import cli, cutsim, limitdist
 
 
 def test_no_command_exits_2() -> None:
@@ -73,6 +73,31 @@ def test_simulate_edge_variant(tmp_path) -> None:
         for line in out.read_text().strip().split("\n")[1:]
     ]
     assert all(c >= 0 for c in counts)
+
+
+@pytest.mark.parametrize("variant", ["node", "edge"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_simulate_csv_bytes_match_line_loop(tmp_path, k: int, variant: str) -> None:
+    """The CSV holds, byte for byte, what a loop writing one line per
+    order and one total per sample makes of the batch's own counts."""
+    out = tmp_path / "sim.csv"
+    args = [
+        "simulate", "--n", "20", "--k", str(k), "--samples", "6",
+        "--seed", "4", "--variant", variant, "--out", str(out),
+    ]
+    assert cli.main(args) == 0
+    batch = (
+        cutsim.simulate_edge_records_batch
+        if variant == "edge"
+        else cutsim.simulate_records_batch
+    )
+    counts = batch(cutsim.CompleteTree(20), k, 4, 6)
+    lines = ["sample_index,r,count"]
+    for i, row in enumerate(counts.tolist()):
+        for r, c in enumerate(row, 1):
+            lines.append(f"{i},{r},{c}")
+        lines.append(f"{i},total,{sum(row)}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_simulate_bad_n_exits_2(tmp_path) -> None:

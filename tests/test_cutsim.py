@@ -478,6 +478,87 @@ def test_substreams_look_independent() -> None:
     assert abs(rho) < 4 / math.sqrt(pairs)
 
 
+def _per_sample_rows(seed: int, first: int, count: int, values: int) -> np.ndarray:
+    stream = cutsim._Restream(seed)
+    return np.array(
+        [stream.at(first + j).random(values) for j in range(count)]
+    ).reshape(count, values)
+
+
+@pytest.mark.parametrize("values", [1, 5, 32, 45, 256, 257])
+def test_lane_draws_equal_substream(values: int) -> None:
+    """Lanes give each sample the uniforms of its own re-keyed generator,
+    bit for bit, for 1, 2 and 3 lanes, on row lengths on both sides of
+    the crossover and not a multiple of the column block, also in
+    scratch with more lanes than the chunk and across index
+    ``2**64 - 1``."""
+    stream = cutsim._Restream(9)
+    for first in (0, 2**64 - 2):
+        for lanes in (1, 2, 3):
+            rows = np.empty((lanes, values))
+            scratch = np.empty(
+                (cutsim._lane_words(values), lanes + 2), dtype=np.uint64
+            )
+            cutsim._fill_lanes(stream.fetch(first, lanes), rows, scratch)
+            assert np.array_equal(rows, _per_sample_rows(9, first, lanes, values))
+
+
+def test_lanes_fill_short_rows_only(monkeypatch) -> None:
+    """Batches of rows of at most ``_LANE_ROW`` values go by lanes where
+    a chunk holds ``_LANE_ROWS_PER_VALUE`` rows a value, every other row
+    per sample, and both give the same output.  A chunk of lanes across
+    the ``2**64`` wrap goes on at sample 0."""
+    calls = []
+    fill_lanes = cutsim._fill_lanes
+
+    def spy(states, rows, scratch):
+        calls.append(rows.shape)
+        fill_lanes(states, rows, scratch)
+
+    def per_sample(batch, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(cutsim, "_LANE_ROW", 0)
+            return batch(*args, **kwargs)
+
+    monkeypatch.setattr(cutsim, "_fill_lanes", spy)
+    top = 2**64
+    for batch in (
+        cutsim.simulate_records_batch,
+        cutsim.simulate_edge_records_batch,
+        cutsim.simulate_process_batch,
+    ):
+        # n = 4, k = 2: 8 values a row, lanes in chunks of 48 or more.
+        calls.clear()
+        got = batch(CompleteTree(4), 2, 3, 110, first_index=top - 3, chunk=50)
+        assert calls == [(50, 8), (50, 8)]
+        assert np.array_equal(
+            got, per_sample(batch, CompleteTree(4), 2, 3, 110, first_index=top - 3)
+        )
+        assert np.array_equal(got[3:], batch(CompleteTree(4), 2, 3, 107))
+        # 126 and 258 values a row, on both sides of _LANE_ROW.
+        for n, want in ((63, [(800, 126)]), (129, [])):
+            calls.clear()
+            got = batch(CompleteTree(n), 2, 3, 800)
+            assert calls == want
+            assert np.array_equal(got, per_sample(batch, CompleteTree(n), 2, 3, 800))
+
+
+def test_lane_batch_peak_within_budget() -> None:
+    """At n = 4 a record row is 8 uniforms and its lane scratch, a block
+    of 8 columns and five state vectors, is larger than the row.  The
+    32 MB budget counts both, so a chunk holds fewer rows.  Besides the
+    16 MB output the peak is that budget plus 16 MB for what the budget
+    does not count: the ancestor maxima, the record mask, the fetched
+    states and a count, 76 bytes a row."""
+    tracemalloc.start()
+    try:
+        counts = cutsim.simulate_records_batch(CompleteTree(4), 2, 0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counts.nbytes + (32 + 16) * 2**20
+
+
 # Rows of 600 and 512 values: the tests below set _MIN_THREADED_ROW to 1
 # so that threads engage on them.
 _RECORDS_TREE = CompleteTree(300)
@@ -592,7 +673,9 @@ def test_process_batch_matches_plain_process_property(
 
 
 def test_process_batch_peak_without_cumulative_rows() -> None:
-    """Besides the uniforms (32 MB by default) a process batch holds the
+    """Besides the uniforms and the lane scratch (32 MB together by
+    default: 254 values a row go by lanes, whose column block and state
+    vectors take 37 of every 291 values) a process batch holds the
     counters, the connected flags and the block counts; no step builds
     a cumulative sum over whole rows."""
     tracemalloc.start()
