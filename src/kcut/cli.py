@@ -11,6 +11,11 @@ Subcommands:
 - ``experiment``  -- the full simulate/rescale/compare pipeline from a
   JSON config file.
 
+Each command loads only the modules it runs.  ``simulate`` and
+``constants`` load no part of scipy; ``limit`` loads ``scipy.special``;
+``exact-mean`` and ``experiment`` load ``scipy.integrate`` too, at their
+first quadrature.
+
 Exit codes: 0 on success, 2 for configuration problems (bad arguments,
 unreadable files, invalid parameter combinations), 3 when a numerical
 procedure cannot certify its accuracy target.
@@ -26,7 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, cutsim, exactmean, harness, limitdist, series
+# cutsim and series load no scipy.  exactmean, limitdist and harness
+# do, so the handlers that use them import them in their own bodies and
+# simulate and constants start without scipy.
+from . import __version__, cutsim, series
 
 __all__ = ["main", "build_parser"]
 
@@ -116,6 +124,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact_mean(args: argparse.Namespace) -> int:
+    from . import exactmean
+
     query = exactmean.MeanQuery(
         n=args.n,
         k=args.k,
@@ -139,6 +149,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
+    from . import limitdist
+
     p = limitdist.LimitParams(args.r, args.k, args.gamma)
     grid = _parse_grid(args.grid)
     kind = args.kind or "density"
@@ -164,6 +176,8 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from . import harness
+
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -38,17 +38,17 @@ reproducible and independent of how samples are partitioned across
 threads or chunks.  Every batch here and in :mod:`kcut.limitdist` runs
 through one runner, :func:`_run_batch`: it splits the samples into one
 contiguous range per worker thread (:func:`resolve_threads`: all CPUs
-unless told otherwise), and each worker reads the states of a chunk's
-samples in one Philox call and allocates its scratch once.  Short rows
-of uniforms, as the record and process batches read on small trees,
-are drawn by lanes (:func:`_fill_lanes`): all of a chunk's SFC64
-states step together as numpy ``uint64`` vectors, one column of the
-chunk's uniforms a step, where a Python call per sample would cost
-more than the row.  Longer rows, and chunks of few samples, re-key one
-generator per sample instead (the crossover is ``_LANE_ROW``).  Both
-give the same bits.  The chunks of all workers together hold at most
-``chunk`` samples, by default as many as fit one 32 MB budget
-(:func:`_chunk_rows`), lane scratch included.
+unless told otherwise, but one for the process batch), and each worker
+reads the states of a chunk's samples in one Philox call and allocates
+its scratch once.  Short rows of uniforms, as the record and process
+batches read on small trees, are drawn by lanes (:func:`_fill_lanes`):
+all of a chunk's SFC64 states step together as numpy ``uint64``
+vectors, one column of the chunk's uniforms a step, where a Python
+call per sample would cost more than the row.  Longer rows, and chunks
+of few samples, re-key one generator per sample instead (the crossover
+is ``_LANE_ROW``).  Both give the same bits.  The chunks of all
+workers together hold at most ``chunk`` samples, by default as many as
+fit one 32 MB budget (:func:`_chunk_rows`), lane scratch included.
 """
 
 from __future__ import annotations
@@ -89,7 +89,10 @@ _SCRATCH_VALUES = 1 << 22
 # at 766, 0.88-0.97x at 1022 and 0.80-0.87x at 1534; xi draws 1.07x at
 # 164 values, 1.12-1.20x at 328 and 0.73x at 2059.  The process batch
 # loses at every size measured: 1.11-1.15x at 126 values, 1.21-1.24x at
-# 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.
+# 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.  Its lockstep sweep
+# is many small numpy calls that hold the GIL (two threads take 1.43x
+# one thread's time on its fancy-index gathers, 1.02x on its short-axis
+# cumsums), so it runs on one worker unless threads is given.
 _MIN_THREADED_ROW = 1024
 
 # Uniform rows of at most _LANE_ROW values are filled by lanes
@@ -383,7 +386,6 @@ def _run_batch(
     chunk: int | None,
     threads: int | None,
     worker: Callable[[int, np.ndarray], tuple[np.ndarray | Callable, Callable]],
-    row_scratch: int | None = None,
     result: tuple[tuple[int, ...], type] = ((), np.float64),
 ) -> np.ndarray:
     """Run one batch of samples ``0 .. n_samples - 1`` on worker threads
@@ -393,9 +395,8 @@ def _run_batch(
     ``n_samples``, ``seed`` and ``first_index`` must be integers, not
     bools (``ValueError`` naming the one that is not); ``n_samples`` is
     at least 0.  ``row_values`` is the size of a sample's largest
-    scratch row, and ``row_scratch`` the float64 values per sample that
-    the 32 MB budget counts: by default ``row_values``, plus the lane
-    scratch where lanes may fill the rows.  The samples are split into
+    scratch row; the 32 MB budget counts it, plus the lane scratch where
+    lanes may fill the rows, per sample.  The samples are split into
     one contiguous range per worker.  For each worker, ``worker(rows,
     out)`` is called once; it allocates scratch for ``rows`` samples and
     returns ``(fill, sweep)``.  Then, chunk by chunk, the chunk's rows
@@ -426,8 +427,7 @@ def _run_batch(
     shape, dtype = result
     out = np.empty((n_samples, *shape), dtype=dtype)
     lanes = row_values <= _LANE_ROW
-    if row_scratch is None:
-        row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
+    row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
     in_flight = _chunk_rows(row_scratch, chunk)
     workers = min(_worker_count(n_samples, row_values, threads), in_flight)
     rows = in_flight // workers
@@ -611,8 +611,10 @@ def simulate_process_batch(
     Sample ``i`` consumes the uniforms of substream ``(seed,
     first_index + i)`` in cut order, one per cut.
     ``chunk`` (samples in flight at once, shared by the ``threads``
-    workers; see :func:`resolve_threads`) defaults to the package's
-    32 MB scratch budget for the ``k * n`` uniforms of a sample.
+    workers) defaults to the package's 32 MB scratch budget for the
+    ``k * n`` uniforms of a sample.  The sweep holds the GIL, so
+    ``threads`` defaults to one worker at every row length, whatever
+    ``KCUT_THREADS`` says; a given ``threads`` splits the rows.
     """
     _check_k(k)
     n = tree.n
@@ -692,8 +694,8 @@ def simulate_process_batch(
         return u, sweep
 
     return _run_batch(
-        n_samples, k * n, seed, first_index, chunk, threads, worker,
-        result=((), np.int64),
+        n_samples, k * n, seed, first_index, chunk,
+        1 if threads is None else threads, worker, result=((), np.int64),
     )
 
 

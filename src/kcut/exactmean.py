@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from . import series
 from .cutsim import CompleteTree, _as_int, _check_k
 
@@ -140,6 +138,8 @@ def record_prob(r: int, k: int, ancestors: int, y: float) -> float:
         if x <= 0.0:
             return 0.0 if r > 1 else math.exp(-lgamma_r)
         return math.exp(_log_integrand(r, k, ancestors, lgamma_r, x))
+
+    from scipy import integrate
 
     value, abserr = integrate.quad(
         integrand, 0.0, upper, epsabs=1.0e-13, epsrel=1.0e-13, limit=200

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import integrate, special
+from scipy import special
 
 from . import series, specfun
 from .cutsim import (
@@ -303,6 +303,8 @@ def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
     k_lo, k_hi = _c_of(_interval(lo, hi), p)[0]
     pts = math.gamma(p.a) * 2.0 ** (np.arange(k_lo + 1, k_hi + 1) - p.gamma)
     pts = pts[(lo < pts) & (pts < hi)]
+    from scipy import integrate
+
     value, abserr = integrate.quad(
         lambda x: x * x * levy_density(x, p),
         lo,
@@ -944,6 +946,8 @@ def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
         q = specfun.q(a, scale.m * t**k / kfact)
         return float(q) * t ** (k - 1) * math.exp(-t - log_gk)
 
+    from scipy import integrate
+
     total = 0.0
     for size, count in _xi_classes(scale):
         w = scale.m * size / scale.n
@@ -1054,8 +1058,8 @@ def xi_sampler_batch(
     width = classes + per * trials
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
     # The budget, two trial arrays and the kept clocks with their cells.
-    row_scratch = width + 5 * trials
-    chunk = max(1, _XI_CHUNK_VALUES // row_scratch) if chunk is None else chunk
+    if chunk is None:
+        chunk = max(1, _XI_CHUNK_VALUES // (width + 5 * trials))
 
     def accept(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Each trial's flag; the accepted trials' U1 (power) or U1 ... Uk.
@@ -1111,6 +1115,4 @@ def xi_sampler_batch(
 
         return draw, sweep
 
-    return _run_batch(
-        n_samples, width, seed, first_index, chunk, threads, worker, row_scratch
-    )
+    return _run_batch(n_samples, width, seed, first_index, chunk, threads, worker)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +359,48 @@ def test_experiment_invalid_json_exits_2(tmp_path) -> None:
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert cli.main(["experiment", "--config", str(path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# import graph
+# ---------------------------------------------------------------------------
+
+# Run in a fresh interpreter: pytest itself imports scipy.integrate for
+# its warning filters.  Each step asserts which scipy modules are loaded.
+_IMPORT_GRAPH = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+
+def loaded():
+    return {m for m in ("scipy.special", "scipy.integrate") if m in sys.modules}
+
+import kcut.cutsim
+assert not loaded(), loaded()
+from kcut import cli
+assert not loaded(), loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--n", "63", "--k", "2", "--samples", "50",
+                     "--out", out + "/sim.csv"]) == 0
+    assert cli.main(["constants", "--k", "2", "--r", "1"]) == 0
+assert not loaded(), loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["limit", "--r", "1", "--k", "2", "--gamma", "0.3",
+                     "--cdf", "--grid=-4:4:9", "--out", out + "/cdf.csv"]) == 0
+assert loaded() == {"scipy.special"}, loaded()
+assert cli.main(["exact-mean", "--n", "127", "--k", "2", "--r", "1"]) == 0
+"""
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path, capsys) -> None:
+    """simulate and constants load no scipy, limit only scipy.special;
+    exact-mean still finds its quadrature and prints what it prints in
+    process."""
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH, str(src), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert cli.main(["exact-mean", "--n", "127", "--k", "2", "--r", "1"]) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -656,6 +656,25 @@ def test_process_batch_matches_plain_process(
     ]
 
 
+def test_process_batch_defaults_to_one_worker(monkeypatch) -> None:
+    """The process sweep holds the GIL, so by default it starts no pool,
+    even on rows of 2046 values (n = 1023, k = 2) that the record batch
+    would split; an explicit ``threads`` still splits them."""
+
+    class NoPool(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise NoPool
+
+    monkeypatch.setattr(cutsim, "ThreadPoolExecutor", no_pool)
+    tree = CompleteTree(1023)
+    totals = cutsim.simulate_process_batch(tree, 2, 6, 4)
+    assert totals.tolist() == [simulate_process(tree, 2, 6, i) for i in range(4)]
+    with pytest.raises(NoPool):
+        cutsim.simulate_process_batch(tree, 2, 6, 4, threads=2)
+
+
 @given(
     n=st.integers(min_value=1, max_value=40),
     k=st.integers(min_value=1, max_value=3),
