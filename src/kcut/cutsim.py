@@ -36,19 +36,21 @@ from an SFC64 generator whose state is the Philox block at counter
 ``i`` under key ``(s, 0)`` (:func:`substream`), so results are
 reproducible and independent of how samples are partitioned across
 threads or chunks.  Every batch here and in :mod:`kcut.limitdist` runs
-through one runner, :func:`_run_batch`: it splits the samples into one
-contiguous range per worker thread (:func:`resolve_threads`: all CPUs
-unless told otherwise, but one for the process batch), and each worker
-reads the states of a chunk's samples in one Philox call and allocates
-its scratch once.  Short rows of uniforms, as the record and process
-batches read on small trees, are drawn by lanes (:func:`_fill_lanes`):
-all of a chunk's SFC64 states step together as numpy ``uint64``
-vectors, one column of the chunk's uniforms a step, where a Python
-call per sample would cost more than the row.  Longer rows, and chunks
-of few samples, re-key one generator per sample instead (the crossover
-is ``_LANE_ROW``).  Both give the same bits.  The chunks of all
-workers together hold at most ``chunk`` samples, by default as many as
-fit one 32 MB budget (:func:`_chunk_rows`), lane scratch included.
+through one runner, :func:`_run_batch`, which alone fills the samples'
+rows of uniforms: it splits the samples into one contiguous range per
+worker thread (:func:`resolve_threads`: all CPUs unless told otherwise;
+always one for the process batch), and each worker allocates one block
+of rows once, reads the states of a chunk's samples in one Philox call
+and fills the chunk's rows from them.  Short rows, as the record,
+process and xi batches read on small trees, are drawn by lanes
+(:func:`_fill_lanes`): all of a chunk's SFC64 states step together as
+numpy ``uint64`` vectors, one column of the chunk's uniforms a step,
+where a Python call per sample would cost more than the row.  Longer
+rows, and chunks of few samples, re-key one generator per sample
+instead (the crossover is ``_LANE_ROW``).  Both give the same bits.
+The chunks of all workers together hold at most ``chunk`` samples, by
+default as many as fit one 32 MB budget (:func:`_chunk_rows`), lane
+scratch included.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ _SCRATCH_VALUES = 1 << 22
 # 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.  Its lockstep sweep
 # is many small numpy calls that hold the GIL (two threads take 1.43x
 # one thread's time on its fancy-index gathers, 1.02x on its short-axis
-# cumsums), so it runs on one worker unless threads is given.
+# cumsums), so it always runs on one worker.
 _MIN_THREADED_ROW = 1024
 
 # Uniform rows of at most _LANE_ROW values are filled by lanes
@@ -385,7 +387,7 @@ def _run_batch(
     first_index: int,
     chunk: int | None,
     threads: int | None,
-    worker: Callable[[int, np.ndarray], tuple[np.ndarray | Callable, Callable]],
+    worker: Callable[[np.ndarray, np.ndarray], Callable[[int, int], None]],
     result: tuple[tuple[int, ...], type] = ((), np.float64),
 ) -> np.ndarray:
     """Run one batch of samples ``0 .. n_samples - 1`` on worker threads
@@ -394,22 +396,20 @@ def _run_batch(
 
     ``n_samples``, ``seed`` and ``first_index`` must be integers, not
     bools (``ValueError`` naming the one that is not); ``n_samples`` is
-    at least 0.  ``row_values`` is the size of a sample's largest
-    scratch row; the 32 MB budget counts it, plus the lane scratch where
+    at least 0.  ``row_values`` is the number of uniforms a sample reads
+    up front; the 32 MB budget counts them, plus the lane scratch where
     lanes may fill the rows, per sample.  The samples are split into
-    one contiguous range per worker.  For each worker, ``worker(rows,
-    out)`` is called once; it allocates scratch for ``rows`` samples and
-    returns ``(fill, sweep)``.  Then, chunk by chunk, the chunk's rows
-    are filled, row ``j`` from the generator keyed ``(seed, first_index
-    + lo + j)`` for sample ``lo + j``, and ``sweep(lo, hi)`` finishes
-    samples ``lo .. hi - 1`` into ``out`` from the first ``hi - lo``
-    rows.  Each sample owns its key, so the results do not depend on the
-    worker count or the chunk.
+    one contiguous range per worker.  For each worker, a ``(rows,
+    row_values)`` float64 block is allocated and ``worker(block, out)``
+    is called once; it allocates the rest of its scratch for ``rows``
+    samples and returns ``sweep``.  Then, chunk by chunk, row ``j`` of
+    the block takes the first ``row_values`` uniforms of the generator
+    keyed ``(seed, first_index + lo + j)``, for sample ``lo + j``, and
+    ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` into ``out``
+    from the first ``hi - lo`` rows.  Each sample owns its key, so the
+    results do not depend on the worker count or the chunk.
 
-    ``fill`` is either a ``(rows, row_values)`` float64 block that takes
-    each sample's first ``row_values`` uniforms, or a callable
-    ``draw(j, rng)`` that fills row ``j`` from the generator ``rng``.  A
-    block of rows of at most ``_LANE_ROW`` values is filled by lanes
+    Rows of at most ``_LANE_ROW`` values are filled by lanes
     (:func:`_fill_lanes`, all of a chunk's generators stepped together)
     where the chunk holds at least ``_LANE_ROWS_PER_VALUE * row_values``
     samples, since a step costs about as much for one lane as for
@@ -436,17 +436,12 @@ def _run_batch(
         return out
 
     def start(lo: int, hi: int) -> Callable[[], None]:
-        fill, sweep = worker(min(rows, hi - lo), out)
+        block = np.empty((min(rows, hi - lo), row_values))
+        sweep = worker(block, out)
         scratch = None
-        if callable(fill):
-            draw = fill
-        else:
-            if lanes and len(fill) >= min_lane_rows:
-                shape = (_lane_words(row_values), len(fill))
-                scratch = np.empty(shape, dtype=np.uint64)
-
-            def draw(j: int, rng: np.random.Generator) -> None:
-                rng.random(out=fill[j])
+        if lanes and len(block) >= min_lane_rows:
+            shape = (_lane_words(row_values), len(block))
+            scratch = np.empty(shape, dtype=np.uint64)
 
         def run() -> None:
             stream = _Restream(seed)
@@ -454,12 +449,12 @@ def _run_batch(
                 b = min(a + rows, hi)
                 if scratch is not None and b - a >= min_lane_rows:
                     _fill_lanes(
-                        stream.fetch(first_index + a, b - a), fill[: b - a], scratch
+                        stream.fetch(first_index + a, b - a), block[: b - a], scratch
                     )
                 else:
                     stream.fetch(first_index + a, b - a)
                     for j in range(b - a):
-                        draw(j, stream.at(first_index + a + j))
+                        stream.at(first_index + a + j).random(out=block[j])
                 sweep(a, b)
 
         return run
@@ -503,8 +498,9 @@ def _records_batch(
         raise ValueError(f"k must be at most 256 for records, got {k}")
     n = tree.n
 
-    def worker(rows: int, out: np.ndarray):
-        t = np.empty((rows, k, n))
+    def worker(block: np.ndarray, out: np.ndarray):
+        rows = len(block)
+        t = block.reshape(rows, k, n)
         # anc[:, v-1] = max of k-th products over proper ancestors of v.
         anc = np.empty((rows, n))
         anc[:, 0] = 0.0
@@ -533,7 +529,7 @@ def _records_batch(
                 np.greater(tc[:, r], ac, out=is_record)
                 out[lo:hi, r] = is_record[:, int(edge) :].sum(axis=1)
 
-        return t.reshape(rows, k * n), sweep
+        return sweep
 
     return _run_batch(
         n_samples, n * k, seed, first_index, chunk, threads, worker,
@@ -593,7 +589,6 @@ def simulate_process_batch(
     n_samples: int,
     first_index: int = 0,
     chunk: int | None = None,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Vectorized cut-count totals from the direct process, shape
     ``(n_samples,)``.
@@ -610,11 +605,11 @@ def simulate_process_batch(
     2**d - 1``, which lies inside one block or covers whole ones.
     Sample ``i`` consumes the uniforms of substream ``(seed,
     first_index + i)`` in cut order, one per cut.
-    ``chunk`` (samples in flight at once, shared by the ``threads``
-    workers) defaults to the package's 32 MB scratch budget for the
-    ``k * n`` uniforms of a sample.  The sweep holds the GIL, so
-    ``threads`` defaults to one worker at every row length, whatever
-    ``KCUT_THREADS`` says; a given ``threads`` splits the rows.
+    ``chunk`` (samples in flight at once) defaults to the package's
+    32 MB scratch budget for the ``k * n`` uniforms of a sample; it does
+    not change the output.  The sweep is many small numpy calls that
+    hold the GIL, so the batch runs on one worker whatever
+    ``KCUT_THREADS`` says.
     """
     _check_k(k)
     n = tree.n
@@ -624,10 +619,10 @@ def simulate_process_batch(
     shift = (n.bit_length() + 1) // 2
     width, blocks = 1 << shift, (n >> shift) + 1
 
-    def worker(rows: int, out: np.ndarray):
+    def worker(u: np.ndarray, out: np.ndarray):
         # Every cut consumes exactly one uniform, and there are at most
         # k*n cuts, so the whole per-sample stream is drawn up front.
-        u = np.empty((rows, k * n))
+        rows = len(u)
         cnt = np.empty((rows, n + 1), dtype=counter)
         conn = np.empty((rows, blocks, width), dtype=bool)
         flat = conn.reshape(rows, blocks * width)
@@ -691,11 +686,11 @@ def simulate_process_batch(
                     out[lo + live[finished]] = step
                     live = live[~finished]
 
-        return u, sweep
+        return sweep
 
     return _run_batch(
-        n_samples, k * n, seed, first_index, chunk,
-        1 if threads is None else threads, worker, result=((), np.int64),
+        n_samples, k * n, seed, first_index, chunk, 1, worker,
+        result=((), np.int64),
     )
 
 

@@ -53,11 +53,12 @@ class ConfigurationWarning(UserWarning):
 
 
 def gamma_of(n: int) -> float:
-    """Subsequence parameter ``frac(lg n - lg lg n)`` of a single size."""
+    """Subsequence parameter ``frac(lg n - lg lg n)`` of a single size,
+    as :attr:`kcut.limitdist.ScaleParams.gamma` computes it."""
+    n = cutsim._as_int("n", n)
     if n < 4:
         raise ValueError(f"gamma_of needs n >= 4, got {n!r}")
-    lg = math.log2(n)
-    return (lg - math.log2(lg)) % 1.0
+    return limitdist._subsequence_gamma(n)
 
 
 def circular_gamma_distance(x: float, y: float) -> float:

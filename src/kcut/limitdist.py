@@ -18,7 +18,6 @@ Provided here:
 - ``levy_density`` / ``levy_tail``  -- the series at an array of points;
 - ``levy_block_mean``               -- exact ``integral x d nu`` over an
   interval, via a closed-form antiderivative per series term;
-- ``levy_block_moment2``            -- quadrature ``integral x**2 d nu``;
 - ``f_constant``                    -- the drift series;
 - ``char_fn``                       -- the characteristic function at
   an array of ``t``, assembled from dyadic folds of block integrals over
@@ -67,7 +66,6 @@ __all__ = [
     "levy_density",
     "levy_tail",
     "levy_block_mean",
-    "levy_block_moment2",
     "f_constant",
     "char_fn",
     "limit_cdf",
@@ -153,8 +151,22 @@ class ScaleParams:
 
     @property
     def gamma(self) -> float:
-        """Subsequence parameter ``frac(alpha - beta)``."""
-        return (self.alpha - self.beta) % 1.0
+        """Subsequence parameter ``frac(alpha - beta)``, as
+        :func:`_subsequence_gamma` of ``n``."""
+        return _subsequence_gamma(self.n)
+
+
+def _subsequence_gamma(n: int) -> float:
+    """Subsequence parameter ``frac(lg n - lg lg n)`` of a size ``n >=
+    4``, as ``frac(alpha - beta)`` with ``alpha = frac(lg n)`` and ``beta
+    = frac(lg lg n)``.  Taking the integer parts off first keeps the
+    bits that ``(lg n - lg lg n) % 1`` spends on them: at ``n = 2**160``
+    the result is within 2e-16 of the exact value, that form's within
+    6.5e-15."""
+    lg = math.log2(n)
+    lglg = math.log2(lg)
+    alpha, beta = lg - (n.bit_length() - 1), lglg - math.floor(lglg)
+    return (alpha - beta) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,33 +304,6 @@ def levy_block_mean(p: LimitParams, lo: float, hi: float) -> float:
     anti = math.gamma(1.0 + p.a) * specfun.q(1.0 + p.a, theta)
     anti -= math.gamma(p.a) * y * theta
     return float((anti[1] - anti[0]).sum())
-
-
-_QUAD_TOL = 1.0e-11  # absolute tolerance of non-oscillatory quadratures
-
-
-def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
-    """``integral_lo^hi x**2 d nu`` by adaptive quadrature of the scalar
-    density (no closed antiderivative exists for this moment)."""
-    k_lo, k_hi = _c_of(_interval(lo, hi), p)[0]
-    pts = math.gamma(p.a) * 2.0 ** (np.arange(k_lo + 1, k_hi + 1) - p.gamma)
-    pts = pts[(lo < pts) & (pts < hi)]
-    from scipy import integrate
-
-    value, abserr = integrate.quad(
-        lambda x: x * x * levy_density(x, p),
-        lo,
-        hi,
-        points=pts if pts.size else None,
-        epsabs=1.0e-12,
-        epsrel=1.0e-12,
-        limit=200,
-    )
-    if abserr > max(_QUAD_TOL, 1.0e-9 * abs(value)):
-        raise NumericError(
-            f"moment quadrature error {abserr:.2e} above tolerance"
-        )
-    return value
 
 
 @lru_cache(maxsize=8)
@@ -1042,13 +1027,15 @@ def xi_sampler_batch(
 
     :func:`_xi_plan` takes the one with fewer uniforms per clock: at ``n
     = 2**160``, k = 2, about 3700 a draw against 16 382 exponentials for
-    all clocks.  A worker reads each draw's budget, the mean trials plus
-    three standard deviations, in one call (a draw that runs short reads
-    on in its substream), then accepts, counts, prices and sums over the
-    chunk.  ``chunk`` (draws in flight, shared by the ``threads``
-    workers; see :func:`kcut.cutsim.resolve_threads`) defaults to 8 MB of
-    scratch: the sweep's temporaries come from the workers' own malloc
-    arenas, which keep them.  Neither changes the output.
+    all clocks.  Each draw reads its budget, the mean trials plus three
+    standard deviations, up front, as every batch of :mod:`kcut.cutsim`
+    reads its rows (by lanes where they are short); a draw that runs
+    short reads on in its substream.  A worker then accepts, counts,
+    prices and sums over the chunk.  ``chunk`` (draws in flight, shared
+    by the ``threads`` workers; see :func:`kcut.cutsim.resolve_threads`)
+    defaults to 8 MB of scratch: the sweep's temporaries come from the
+    workers' own malloc arenas, which keep them.  Neither changes the
+    output.
     """
     table = series.constants(p.k, p.r) if table is None else table
     if (table.k, table.r, scale.k) != (p.k, p.r, p.k):
@@ -1082,13 +1069,9 @@ def xi_sampler_batch(
             more = np.append(more, accept(rng.random((1, width - classes)))[1])
         return more[:missing]
 
-    def worker(rows: int, out: np.ndarray):
-        budget = np.empty((rows, width))
-        cells = np.empty((rows, classes + 1), dtype=np.int64)
+    def worker(budget: np.ndarray, out: np.ndarray):
+        cells = np.empty((len(budget), classes + 1), dtype=np.int64)
         is_class = np.arange(cells.size) % (classes + 1) < classes
-
-        def draw(j: int, rng: np.random.Generator) -> None:
-            rng.random(out=budget[j])
 
         def sweep(lo: int, hi: int) -> None:
             # count[:, c] is class c's clocks, count[:, -1] the spare trials.
@@ -1113,6 +1096,6 @@ def xi_sampler_batch(
             terms = sums.reshape(count.shape)[:, :-1] * ga_weights
             out[lo:hi] = shift - table.c3 * terms.sum(axis=1)
 
-        return draw, sweep
+        return sweep
 
     return _run_batch(n_samples, width, seed, first_index, chunk, threads, worker)

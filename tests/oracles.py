@@ -4,8 +4,9 @@ Each computes its quantity the slow, direct way and shares no logic
 with the code it checks: node heights and subtree sizes from the heap
 indices, the cutting procedure run one sample at a time, the exact
 cut-count law of tiny trees by enumeration, the Levy measure's block
-integrals by QUADPACK's oscillatory rule, and the xi array with a clock
-drawn for every node.
+integrals by QUADPACK's oscillatory rule, its second moment by adaptive
+quadrature of the density, and the xi array with a clock drawn for
+every node.
 """
 
 from __future__ import annotations
@@ -165,6 +166,32 @@ def levy_block_integrals(
         mean += quad(lambda y: y * density(y), lo, hi)
     v = cos_sin - mass
     return v, v - 1j * tau * mean
+
+
+def levy_block_moment2(p: LimitParams, lo: float, hi: float) -> float:
+    """``integral_lo^hi x**2 d nu`` by adaptive quadrature of the
+    package's scalar density, cut at the wrap points ``gamma(a) * 2**(K
+    - gamma)`` inside the interval (no closed antiderivative exists for
+    this moment).  The interval is checked as
+    :func:`kcut.limitdist.levy_block_mean` checks it; a quadrature error
+    above ``max(1e-11, 1e-9 * |value|)`` raises ``NumericError``."""
+    k_lo, k_hi = limitdist._c_of(limitdist._interval(lo, hi), p)[0]
+    pts = math.gamma(p.a) * 2.0 ** (np.arange(k_lo + 1, k_hi + 1) - p.gamma)
+    pts = pts[(lo < pts) & (pts < hi)]
+    value, abserr = integrate.quad(
+        lambda x: x * x * limitdist.levy_density(x, p),
+        lo,
+        hi,
+        points=pts if pts.size else None,
+        epsabs=1.0e-12,
+        epsrel=1.0e-12,
+        limit=200,
+    )
+    if abserr > max(1.0e-11, 1.0e-9 * abs(value)):
+        raise limitdist.NumericError(
+            f"moment quadrature error {abserr:.2e} above tolerance"
+        )
+    return value
 
 
 def xi_weights(scale: ScaleParams) -> np.ndarray:

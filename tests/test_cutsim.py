@@ -507,7 +507,9 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
     """Batches of rows of at most ``_LANE_ROW`` values go by lanes where
     a chunk holds ``_LANE_ROWS_PER_VALUE`` rows a value, every other row
     per sample, and both give the same output.  A chunk of lanes across
-    the ``2**64`` wrap goes on at sample 0."""
+    the ``2**64`` wrap goes on at sample 0.  The xi batch follows the
+    same rule: its (1, 1) rows at n = 2**20 hold 164 values in chunks of
+    1140 draws, its (1, 2) rows at 2**40 2059 values."""
     calls = []
     fill_lanes = cutsim._fill_lanes
 
@@ -541,6 +543,13 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
             got = batch(CompleteTree(n), 2, 3, 800)
             assert calls == want
             assert np.array_equal(got, per_sample(batch, CompleteTree(n), 2, 3, 800))
+    for (r, k, lg), want in (((1, 1, 20), [(1140, 164)]), ((1, 2, 40), [])):
+        scale = limitdist.ScaleParams.from_n(2**lg, k)
+        args = (scale, limitdist.LimitParams(r, k, scale.gamma), None, 3, 1200)
+        calls.clear()
+        got = limitdist.xi_sampler_batch(*args)
+        assert calls == want
+        assert np.array_equal(got, per_sample(limitdist.xi_sampler_batch, *args))
 
 
 def test_lane_batch_peak_within_budget() -> None:
@@ -574,18 +583,19 @@ _BATCHES = {
 def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     batch = _BATCHES[kind]
+    # The process batch always runs on one worker.
+    splits = [{}] if kind == "process" else [{"threads": t} for t in (1, 2, 3)]
     for first in (0, 13):
         for size in (0, 1, 2, 5, 40):
-            want = batch(n_samples=size, first_index=first, threads=1)
+            want = batch(n_samples=size, first_index=first, **splits[0])
             assert len(want) == size
-            for threads in (1, 2, 3):
+            for split in splits:
                 for chunk in (None, 1, 7):
                     got = batch(
-                        n_samples=size, first_index=first, threads=threads,
-                        chunk=chunk,
+                        n_samples=size, first_index=first, chunk=chunk, **split
                     )
                     assert got.dtype == want.dtype
-                    assert np.array_equal(got, want), (threads, chunk)
+                    assert np.array_equal(got, want), (split, chunk)
 
 
 def test_batch_threads_stress(monkeypatch) -> None:
@@ -632,23 +642,19 @@ def test_process_determinism_and_batch_agreement() -> None:
     assert np.array_equal(batch, rechunked)
 
 
+# The "chunk5-threads2" id is kept from when this split also ran on two
+# workers, so that the suite's test names stay stable.
 @pytest.mark.parametrize(
-    "split",
-    [{}, {"chunk": 5, "threads": 2}],
-    ids=["whole", "chunk5-threads2"],
+    "split", [{}, {"chunk": 5}], ids=["whole", "chunk5-threads2"]
 )
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [21, 31, 100, 256])
-def test_process_batch_matches_plain_process(
-    n: int, k: int, split, monkeypatch
-) -> None:
+def test_process_batch_matches_plain_process(n: int, k: int, split) -> None:
     """The lockstep sweep, with its carried connected flags and block
     counts, gives the plain process's total row for row.  n = 21 and
     100 leave the last level part full and n + 1 off the block width;
-    k = 1 makes every cut a removal; chunks of 5 on two workers
-    (threaded here despite the short rows) finish samples at different
-    steps across chunk and worker boundaries."""
-    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
+    k = 1 makes every cut a removal; chunks of 5 finish samples at
+    different steps across chunk boundaries."""
     tree, seed, first = CompleteTree(n), 4, 5
     totals = cutsim.simulate_process_batch(tree, k, seed, 12, first, **split)
     assert totals.tolist() == [
@@ -657,9 +663,9 @@ def test_process_batch_matches_plain_process(
 
 
 def test_process_batch_defaults_to_one_worker(monkeypatch) -> None:
-    """The process sweep holds the GIL, so by default it starts no pool,
-    even on rows of 2046 values (n = 1023, k = 2) that the record batch
-    would split; an explicit ``threads`` still splits them."""
+    """The process sweep holds the GIL, so it starts no pool, even on
+    rows of 2046 values (n = 1023, k = 2) and with ``KCUT_THREADS`` at
+    2, where the record batch does start one."""
 
     class NoPool(Exception):
         pass
@@ -668,11 +674,12 @@ def test_process_batch_defaults_to_one_worker(monkeypatch) -> None:
         raise NoPool
 
     monkeypatch.setattr(cutsim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv(cutsim.THREADS_ENV, "2")
     tree = CompleteTree(1023)
     totals = cutsim.simulate_process_batch(tree, 2, 6, 4)
     assert totals.tolist() == [simulate_process(tree, 2, 6, i) for i in range(4)]
     with pytest.raises(NoPool):
-        cutsim.simulate_process_batch(tree, 2, 6, 4, threads=2)
+        cutsim.simulate_records_batch(tree, 2, 6, 4)
 
 
 @given(

