@@ -48,9 +48,14 @@ numpy ``uint64`` vectors, one column of the chunk's uniforms a step,
 where a Python call per sample would cost more than the row.  Longer
 rows, and chunks of few samples, re-key one generator per sample
 instead (the crossover is ``_LANE_ROW``).  Both give the same bits.
-The chunks of all workers together hold at most ``chunk`` samples, by
-default as many as fit one 32 MB budget (:func:`_chunk_rows`), lane
-scratch included.
+The chunks of all workers together hold at most ``chunk`` samples.  A
+record batch sweeps its rows in pieces of as many as fit 8 MB with
+their scratch (``_RECORD_VALUES``), so that a piece stays near its
+core's L2 cache.  By default its rows drawn per sample come in chunks
+of one piece a worker; rows drawn by lanes, and the process batch's
+rows, come in chunks that share one 32 MB budget (:func:`_chunk_rows`),
+lane scratch included.  The xi batch of :mod:`kcut.limitdist` sizes
+its own chunk.
 """
 
 from __future__ import annotations
@@ -84,17 +89,43 @@ THREADS_ENV = "KCUT_THREADS"
 # all of its workers.
 _SCRATCH_VALUES = 1 << 22
 
-# Rows of fewer values run on one thread.  Below this the per-sample
-# loop, which holds the GIL, dominates and threads lose.  Two threads
-# against one on 2 CPUs, k = 2, best of 11, two runs: records 1.13-1.17x
-# the time at 126 values a row (n = 63), 1.13-1.19x at 510, 0.96-0.97x
-# at 766, 0.88-0.97x at 1022 and 0.80-0.87x at 1534; xi draws 1.07x at
-# 164 values, 1.12-1.20x at 328 and 0.73x at 2059.  The process batch
-# loses at every size measured: 1.11-1.15x at 126 values, 1.21-1.24x at
-# 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.  Its lockstep sweep
-# is many small numpy calls that hold the GIL (two threads take 1.43x
-# one thread's time on its fancy-index gathers, 1.02x on its short-axis
-# cumsums), so it always runs on one worker.
+# A record-batch worker sweeps its rows in pieces of as many as fit this
+# many float64 values (8 MB) with their ancestor maxima, level temp and
+# record mask, so that a piece stays in or near the core's L2 cache
+# through the sweep's passes; rows drawn per sample come in chunks of
+# one piece.  A larger piece means fewer numpy calls per node, which
+# matters on two threads: calls under about 100 us hold the GIL for a
+# large share of their time.  Seconds for the three record batches of
+# the experiment benchmark (n = 5037, 23822, 51268; k = 2; 2048 samples
+# each), best of 15, on 2 CPUs with 2 MB of L2 each: 2**18 values 0.756
+# on one thread and 0.479 on two, 2**19 0.814 and 0.484, 2**20 0.858
+# and 0.461, one 32 MB chunk shared by the workers and swept whole 1.04
+# and 0.527.  Rows drawn by lanes keep 32 MB chunks: a lane step costs
+# about the same for 2 000 lanes as for 14 000 (5.3 against 4.2 ns a
+# value at 254 values a row).
+_RECORD_VALUES = 1 << 20
+
+# Rows of at least this many nodes count each order's records with one
+# count_nonzero call a row (about 0.25 us a call plus 0.03-0.1 ns a
+# value); shorter rows sum the mask's bytes in one int32 call (0.13 ns a
+# value; numpy's bool sum takes 0.27-0.5).  They tie at about 4096 nodes.
+_COUNT_ROW = 4096
+
+# Rows of fewer values run on one thread, unless lanes fill them (see
+# _worker_count).  Below this the per-sample loop, which holds the GIL,
+# dominates and threads lose.  Two threads against one on 2 CPUs, k = 2,
+# best of 11, two runs: records filled per sample 1.13-1.19x the time
+# at 510 values a row (n = 255; 1.12x in a later run of 20 000 samples),
+# 0.96-0.97x at 766, 0.88-0.97x at 1022 and 0.80-0.87x at 1534; xi draws
+# 1.07x at 164 values, 1.12-1.20x at 328 and 0.73x at 2059.  Lanes step
+# whole numpy vectors, so two workers win on the rows they fill (best
+# of 15): records 0.60x at 30 values (n = 15, 100 000 samples), 0.82x
+# at 126 (n = 63) and 0.87x at 254 (n = 127), 20 000 samples each.
+# The process batch loses at every size measured: 1.11-1.15x at 126
+# values, 1.21-1.24x at 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.
+# Its lockstep sweep is many small numpy calls that hold the GIL (two
+# threads take 1.43x one thread's time on its fancy-index gathers, 1.02x
+# on its short-axis cumsums), so it always runs on one worker.
 _MIN_THREADED_ROW = 1024
 
 # Uniform rows of at most _LANE_ROW values are filled by lanes
@@ -343,8 +374,9 @@ def _check_k(k: int) -> None:
 def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
     """Samples in flight at once in one batch call, over all its
     workers: ``chunk`` if given, else as many as keep the largest
-    per-sample scratch array within 2**22 float64 values (32 MB).
-    Draws never depend on the chunk."""
+    per-sample scratch array within 2**22 float64 values (32 MB).  The
+    record batches pass their own chunk (see ``_RECORD_VALUES``), and so
+    does the xi batch.  Draws never depend on the chunk."""
     if chunk is None:
         return max(1, _SCRATCH_VALUES // floats_per_row)
     chunk = _as_int("chunk", chunk)
@@ -355,10 +387,18 @@ def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
 
 def _worker_count(n_rows: int, row_values: int, threads: int | None) -> int:
     """Workers for ``n_rows`` rows of work of ``row_values`` values each:
-    :func:`resolve_threads` of ``threads``, capped at ``n_rows``; rows of
-    fewer than ``_MIN_THREADED_ROW`` values get one worker."""
+    :func:`resolve_threads` of ``threads``, capped at ``n_rows``.  Rows
+    of fewer than ``_MIN_THREADED_ROW`` values get one worker, except
+    rows that lanes may fill (at most ``_LANE_ROW`` values): they get as
+    many as leave each at least ``_LANE_ROWS_PER_VALUE * row_values``
+    rows, and at least one."""
     workers = min(resolve_threads(threads), max(n_rows, 1))
-    return 1 if row_values < _MIN_THREADED_ROW else workers
+    if row_values >= _MIN_THREADED_ROW:
+        return workers
+    if row_values <= _LANE_ROW:
+        lane_rows = _LANE_ROWS_PER_VALUE * row_values
+        return max(1, min(workers, n_rows // lane_rows))
+    return 1
 
 
 def _on_workers(
@@ -397,12 +437,14 @@ def _run_batch(
     ``n_samples``, ``seed`` and ``first_index`` must be integers, not
     bools (``ValueError`` naming the one that is not); ``n_samples`` is
     at least 0.  ``row_values`` is the number of uniforms a sample reads
-    up front; the 32 MB budget counts them, plus the lane scratch where
-    lanes may fill the rows, per sample.  The samples are split into
-    one contiguous range per worker.  For each worker, a ``(rows,
-    row_values)`` float64 block is allocated and ``worker(block, out)``
-    is called once; it allocates the rest of its scratch for ``rows``
-    samples and returns ``sweep``.  Then, chunk by chunk, row ``j`` of
+    up front; without a ``chunk``, the batch's 32 MB budget
+    (:func:`_chunk_rows`) counts them, plus the lane scratch where lanes
+    may fill the rows, per sample; the record and xi batches pass their
+    own chunks.  The samples are split into one contiguous range per
+    worker.  For each worker, a ``(rows, row_values)`` float64 block is
+    allocated and ``worker(block, out)`` is called once; it allocates
+    the rest of its scratch and returns ``sweep``.  Then, chunk by
+    chunk, row ``j`` of
     the block takes the first ``row_values`` uniforms of the generator
     keyed ``(seed, first_index + lo + j)``, for sample ``lo + j``, and
     ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` into ``out``
@@ -416,9 +458,10 @@ def _run_batch(
     hundreds.  Every other row is filled per sample, one re-keyed
     generator and one call each.  Both give the same bits.
 
-    The workers are :func:`_worker_count` of the samples and
-    ``row_values``, capped at :func:`_chunk_rows`, which they share.
-    Rows short enough for lanes run on one worker.
+    The workers are :func:`_worker_count` of ``row_values`` and of the
+    samples, capped at :func:`_chunk_rows`, which the workers share.
+    Rows short enough for lanes run on as many workers as leave each
+    chunk enough samples for lanes.
     """
     n_samples = _as_int("n_samples", n_samples)
     if n_samples < 0:
@@ -429,7 +472,7 @@ def _run_batch(
     lanes = row_values <= _LANE_ROW
     row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
     in_flight = _chunk_rows(row_scratch, chunk)
-    workers = min(_worker_count(n_samples, row_values, threads), in_flight)
+    workers = _worker_count(min(n_samples, in_flight), row_values, threads)
     rows = in_flight // workers
     min_lane_rows = _LANE_ROWS_PER_VALUE * row_values
     if n_samples == 0:
@@ -484,55 +527,90 @@ def _records_batch(
     Each sample draws its ``k * n`` uniforms order-major, as ``(k, n)``
     (the ``n`` nodes' first uniforms, then their second, ...), from its
     own substream, and turns them into the running products ``P_r =
-    e^{-T_r}`` along the orders.  The ancestor maxima of ``P_k`` come
-    from a level sweep vectorized across the chunk, on contiguous ``(rows,
-    n)`` rows; then each order ``r`` takes one comparison ``P_r > max``
-    into a mask and one count along its rows.  A tie (probability zero)
-    is not a record.  A uniform of exactly 0 (probability 2**-53 a value)
-    is an infinite clock: no record of its order or later, and no bound
-    on its descendants.  The edge variant is the node sweep with the
-    root's ``P_k`` set to 0 and the root's row dropped.
+    e^{-T_r}`` along the orders.  A worker sweeps its chunk in pieces of
+    as many rows as fit ``_RECORD_VALUES`` (8 MB) with their ancestor
+    maxima, level temp and record mask, so that a piece stays near the
+    core's L2 cache through the sweep.  Without a ``chunk``, rows drawn
+    per sample come one piece a worker at a time, and rows drawn by
+    lanes in one 32 MB chunk shared by the workers, since a lane step
+    costs about as much for few lanes as for many.  The ancestor maxima
+    of ``P_k`` come from a level sweep vectorized across the piece: each
+    level's parent maxima go once into a contiguous temp, and from there
+    to the first and the second children.  Then one comparison ``P_r >
+    max`` for every order fills a ``(rows, k, n)`` mask, which is counted
+    row by row (one call a row on rows of at least ``_COUNT_ROW`` nodes,
+    one call a piece on shorter rows).  A tie (probability zero) is not
+    a record.  A uniform of exactly 0 (probability 2**-53 a value) is an
+    infinite clock: no record of its order or later, and no bound on its
+    descendants.  The edge variant is the node sweep with the root's
+    ``P_k`` set to 0 and the root left out of the counts.
     """
     _check_k(k)
     if k > 256:  # P_k stays a normal double: see the module docstring
         raise ValueError(f"k must be at most 256 for records, got {k}")
-    n = tree.n
+    n, m = tree.n, tree.max_height
+    row_values = k * n
+    # The most parents a level has: 2**(m - 2) above level m - 1, or half
+    # the last level's n - 2**m + 1 nodes, rounded up.
+    width = max(1 << m >> 2, (n - (1 << m) + 2) // 2)
+    # A row's uniforms, ancestor maxima, level temp and mask bytes; a
+    # piece, the rows swept at a time, holds _RECORD_VALUES of them.
+    row_scratch = row_values + n + width + -(-row_values // 8)
+    piece = max(1, _RECORD_VALUES // row_scratch)
+    if chunk is None and row_values <= _LANE_ROW:  # drawn by lanes
+        chunk = _chunk_rows(row_scratch + _lane_words(row_values))
+    elif chunk is None:
+        n_samples = _as_int("n_samples", n_samples)
+        chunk = _worker_count(n_samples, row_values, threads) * piece
 
     def worker(block: np.ndarray, out: np.ndarray):
-        rows = len(block)
-        t = block.reshape(rows, k, n)
+        t = block.reshape(len(block), k, n)
+        rows = min(len(block), piece)
         # anc[:, v-1] = max of k-th products over proper ancestors of v.
         anc = np.empty((rows, n))
         anc[:, 0] = 0.0
-        mask = np.empty((rows, n), dtype=bool)
+        up = np.empty((rows, width))
+        mask = np.empty((rows, k, n), dtype=bool)
 
         def sweep(lo: int, hi: int) -> None:
-            c = hi - lo
-            tc, ac = t[:c], anc[:c]
+            for first in range(lo, hi, rows):
+                last = min(first + rows, hi)
+                sweep_piece(t[first - lo : last - lo], out[first:last])
+
+        def sweep_piece(tc: np.ndarray, counts: np.ndarray) -> None:
+            c = len(tc)
+            ac, uc = anc[:c], up[:c]
             for r in range(1, k):
                 tc[:, r] *= tc[:, r - 1]
             if edge:
                 tc[:, k - 1, 0] = 0.0
             pk = tc[:, k - 1]
-            # Level h holds nodes 2**h .. 2**(h+1) - 1, children of the
-            # level above taken in order, two apiece: the first children
-            # get the maxima directly, the second children a copy.
-            for h in range(1, tree.max_height + 1):
-                lo_h, hi_h = 1 << h, min(2 << h, n + 1)
-                first = ac[:, lo_h - 1 : hi_h - 1 : 2]
-                up = slice(lo_h // 2 - 1, lo_h // 2 - 1 + first.shape[1])
-                np.maximum(ac[:, up], pk[:, up], out=first)
-                second = ac[:, lo_h : hi_h - 1 : 2]
-                second[...] = first[:, : second.shape[1]]
+            # Level h holds nodes a .. b - 1, children of the w nodes of
+            # the level above, two apiece in order: their maxima go to a
+            # contiguous temp, then to the first and second children.
+            for h in range(1, m + 1):
+                a, b = 1 << h, min(2 << h, n + 1)
+                w = (b - a + 1) // 2
+                par = slice(a // 2 - 1, a // 2 - 1 + w)
+                u = uc[:, :w]
+                np.maximum(ac[:, par], pk[:, par], out=u)
+                ac[:, a - 1 : b - 1 : 2] = u
+                ac[:, a : b - 1 : 2] = u[:, : (b - a) // 2]
             is_record = mask[:c]
-            for r in range(k):
-                np.greater(tc[:, r], ac, out=is_record)
-                out[lo:hi, r] = is_record[:, int(edge) :].sum(axis=1)
+            np.greater(tc, ac[:, None, :], out=is_record)
+            if edge:
+                is_record[:, :, 0] = False
+            if n < _COUNT_ROW:  # the count fits int32
+                counts[:] = is_record.view(np.uint8).sum(axis=2, dtype=np.int32)
+            else:
+                counts.reshape(-1)[:] = [
+                    np.count_nonzero(row) for row in is_record.reshape(c * k, n)
+                ]
 
         return sweep
 
     return _run_batch(
-        n_samples, n * k, seed, first_index, chunk, threads, worker,
+        n_samples, row_values, seed, first_index, chunk, threads, worker,
         result=((k,), np.int64),
     )
 
@@ -553,8 +631,10 @@ def simulate_records_batch(
     ``(seed, first_index + i)``, so disjoint ranges computed anywhere
     assemble into the same sequence.  ``chunk`` (samples in flight at
     once, shared by the ``threads`` workers; see :func:`resolve_threads`)
-    defaults to the package's 32 MB scratch budget.  Neither changes
-    the output.
+    defaults to one piece a worker, as many rows as fit 8 MB with their
+    ancestor maxima, level temp and record mask, or to 32 MB shared by
+    the workers where lanes draw the rows (``n * k`` at most 256).
+    Neither changes the output.
     """
     return _records_batch(
         tree, k, seed, n_samples, first_index, False, chunk, threads

@@ -183,7 +183,7 @@ def test_records_batch_split_invariance() -> None:
     ids=["whole", "chunk5-threads2"],
 )
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n", [21, 31])
+@pytest.mark.parametrize("n", [21, 31, 600, 4100])
 def test_records_batch_matches_naive_sweep(
     n: int, k: int, split, monkeypatch
 ) -> None:
@@ -191,10 +191,12 @@ def test_records_batch_matches_naive_sweep(
     uniforms: with ``P_{r,v} = U_{1,v} ... U_{r,v}``, ``v`` is an
     r-record iff ``P_{r,v}`` exceeds the largest k-th product of its
     proper ancestors (0 if none), the root excluded in the edge variant,
-    where the root itself never counts.  n = 21 leaves the last level
-    part full; chunks of 5 on two workers (threaded here despite the
-    short rows) put the per-order counts of one batch across chunk and
-    worker boundaries."""
+    where the root itself never counts.  n = 21, 600 and 4100 leave the
+    last level part full; chunks of 5 on two workers (threaded here
+    despite the short rows) put the per-order counts of one batch across
+    chunk and worker boundaries.  Rows of 600 and 4100 nodes are drawn
+    per sample, by default in one cache-sized piece a worker, and rows
+    of 4100 nodes, above ``_COUNT_ROW``, are counted one call a row."""
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     tree, seed, first = CompleteTree(n), 4, 5
     node = cutsim.simulate_records_batch(tree, k, seed, 12, first, **split)
@@ -210,6 +212,22 @@ def test_records_batch_matches_naive_sweep(
                 want_edge += p[:, v - 1] > max(above[:-1], default=0.0)
         assert node[i].tolist() == want_node.tolist()
         assert edge[i].tolist() == want_edge.tolist()
+
+
+def test_records_batch_sweeps_chunks_in_pieces(monkeypatch) -> None:
+    """A chunk of more rows than fit ``_RECORD_VALUES`` is swept piece by
+    piece with the same counts: pieces of one row give the default's
+    output, for rows drawn by lanes (n = 21, k = 2: one shared chunk)
+    and rows drawn per sample in chunks of 7 on two workers (n = 600)."""
+    batches = (cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch)
+    cases = [(21, {}), (600, {"chunk": 7, "threads": 2})]
+    want = [batch(CompleteTree(n), 2, 4, 40, 5, **split)
+            for n, split in cases for batch in batches]
+    monkeypatch.setattr(cutsim, "_RECORD_VALUES", 1)
+    got = [batch(CompleteTree(n), 2, 4, 40, 5, **split)
+           for n, split in cases for batch in batches]
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
 
 
 def test_batch_rejects_bad_k() -> None:
@@ -274,30 +292,41 @@ def test_batch_chunk_must_be_positive() -> None:
             cutsim.simulate_process_batch(tree, 2, 0, 5, chunk=chunk)
 
 
-def test_records_batch_default_chunk_bounds_memory() -> None:
-    """With the default chunk a batch holds about 32 MB of uniforms at a
-    time, however many samples it is asked for."""
+def _peak(batch, *args, **kwargs) -> int:
+    """Peak bytes traced while ``batch(*args, **kwargs)`` runs."""
     tracemalloc.start()
     try:
-        cutsim.simulate_records_batch(CompleteTree(2**15 - 1), 2, 0, 300)
-        peak = tracemalloc.get_traced_memory()[1]
+        batch(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
+
+
+def test_records_batch_default_chunk_bounds_memory() -> None:
+    """With the default chunk each worker holds at most 8 MB of rows and
+    their scratch at a time, however many samples it is asked for."""
+    for threads in (1, 2):
+        peak = _peak(
+            cutsim.simulate_records_batch, CompleteTree(2**15 - 1), 2, 0, 300,
+            threads=threads,
+        )
+        assert peak < (8 * threads + 1) * 2**20, threads
 
 
 def test_records_batch_peak_without_temporaries() -> None:
-    """The level sweep writes into per-worker buffers: besides the
-    32 MB of uniforms, turned into running products in place, a batch
-    holds only the ancestor maxima and one ``(rows, n)`` record mask,
-    reused for every order."""
-    tracemalloc.start()
-    try:
-        cutsim.simulate_records_batch(CompleteTree(2**15 - 1), 2, 0, 300)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 60 * 2**20
+    """The level sweep writes into per-worker buffers: the uniforms,
+    turned into running products in place, the ancestor maxima, one
+    level temp and one ``(rows, k, n)`` record mask, which the 8 MB a
+    worker counts.  Besides them a batch holds the buffers numpy's
+    iterator takes for short levels (up to 0.2 MB a worker), the fetched
+    states and the counts.  At n = 2**18 - 1 a row with its scratch is
+    7 MB, so each worker holds a single row."""
+    for n, samples in ((2**15 - 1, 300), (2**18 - 1, 4)):
+        for batch in (
+            cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch
+        ):
+            peak = _peak(batch, CompleteTree(n), 2, 0, samples, threads=2)
+            assert peak <= (2 * 8 + 0.5) * 2**20, (n, batch)
 
 
 @pytest.mark.parametrize("variant", ["node", "edge"])
@@ -506,10 +535,14 @@ def test_lane_draws_equal_substream(values: int) -> None:
 def test_lanes_fill_short_rows_only(monkeypatch) -> None:
     """Batches of rows of at most ``_LANE_ROW`` values go by lanes where
     a chunk holds ``_LANE_ROWS_PER_VALUE`` rows a value, every other row
-    per sample, and both give the same output.  A chunk of lanes across
-    the ``2**64`` wrap goes on at sample 0.  The xi batch follows the
-    same rule: its (1, 1) rows at n = 2**20 hold 164 values in chunks of
-    1140 draws, its (1, 2) rows at 2**40 2059 values."""
+    per sample, and both give the same output.  Lanes run on every
+    worker whose share still holds that many rows: two record workers
+    of 1000 rows of 126 values (n = 63) each make a lane call, while the
+    process batch keeps its one worker.  A chunk of lanes across the
+    ``2**64`` wrap goes on at sample 0.  The xi batch follows the same
+    rule: its (1, 1) rows at n = 2**20 hold 164 values in chunks of 1140
+    draws, too few for two workers, its (1, 2) rows at 2**40 2059
+    values."""
     calls = []
     fill_lanes = cutsim._fill_lanes
 
@@ -529,6 +562,7 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
         cutsim.simulate_edge_records_batch,
         cutsim.simulate_process_batch,
     ):
+        threads = {} if batch is cutsim.simulate_process_batch else {"threads": 2}
         # n = 4, k = 2: 8 values a row, lanes in chunks of 48 or more.
         calls.clear()
         got = batch(CompleteTree(4), 2, 3, 110, first_index=top - 3, chunk=50)
@@ -538,11 +572,14 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
         )
         assert np.array_equal(got[3:], batch(CompleteTree(4), 2, 3, 107))
         # 126 and 258 values a row, on both sides of _LANE_ROW.
-        for n, want in ((63, [(800, 126)]), (129, [])):
+        lanes = [(2000, 126)] if threads == {} else [(1000, 126)] * 2
+        for n, want in ((63, lanes), (129, [])):
             calls.clear()
-            got = batch(CompleteTree(n), 2, 3, 800)
+            got = batch(CompleteTree(n), 2, 3, 2000, **threads)
             assert calls == want
-            assert np.array_equal(got, per_sample(batch, CompleteTree(n), 2, 3, 800))
+            assert np.array_equal(
+                got, per_sample(batch, CompleteTree(n), 2, 3, 2000, **threads)
+            )
     for (r, k, lg), want in (((1, 1, 20), [(1140, 164)]), ((1, 2, 40), [])):
         scale = limitdist.ScaleParams.from_n(2**lg, k)
         args = (scale, limitdist.LimitParams(r, k, scale.gamma), None, 3, 1200)
@@ -554,18 +591,21 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
 
 def test_lane_batch_peak_within_budget() -> None:
     """At n = 4 a record row is 8 uniforms and its lane scratch, a block
-    of 8 columns and five state vectors, is larger than the row.  The
-    32 MB budget counts both, so a chunk holds fewer rows.  Besides the
-    16 MB output the peak is that budget plus 16 MB for what the budget
-    does not count: the ancestor maxima, the record mask, the fetched
-    states and a count, 76 bytes a row."""
+    of 8 columns and five state vectors, is larger than the row.  Rows
+    drawn by lanes keep one 32 MB chunk, shared by the workers, which
+    counts both and the row's ancestor maxima, level temp and mask, so a
+    chunk holds fewer rows.  Besides the 16 MB output the peak is that
+    budget plus 8 MB for what it does not count: the fetched states, 32
+    bytes a row (4.7 MB), and numpy's iterator buffers."""
     tracemalloc.start()
     try:
-        counts = cutsim.simulate_records_batch(CompleteTree(4), 2, 0, 10**6)
+        counts = cutsim.simulate_records_batch(
+            CompleteTree(4), 2, 0, 10**6, threads=2
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= counts.nbytes + (32 + 16) * 2**20
+    assert peak <= counts.nbytes + (32 + 8) * 2**20
 
 
 # Rows of 600 and 512 values: the tests below set _MIN_THREADED_ROW to 1
