@@ -48,14 +48,14 @@ numpy ``uint64`` vectors, one column of the chunk's uniforms a step,
 where a Python call per sample would cost more than the row.  Longer
 rows, and chunks of few samples, re-key one generator per sample
 instead (the crossover is ``_LANE_ROW``).  Both give the same bits.
-The chunks of all workers together hold at most ``chunk`` samples.  A
-record batch sweeps its rows in pieces of as many as fit 8 MB with
-their scratch (``_RECORD_VALUES``), so that a piece stays near its
-core's L2 cache.  By default its rows drawn per sample come in chunks
-of one piece a worker; rows drawn by lanes, and the process batch's
-rows, come in chunks that share one 32 MB budget (:func:`_chunk_rows`),
-lane scratch included.  The xi batch of :mod:`kcut.limitdist` sizes
-its own chunk.
+The chunks of all workers together hold at most a batch's chunk of
+samples; only the record batches take it as an input.  A record batch
+sweeps its rows in pieces of as many as fit 8 MB with their scratch
+(``_RECORD_VALUES``), so that a piece stays near its core's L2 cache.
+By default its rows drawn per sample come in chunks of one piece a
+worker; rows drawn by lanes, and the process batch's rows, come in
+chunks that share one 32 MB budget (:func:`_chunk_rows`), lane scratch
+included.  The xi batch of :mod:`kcut.limitdist` sizes its own chunk.
 """
 
 from __future__ import annotations
@@ -668,7 +668,6 @@ def simulate_process_batch(
     seed: int,
     n_samples: int,
     first_index: int = 0,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Vectorized cut-count totals from the direct process, shape
     ``(n_samples,)``.
@@ -684,12 +683,12 @@ def simulate_process_batch(
     depth ``d`` below ``v`` it is the heap range ``v * 2**d .. (v + 1) *
     2**d - 1``, which lies inside one block or covers whole ones.
     Sample ``i`` consumes the uniforms of substream ``(seed,
-    first_index + i)`` in cut order, one per cut.
-    ``chunk`` (samples in flight at once) defaults to the package's
-    32 MB scratch budget for the ``k * n`` uniforms of a sample; it does
-    not change the output.  The sweep is many small numpy calls that
-    hold the GIL, so the batch runs on one worker whatever
-    ``KCUT_THREADS`` says.
+    first_index + i)`` in cut order, one per cut.  The samples in
+    flight at once share the package's 32 MB scratch budget for the
+    ``k * n`` uniforms of a sample (:func:`_chunk_rows`), which does not
+    change the output.  The sweep is many small numpy calls that hold
+    the GIL, so the batch runs on one worker whatever ``KCUT_THREADS``
+    says.
     """
     _check_k(k)
     n = tree.n
@@ -769,7 +768,7 @@ def simulate_process_batch(
         return sweep
 
     return _run_batch(
-        n_samples, k * n, seed, first_index, chunk, 1, worker,
+        n_samples, k * n, seed, first_index, None, 1, worker,
         result=((), np.int64),
     )
 
@@ -779,15 +778,11 @@ def simulate_process_batch(
 # ---------------------------------------------------------------------------
 
 
-def rescale_counts(
-    counts: np.ndarray | float,
-    r: int | None,
-    table: series.ConstantTable,
-    n: int,
-):
+def rescale_counts(counts: np.ndarray | float, r: int | None, k: int, n: int):
     """Affine normalization of record counts; vectorized over ``counts``.
 
-    With ``lg = lg n`` and constants from ``table``:
+    With ``lg = lg n`` and the constants of :func:`kcut.series.constants`
+    for cut threshold ``k``:
 
     - order ``r``: ``counts * lg**(r/k + 1) / (n * C2(r)) - mu(r, n)``;
     - ``r is None`` (total across orders): ``counts * lg**(1/k + 1) /
@@ -798,7 +793,7 @@ def rescale_counts(
     """
     if n < 4:
         raise ValueError(f"rescaling needs n >= 4, got {n!r}")
-    k = table.k
+    series._check_k(k)
     lg = math.log2(n)
     if r is None:
         c2_1 = series.constants(k, 1).c2
@@ -811,7 +806,5 @@ def rescale_counts(
         )
         return counts * scale - center
     series._check_r(r, k)
-    if r != table.r:
-        raise ValueError(f"table was built for r={table.r}, got r={r!r}")
-    scale = lg ** (r / k + 1.0) / (n * table.c2)
+    scale = lg ** (r / k + 1.0) / (n * series.constants(k, r).c2)
     return counts * scale - series.mu(r, k, n)

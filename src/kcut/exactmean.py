@@ -173,13 +173,11 @@ def expected_records(query: MeanQuery) -> float:
     return total
 
 
-def asymptotic_mean(
-    n: int, k: int, r: int, table: series.ConstantTable | None = None
-) -> float:
+def asymptotic_mean(n: int, k: int, r: int) -> float:
     """Closed-form approximation of the unconditional node-variant mean.
 
-    With ``lg = lg n``, ``m = floor(lg)``, ``alpha = lg - m`` and the
-    centering sequence ``mu``:
+    With ``lg = lg n``, ``m = floor(lg)``, ``alpha = lg - m``, ``C2`` from
+    :func:`kcut.series.constants` and the centering sequence ``mu``:
 
         E X ~ C2(r) * n / lg**(r/k + 1) * (mu(r, n) - lg lg n + alpha)
               + C2(r) * 2**(m+1) / lg**(r/k + 1).
@@ -192,15 +190,9 @@ def asymptotic_mean(
     n = _as_int("n", n)
     if n < 4:
         raise ValueError(f"asymptotic mean needs n >= 4, got {n!r}")
-    if table is None:
-        table = series.constants(k, r)
-    if table.k != k or table.r != r:
-        raise ValueError(
-            f"table is for (k={table.k}, r={table.r}), got (k={k}, r={r})"
-        )
     lg = math.log2(n)
     m = n.bit_length() - 1
     alpha = lg - m
-    scale = table.c2 / lg ** (r / k + 1.0)
+    scale = series.constants(k, r).c2 / lg ** (r / k + 1.0)
     centered = series.mu(r, k, n) - math.log2(lg) + alpha
     return scale * (n * centered + float(2 ** (m + 1)))

@@ -410,7 +410,6 @@ def _one_size(
     n: int,
     config: ExperimentConfig,
     p: limitdist.LimitParams,
-    limit_table: series.ConstantTable,
     threads: int,
 ) -> NResult:
     exact = _exact_mean(n, config)
@@ -433,10 +432,8 @@ def _one_size(
     raw = (
         counts.sum(axis=1) if config.r is None else counts[:, config.r - 1]
     ).astype(float)
-    rescaled = cutsim.rescale_counts(raw, config.r, limit_table, n)
-    ks = ks_statistic(
-        rescaled, lambda w: limitdist.limit_cdf(w, p, limit_table)
-    )
+    rescaled = cutsim.rescale_counts(raw, config.r, config.k, n)
+    ks = ks_statistic(rescaled, lambda w: limitdist.limit_cdf(w, p))
     raw_mean = float(raw.mean())
     raw_var = float(raw.var(ddof=1)) if raw.size > 1 else float("nan")
     se = (
@@ -475,15 +472,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     sizes = config.sizes()
     r_eff = 1 if config.r is None else config.r
-    limit_table = series.constants(config.k, r_eff)
     p = limitdist.LimitParams(r_eff, config.k, config.gamma_target)
     threads = cutsim.resolve_threads(config.threads)
     results = []
     for n in sizes:
         try:
-            results.append(
-                _one_size(n, config, p, limit_table, threads)
-            )
+            results.append(_one_size(n, config, p, threads))
         except Exception as exc:
             exc.args = (f"n={n}, seed={config.seed}: {exc}",)
             raise

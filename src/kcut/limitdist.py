@@ -40,7 +40,7 @@ points on all CPUs (:func:`kcut.cutsim.resolve_threads`), with values
 that do not depend on the worker count.  Every evaluation of ``Q`` and
 ``Q^{-1}``, scalar or vectorized, goes through :mod:`kcut.specfun`, the
 package's one scipy-backed route; every Levy series sums ``s =
-1..s_max`` of one ``_thetas`` array call.
+1.._S_MAX`` of one ``_thetas`` array call.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from scipy import special
 
 from . import series, specfun
 from .cutsim import (
-    CompleteTree, _as_int, _on_workers, _run_batch, _worker_count, substream,
+    CompleteTree, _as_int, _on_workers, _run_batch, resolve_threads, substream,
 )
 
 __all__ = [
@@ -78,6 +78,13 @@ class NumericError(ArithmeticError):
     """A numerical procedure could not certify its target accuracy."""
 
 
+# Terms s = 1 .. _S_MAX of every log-periodic series (see _thetas).  From
+# 56 terms on the omitted remainder is below 1e-14 of each sum; up to
+# 1000 terms y = 2**(c - s) stays a normal double, so every term is
+# finite.
+_S_MAX = 80
+
+
 @dataclass(frozen=True)
 class LimitParams:
     """Parameters of the limit law.
@@ -85,24 +92,18 @@ class LimitParams:
     ``gamma`` may be any value in [0, 1]; the law is periodic, so 0 and
     1 describe the same distribution (both endpoints are accepted
     because a subsequence with fractional parts near both ends is
-    ambiguous between them).  ``s_max`` is the number of terms of every
-    log-periodic series; it must lie in [56, 1000], where the omitted
-    remainder is below 1e-14 of each sum and every term is finite (see
-    ``_thetas``).
+    ambiguous between them).
     """
 
     r: int
     k: int
     gamma: float
-    s_max: int = 80
 
     def __post_init__(self) -> None:
         series._check_k(self.k)
         series._check_r(self.r, self.k)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if not isinstance(self.s_max, int) or not 56 <= self.s_max <= 1000:
-            raise ValueError(f"s_max must lie in [56, 1000], got {self.s_max!r}")
 
     @property
     def a(self) -> float:
@@ -114,40 +115,48 @@ class LimitParams:
 class ScaleParams:
     """Size-derived quantities entering the triangular-array sampler.
 
-    For a tree on ``n`` nodes: ``m = floor(lg n)``; ``ell = floor(lg lg
-    n)``; ``alpha = frac(lg n)``; ``beta = frac(lg lg n)``; the sampler
-    truncates the node sum at height ``L = floor((2 - 1/(2k)) lg lg
-    n)``.  The induced subsequence parameter is ``frac(alpha - beta)``.
+    For a tree on ``n >= 16`` nodes (an integer, not a bool) and cut
+    threshold ``k``: ``m = floor(lg n)``; ``alpha = frac(lg n)``; ``beta
+    = frac(lg lg n)``; the sampler truncates the node sum at height ``L =
+    floor((2 - 1/(2k)) lg lg n)``.  The induced subsequence parameter is
+    ``frac(alpha - beta)``.  An invalid ``n`` or ``k`` raises
+    ``ValueError``.
     """
 
     n: int
     k: int
-    m: int
-    ell: int
-    L: int
-    alpha: float
-    beta: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_int("n", self.n))
+        if self.n < 16:
+            raise ValueError(f"scale parameters need n >= 16, got {self.n!r}")
+        series._check_k(self.k)
 
     @staticmethod
     def from_n(n: int, k: int) -> "ScaleParams":
-        n = _as_int("n", n)
-        if n < 16:
-            raise ValueError(f"scale parameters need n >= 16, got {n!r}")
-        series._check_k(k)
-        lg = math.log2(n)
-        lglg = math.log2(lg)
-        m = n.bit_length() - 1
-        ell = math.floor(lglg)
-        big_l = math.floor((2.0 - 1.0 / (2.0 * k)) * lglg)
-        return ScaleParams(
-            n=n,
-            k=k,
-            m=m,
-            ell=ell,
-            L=big_l,
-            alpha=lg - m,
-            beta=lglg - ell,
-        )
+        return ScaleParams(n, k)
+
+    @property
+    def m(self) -> int:
+        """Height of the deepest level, ``floor(lg n)``."""
+        return self.n.bit_length() - 1
+
+    @property
+    def L(self) -> int:
+        """Height cutoff ``floor((2 - 1/(2k)) lg lg n)`` of the sampler."""
+        lglg = math.log2(math.log2(self.n))
+        return math.floor((2.0 - 1.0 / (2.0 * self.k)) * lglg)
+
+    @property
+    def alpha(self) -> float:
+        """``frac(lg n)``."""
+        return math.log2(self.n) - self.m
+
+    @property
+    def beta(self) -> float:
+        """``frac(lg lg n)``."""
+        lglg = math.log2(math.log2(self.n))
+        return lglg - math.floor(lglg)
 
     @property
     def gamma(self) -> float:
@@ -187,22 +196,23 @@ def _c_of(x, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _thetas(c, p: LimitParams) -> tuple[np.ndarray, np.ndarray]:
-    """``y = 2**(c - s)`` and ``theta = q_inv(a, y)`` for ``s = 1..s_max``,
-    shape ``c.shape + (s_max,)``, from one array call of ``q_inv``.
+    """``y = 2**(c - s)`` and ``theta = q_inv(a, y)`` for ``s =
+    1.._S_MAX``, shape ``c.shape + (_S_MAX,)``, from one array call of
+    ``q_inv``.
 
     Every series of the Levy measure sums its term over this whole axis,
-    so the fixed ``s_max`` is the one truncation rule.  By the envelope
+    so the fixed ``_S_MAX`` is the one truncation rule.  By the envelope
     ``theta_s <= log(1/y_s) = (s - c) ln 2`` each term of each series is
     at most a constant of the shape times ``2**(c-s) * (s - c)``, and the
-    omitted remainder falls geometrically in ``s_max``.  Over every shape
-    ``r/k`` with ``k <= 8`` and 256 phases, ``s_max >= 56`` keeps it below
-    1e-14 of the tail (50 suffice for the density), and below 1e-14
-    absolute in the drift and the block-mean antiderivative (51 terms).
-    ``s_max <= 1000`` keeps ``y`` a normal float, so ``theta`` is finite.
-    :class:`LimitParams` enforces both ends.
+    omitted remainder falls geometrically in the number of terms.  Over
+    every shape ``r/k`` with ``k <= 8`` and 256 phases, 56 terms keep it
+    below 1e-14 of the tail (50 suffice for the density), and below
+    1e-14 absolute in the drift and the block-mean antiderivative (51
+    terms).  Up to 1000 terms ``y`` stays a normal float, so ``theta`` is
+    finite.
     """
     c = np.asarray(c, dtype=float)
-    y = 2.0 ** (c[..., None] - np.arange(1, p.s_max + 1))
+    y = 2.0 ** (c[..., None] - np.arange(1, _S_MAX + 1))
     return y, specfun.q_inv(p.a, y)
 
 
@@ -212,7 +222,7 @@ def _density_terms(c, p: LimitParams) -> np.ndarray:
     (``exp(theta_s)`` overflows for ``s >= 1024``)."""
     c = np.asarray(c, dtype=float)
     y, theta = _thetas(c, p)
-    terms = np.subtract(c[..., None], np.arange(1, p.s_max + 1), out=y)
+    terms = np.subtract(c[..., None], np.arange(1, _S_MAX + 1), out=y)
     terms *= 2.0 * math.log(2.0)
     terms += theta
     np.exp(terms, out=terms)
@@ -235,7 +245,7 @@ def _per_point(x, p: LimitParams, what: str, row_sum):
     any size of ``x``; a 0-d ``x`` gives a float."""
     x = _support(x, what)
     flat, out = x.ravel(), np.empty(x.size)
-    step = max(1, _PASS_SIZE // p.s_max)
+    step = max(1, _PASS_SIZE // _S_MAX)
     for i in range(0, x.size, step):
         block = flat[i : i + step]
         out[i : i + step] = row_sum(block, _c_of(block, p)[1])
@@ -254,7 +264,7 @@ def levy_density(x, p: LimitParams):
     """Levy-measure density at every finite ``x > 0`` (vectorized; a
     0-d ``x`` gives a float).
 
-    Evaluates ``(gamma(a)**2 / x**2) * sum_{s=1}^{s_max} 4**(c-s) *
+    Evaluates ``(gamma(a)**2 / x**2) * sum_{s=1}^{_S_MAX} 4**(c-s) *
     exp(theta_s) * theta_s**(1-a)`` with ``theta_s = q_inv(a, 2**(c-s))``
     and ``c = frac(gamma + lg(x / gamma(a)))``; :func:`_thetas` states
     the truncation bound.
@@ -271,7 +281,7 @@ def levy_tail(x, p: LimitParams):
     """Mass of the Levy measure on ``(x, inf)`` at every finite ``x > 0``
     (vectorized; a 0-d ``x`` gives a float).
 
-    Series form ``(gamma(a)/x) * sum_{s=1}^{s_max} 2**(c-s) * theta_s``
+    Series form ``(gamma(a)/x) * sum_{s=1}^{_S_MAX} 2**(c-s) * theta_s``
     with the same ``c`` and ``theta_s`` as :func:`levy_density`; its
     negated derivative in ``x`` is the density.
     """
@@ -318,7 +328,7 @@ def f_constant(p: LimitParams) -> float:
             + gamma(1+a) * (2**c - c - lg gamma(a) - 1).
 
     For ``r = k`` the two series cancel termwise and f reduces to
-    ``2**gamma - gamma - 1``.  The series run to ``s_max`` (see
+    ``2**gamma - gamma - 1``.  The series run to ``_S_MAX`` (see
     :func:`_thetas`).
     """
     a = p.a
@@ -422,8 +432,7 @@ class _Filon:
         out = np.empty((rows, s.size))
         chunk = max(1, _PASS_SIZE // len(self.edges))
         blocks = -(-s.size // chunk)
-        # A block's phase table holds chunk * len(edges) values.
-        workers = _worker_count(blocks, chunk * len(self.edges), None)
+        workers = min(resolve_threads(), max(blocks, 1))
 
         def start(lo: int, hi: int):
             size = min(chunk, s.size) * len(self.edges)
@@ -958,7 +967,7 @@ def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
 
 
 # Standard deviations of the trial count that a draw's budget covers,
-# and the default scratch of a chunk of draws, in float64 values.
+# and the scratch of a chunk of draws, in float64 values.
 _XI_MARGIN = 3.0
 _XI_CHUNK_VALUES = 1 << 20
 
@@ -996,8 +1005,6 @@ def xi_sampler_batch(
     seed: int = 0,
     n_samples: int = 1,
     first_index: int = 0,
-    chunk: int | None = None,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Draws of the triangular-array approximation to ``1 - C3*W``,
     shape ``(n_samples,)``; draw ``i`` uses substream ``(seed,
@@ -1031,11 +1038,12 @@ def xi_sampler_batch(
     standard deviations, up front, as every batch of :mod:`kcut.cutsim`
     reads its rows (by lanes where they are short); a draw that runs
     short reads on in its substream.  A worker then accepts, counts,
-    prices and sums over the chunk.  ``chunk`` (draws in flight, shared
-    by the ``threads`` workers; see :func:`kcut.cutsim.resolve_threads`)
-    defaults to 8 MB of scratch: the sweep's temporaries come from the
-    workers' own malloc arenas, which keep them.  Neither changes the
-    output.
+    prices and sums over the chunk.  The draws in flight, shared by the
+    workers (:func:`kcut.cutsim.resolve_threads`: ``KCUT_THREADS``, else
+    all CPUs), hold at most 8 MB of scratch (``_XI_CHUNK_VALUES``), or
+    one draw where a draw needs more: the sweep's temporaries come from
+    the workers' own malloc arenas, which keep them.  Neither the
+    workers nor the chunk change the output.
     """
     table = series.constants(p.k, p.r) if table is None else table
     if (table.k, table.r, scale.k) != (p.k, p.r, p.k):
@@ -1045,8 +1053,7 @@ def xi_sampler_batch(
     width = classes + per * trials
     shift = 1.0 + table.c3 * _xi_centre(scale, p)
     # The budget, two trial arrays and the kept clocks with their cells.
-    if chunk is None:
-        chunk = max(1, _XI_CHUNK_VALUES // (width + 5 * trials))
+    chunk = max(1, _XI_CHUNK_VALUES // (width + 5 * trials))
 
     def accept(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Each trial's flag; the accepted trials' U1 (power) or U1 ... Uk.
@@ -1098,4 +1105,4 @@ def xi_sampler_batch(
 
         return sweep
 
-    return _run_batch(n_samples, width, seed, first_index, chunk, threads, worker)
+    return _run_batch(n_samples, width, seed, first_index, chunk, None, worker)

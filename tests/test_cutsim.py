@@ -251,10 +251,10 @@ def test_batch_rejects_bad_k() -> None:
 
 
 def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
-    """Every batch takes ``n_samples``, ``seed``, ``first_index`` and
-    ``chunk`` as integers: a bool or a float raises a ValueError naming
-    the parameter, as do a negative count and a chunk below 1, and a
-    negative seed keeps its 64-bit mask."""
+    """Every batch takes ``n_samples``, ``seed`` and ``first_index``, and
+    the record batches ``chunk``, as integers: a bool or a float raises
+    a ValueError naming the parameter, as do a negative count and a
+    chunk below 1, and a negative seed keeps its 64-bit mask."""
     tree = CompleteTree(7)
     scale = limitdist.ScaleParams.from_n(1 << 20, 2)
     params = limitdist.LimitParams(1, 2, scale.gamma)
@@ -272,12 +272,14 @@ def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
         ("first_index", (1, 2), {"first_index": True}),
         ("first_index", (1, 2), {"first_index": 1.5}),
         ("n_samples", (1, -1), {}),
+    ]
+    bad_chunk = [
         ("chunk", (1, 2), {"chunk": True}),
         ("chunk", (1, 2), {"chunk": 2.5}),
         ("chunk", (1, 2), {"chunk": 0}),
     ]
-    for batch in batches:
-        for name, args, kwargs in bad:
+    for i, batch in enumerate(batches):
+        for name, args, kwargs in bad + (bad_chunk if i < 2 else []):
             with pytest.raises(ValueError, match=name):
                 batch(*args, **kwargs)
         assert np.array_equal(batch(-1, 3), batch((1 << 64) - 1, 3))
@@ -286,10 +288,11 @@ def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
 def test_batch_chunk_must_be_positive() -> None:
     tree = CompleteTree(7)
     for chunk in (0, -3):
-        with pytest.raises(ValueError):
-            cutsim.simulate_records_batch(tree, 2, 0, 5, chunk=chunk)
-        with pytest.raises(ValueError):
-            cutsim.simulate_process_batch(tree, 2, 0, 5, chunk=chunk)
+        for batch in (
+            cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch
+        ):
+            with pytest.raises(ValueError):
+                batch(tree, 2, 0, 5, chunk=chunk)
 
 
 def _peak(batch, *args, **kwargs) -> int:
@@ -562,10 +565,13 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
         cutsim.simulate_edge_records_batch,
         cutsim.simulate_process_batch,
     ):
-        threads = {} if batch is cutsim.simulate_process_batch else {"threads": 2}
+        process = batch is cutsim.simulate_process_batch
+        threads = {} if process else {"threads": 2}
         # n = 4, k = 2: 8 values a row, lanes in chunks of 48 or more.
         calls.clear()
-        got = batch(CompleteTree(4), 2, 3, 110, first_index=top - 3, chunk=50)
+        with monkeypatch.context() as m:
+            chunk = _chunked(m, process, 4, 2, 50)
+            got = batch(CompleteTree(4), 2, 3, 110, first_index=top - 3, **chunk)
         assert calls == [(50, 8), (50, 8)]
         assert np.array_equal(
             got, per_sample(batch, CompleteTree(4), 2, 3, 110, first_index=top - 3)
@@ -608,6 +614,20 @@ def test_lane_batch_peak_within_budget() -> None:
     assert peak <= counts.nbytes + (32 + 8) * 2**20
 
 
+def _chunked(m: pytest.MonkeyPatch, process: bool, n: int, k: int, chunk):
+    """Keyword arguments that run a batch at ``(n, k)`` in chunks of
+    ``chunk`` samples (``None``: the default).  A record batch takes the
+    chunk as an argument; for the process batch ``m`` sets the scratch
+    budget that its default chunk fills: a row of ``k * n`` uniforms and,
+    where lanes may fill it, their scratch."""
+    if chunk is None or not process:
+        return {} if chunk is None else {"chunk": chunk}
+    values = k * n
+    lanes = cutsim._lane_words(values) if values <= cutsim._LANE_ROW else 0
+    m.setattr(cutsim, "_SCRATCH_VALUES", chunk * (values + lanes))
+    return {}
+
+
 # Rows of 600 and 512 values: the tests below set _MIN_THREADED_ROW to 1
 # so that threads engage on them.
 _RECORDS_TREE = CompleteTree(300)
@@ -621,19 +641,35 @@ _BATCHES = {
 
 @pytest.mark.parametrize("kind", ["node", "edge", "process"])
 def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
+    """Output is bitwise equal at 1, 2 and 3 workers and in chunks of 1,
+    7 and the default.  The process batch always runs on one worker and
+    takes its chunk from the scratch budget (:func:`_chunked`)."""
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
-    batch = _BATCHES[kind]
-    # The process batch always runs on one worker.
-    splits = [{}] if kind == "process" else [{"threads": t} for t in (1, 2, 3)]
+    batch, process = _BATCHES[kind], kind == "process"
+    tree = _PROCESS_TREE if process else _RECORDS_TREE
+    splits = [{}] if process else [{"threads": t} for t in (1, 2, 3)]
+    chunk_rows = cutsim._chunk_rows
+    in_flight = []
+
+    def spy(floats_per_row, chunk=None):
+        in_flight.append(chunk_rows(floats_per_row, chunk))
+        return in_flight[-1]
+
+    monkeypatch.setattr(cutsim, "_chunk_rows", spy)
     for first in (0, 13):
         for size in (0, 1, 2, 5, 40):
             want = batch(n_samples=size, first_index=first, **splits[0])
             assert len(want) == size
             for split in splits:
                 for chunk in (None, 1, 7):
-                    got = batch(
-                        n_samples=size, first_index=first, chunk=chunk, **split
-                    )
+                    with monkeypatch.context() as m:
+                        kwargs = _chunked(m, process, tree.n, 2, chunk)
+                        in_flight.clear()
+                        got = batch(
+                            n_samples=size, first_index=first, **kwargs, **split
+                        )
+                    if chunk is not None:
+                        assert in_flight == [chunk]
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want), (split, chunk)
 
@@ -665,7 +701,7 @@ def test_process_single_node() -> None:
         assert simulate_process(CompleteTree(1), k, seed=0) == k
 
 
-def test_process_determinism_and_batch_agreement() -> None:
+def test_process_determinism_and_batch_agreement(monkeypatch) -> None:
     tree = CompleteTree(15)
     a = simulate_process(tree, 2, seed=10, sample_index=4)
     b = simulate_process(tree, 2, seed=10, sample_index=4)
@@ -676,27 +712,27 @@ def test_process_determinism_and_batch_agreement() -> None:
     ]
     batch = cutsim.simulate_process_batch(tree, 2, seed=10, n_samples=25)
     assert singles == batch.tolist()
-    rechunked = cutsim.simulate_process_batch(
-        tree, 2, seed=10, n_samples=25, chunk=7
-    )
+    _chunked(monkeypatch, True, tree.n, 2, 7)
+    rechunked = cutsim.simulate_process_batch(tree, 2, seed=10, n_samples=25)
     assert np.array_equal(batch, rechunked)
 
 
 # The "chunk5-threads2" id is kept from when this split also ran on two
 # workers, so that the suite's test names stay stable.
-@pytest.mark.parametrize(
-    "split", [{}, {"chunk": 5}], ids=["whole", "chunk5-threads2"]
-)
+@pytest.mark.parametrize("chunk", [None, 5], ids=["whole", "chunk5-threads2"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [21, 31, 100, 256])
-def test_process_batch_matches_plain_process(n: int, k: int, split) -> None:
+def test_process_batch_matches_plain_process(
+    n: int, k: int, chunk, monkeypatch
+) -> None:
     """The lockstep sweep, with its carried connected flags and block
     counts, gives the plain process's total row for row.  n = 21 and
     100 leave the last level part full and n + 1 off the block width;
     k = 1 makes every cut a removal; chunks of 5 finish samples at
     different steps across chunk boundaries."""
     tree, seed, first = CompleteTree(n), 4, 5
-    totals = cutsim.simulate_process_batch(tree, k, seed, 12, first, **split)
+    _chunked(monkeypatch, True, n, k, chunk)
+    totals = cutsim.simulate_process_batch(tree, k, seed, 12, first)
     assert totals.tolist() == [
         simulate_process(tree, k, seed, first + i) for i in range(12)
     ]
@@ -732,7 +768,9 @@ def test_process_batch_matches_plain_process_property(
     n: int, k: int, seed: int
 ) -> None:
     tree = CompleteTree(n)
-    totals = cutsim.simulate_process_batch(tree, k, seed, 6, chunk=4)
+    with pytest.MonkeyPatch.context() as m:
+        _chunked(m, True, n, k, 4)
+        totals = cutsim.simulate_process_batch(tree, k, seed, 6)
     assert totals.tolist() == [
         simulate_process(tree, k, seed, i) for i in range(6)
     ]
@@ -810,28 +848,25 @@ def test_process_and_records_agree_in_law() -> None:
 
 
 def test_rescale_zero_count_gives_minus_mu() -> None:
-    table = series.constants(2, 1)
-    value = cutsim.rescale_counts(0.0, 1, table, 64)
+    value = cutsim.rescale_counts(0.0, 1, 2, 64)
     assert value == pytest.approx(-series.mu(1, 2, 64), abs=1e-12)
 
 
 def test_rescale_k1_formula() -> None:
-    table = series.constants(1, 1)
     n, count = 1 << 10, 137.0
     lg = 10.0
     expected = count * lg**2 / n - series.mu(1, 1, n)
-    assert cutsim.rescale_counts(count, 1, table, n) == pytest.approx(
+    assert cutsim.rescale_counts(count, 1, 1, n) == pytest.approx(
         expected, rel=1e-14
     )
 
 
 def test_rescale_k2_prefactor() -> None:
-    table = series.constants(2, 1)
     n = 1 << 8
     lg = 8.0
     prefactor = math.sqrt(8.0 / math.pi) * lg**1.5 / n
-    got = cutsim.rescale_counts(1.0, 1, table, n) - cutsim.rescale_counts(
-        0.0, 1, table, n
+    got = cutsim.rescale_counts(1.0, 1, 2, n) - cutsim.rescale_counts(
+        0.0, 1, 2, n
     )
     assert got == pytest.approx(prefactor, rel=1e-12)
 
@@ -845,23 +880,23 @@ def test_rescale_total_mode_weights() -> None:
     center = series.mu(1, k, n) + (c2_2 / c2_1) * lg ** (-0.5) * series.mu(
         2, k, n
     )
-    table = series.constants(k, 1)
-    assert cutsim.rescale_counts(0.0, None, table, n) == pytest.approx(
+    assert cutsim.rescale_counts(0.0, None, k, n) == pytest.approx(
         -center, rel=1e-12
     )
 
 
 def test_rescale_counts_validation() -> None:
-    table = series.constants(2, 1)
     counts = cutsim.simulate_records_batch(CompleteTree(16), 2, 0, 1)
-    order1 = cutsim.rescale_counts(float(counts[0, 0]), 1, table, 16)
+    order1 = cutsim.rescale_counts(float(counts[0, 0]), 1, 2, 16)
     assert math.isfinite(order1)
-    with pytest.raises(ValueError):
-        cutsim.rescale_counts(1.0, 2, table, 16)  # table built for r=1
     for r in (0, 3, True):
         with pytest.raises(ValueError, match="r must be"):
-            cutsim.rescale_counts(1.0, r, table, 16)
+            cutsim.rescale_counts(1.0, r, 2, 16)
+    for k in (0, True, 2.0, series.MAX_K + 1):
+        for r in (1, None):
+            with pytest.raises(ValueError, match="k must be"):
+                cutsim.rescale_counts(1.0, r, k, 16)
     total = simulate_process(CompleteTree(16), 2, seed=0)
-    assert math.isfinite(cutsim.rescale_counts(float(total), None, table, 16))
+    assert math.isfinite(cutsim.rescale_counts(float(total), None, 2, 16))
     with pytest.raises(ValueError):
-        cutsim.rescale_counts(1.0, 1, table, 3)
+        cutsim.rescale_counts(1.0, 1, 2, 3)

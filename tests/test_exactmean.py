@@ -186,5 +186,6 @@ def test_asymptotic_mean_validation() -> None:
     assert exactmean.asymptotic_mean(np.int64(2**20), 2, 1) == (
         exactmean.asymptotic_mean(2**20, 2, 1)
     )
-    with pytest.raises(ValueError):
-        exactmean.asymptotic_mean(16, 2, 1, table=series.constants(2, 2))
+    for k, r in ((2, 3), (2, 0), (series.MAX_K + 1, 1), (True, 1)):
+        with pytest.raises(ValueError):
+            exactmean.asymptotic_mean(16, k, r)

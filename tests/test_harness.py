@@ -389,16 +389,13 @@ def test_total_and_r1_modes_share_limit_family() -> None:
     # The total-count normalization and the order-1 normalization
     # approach the same limit family: their rescaled samples get closer
     # as n grows (k = 2 here).
-    table = series.constants(2, 1)
     stats = {}
     for e in (14, 18):
         n = 1 << e
         tree = cutsim.CompleteTree(n)
         counts = cutsim.simulate_records_batch(tree, 2, 4242, 1500)
-        tot = cutsim.rescale_counts(
-            counts.sum(axis=1).astype(float), None, table, n
-        )
-        r1 = cutsim.rescale_counts(counts[:, 0].astype(float), 1, table, n)
+        tot = cutsim.rescale_counts(counts.sum(axis=1).astype(float), None, 2, n)
+        r1 = cutsim.rescale_counts(counts[:, 0].astype(float), 1, 2, n)
         stats[e] = harness.ks_two_sample(tot, r1)
     assert stats[18] < stats[14]
     assert stats[18] < 0.1
