@@ -18,7 +18,8 @@ first quadrature.
 
 Exit codes: 0 on success, 2 for configuration problems (bad arguments,
 unreadable files, invalid parameter combinations), 3 when a numerical
-procedure cannot certify its accuracy target.
+procedure cannot certify its accuracy target, 4 when memory runs out
+(an allocation that numpy or Python refuses).
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -48,14 +48,16 @@ numpy ``uint64`` vectors, one column of the chunk's uniforms a step,
 where a Python call per sample would cost more than the row.  Longer
 rows, and chunks of few samples, re-key one generator per sample
 instead (the crossover is ``_LANE_ROW``).  Both give the same bits.
-The chunks of all workers together hold at most a batch's chunk of
-samples; only the record batches take it as an input.  A record batch
-sweeps its rows in pieces of as many as fit 8 MB with their scratch
-(``_RECORD_VALUES``), so that a piece stays near its core's L2 cache.
-By default its rows drawn per sample come in chunks of one piece a
-worker; rows drawn by lanes, and the process batch's rows, come in
-chunks that share one 32 MB budget (:func:`_chunk_rows`), lane scratch
-included.  The xi batch of :mod:`kcut.limitdist` sizes its own chunk.
+Rows drawn per sample of fewer than ``_SERIAL_FILL_ROW`` values are
+filled one worker at a time, while the others sweep, because each
+re-key holds the GIL.  The chunks of all workers together hold at most
+a batch's chunk of samples; only the record batches take it as an
+input.  A record batch sweeps its rows in pieces of as many as fit 8 MB
+with their scratch (``_RECORD_VALUES``), so that a piece stays near its
+core's L2 cache.  By default its rows drawn per sample come in chunks
+of one piece a worker; rows drawn by lanes, and the process batch's
+rows, come in chunks that share one 32 MB budget (:func:`_chunk_rows`),
+lane scratch included.  The xi batch of :mod:`kcut.limitdist` sizes its own chunk.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from threading import Lock
 
 import numpy as np
-
-from . import series
 
 __all__ = [
     "CompleteTree",
@@ -114,10 +116,14 @@ _COUNT_ROW = 4096
 # Rows of fewer values run on one thread, unless lanes fill them (see
 # _worker_count).  Below this the per-sample loop, which holds the GIL,
 # dominates and threads lose.  Two threads against one on 2 CPUs, k = 2,
-# best of 11, two runs: records filled per sample 1.13-1.19x the time
+# best of 11, two runs, before rows were filled one worker at a time
+# (_SERIAL_FILL_ROW): records filled per sample 1.13-1.19x the time
 # at 510 values a row (n = 255; 1.12x in a later run of 20 000 samples),
 # 0.96-0.97x at 766, 0.88-0.97x at 1022 and 0.80-0.87x at 1534; xi draws
-# 1.07x at 164 values, 1.12-1.20x at 328 and 0.73x at 2059.  Lanes step
+# 1.07x at 164 values and 1.12-1.20x at 328.  Since (median of 15 or
+# 21): records 1.35x at 510 values in 2000 samples (one chunk a worker,
+# so no fill overlaps a sweep) but 0.82x in 20 000, 0.84x at 1022
+# (4891 samples); xi draws 0.68x at 2059 (n = 2**40, k = 2).  Lanes step
 # whole numpy vectors, so two workers win on the rows they fill (best
 # of 15): records 0.60x at 30 values (n = 15, 100 000 samples), 0.82x
 # at 126 (n = 63) and 0.87x at 254 (n = 127), 20 000 samples each.
@@ -127,6 +133,27 @@ _COUNT_ROW = 4096
 # threads take 1.43x one thread's time on its fancy-index gathers, 1.02x
 # on its short-axis cumsums), so it always runs on one worker.
 _MIN_THREADED_ROW = 1024
+
+# Rows drawn per sample of fewer values than this are filled one worker
+# at a time: a batch's workers share one lock, held while a worker reads
+# a chunk's states and re-keys and fills its rows, and sweep without it.
+# A re-key holds the GIL for about 0.8 us between short GIL-free
+# random(out=) calls, so workers that fill short rows together queue on
+# the GIL after every row; under the lock one fills while another
+# sweeps.  Longer rows spend long enough in random(out=) that filling
+# together wins.  Measured on 2 vCPUs only: two workers, median of 15
+# calls, median of three processes, no lock against the lock at every
+# length; records (k = 2) in ns a node-sample, xi draws ((1, 2)) in us:
+#
+#   values a row    2046   3070   4094   6142  10074  20478 | xi 2059  4041
+#   no lock        10.19   6.60   5.46   4.19   4.07   3.54 |   16.24 24.43
+#   locked          5.90   5.25   4.97   4.52   4.43   3.98 |   10.83 20.52
+#
+# (-42, -20, -9, +8, +9, +12 %; xi -33 and -16 %.)  Lane fills take no
+# lock: under it, records on two workers were 12-16 % slower at 30
+# values a row (n = 15, 100 000 samples) and 5 % faster at 126 (n = 63,
+# 20 000 samples).
+_SERIAL_FILL_ROW = 4096
 
 # Uniform rows of at most _LANE_ROW values are filled by lanes
 # (:func:`_fill_lanes`) in chunks of at least _LANE_ROWS_PER_VALUE rows a
@@ -322,6 +349,18 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _int_in(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int in ``[lo, hi]`` (``hi`` None: no upper
+    bound), by :func:`_as_int`; a bool, a non-integer or a value out of
+    range raises ``ValueError`` naming ``name``.  The one check of the
+    package's k and r."""
+    value = _as_int(name, value)
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CompleteTree:
     """Complete binary tree on ``n`` nodes with implicit 1-based heap
@@ -364,11 +403,6 @@ class CompleteTree:
             )
             levels.append(tuple((z, c) for z, c in pairs if z and c))
         return tuple(levels)
-
-
-def _check_k(k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
@@ -461,7 +495,11 @@ def _run_batch(
     The workers are :func:`_worker_count` of ``row_values`` and of the
     samples, capped at :func:`_chunk_rows`, which the workers share.
     Rows short enough for lanes run on as many workers as leave each
-    chunk enough samples for lanes.
+    chunk enough samples for lanes.  Where several workers fill rows per
+    sample of fewer than ``_SERIAL_FILL_ROW`` values, they share one
+    lock: a worker holds it while it reads a chunk's states and fills
+    the chunk's rows, and sweeps without it, since each re-key holds the
+    GIL and workers that fill such rows together queue on it.
     """
     n_samples = _as_int("n_samples", n_samples)
     if n_samples < 0:
@@ -477,6 +515,8 @@ def _run_batch(
     min_lane_rows = _LANE_ROWS_PER_VALUE * row_values
     if n_samples == 0:
         return out
+    serial = workers > 1 and not lanes and row_values < _SERIAL_FILL_ROW
+    fill_lock = Lock() if serial else nullcontext()  # for rows drawn per sample
 
     def start(lo: int, hi: int) -> Callable[[], None]:
         block = np.empty((min(rows, hi - lo), row_values))
@@ -495,9 +535,10 @@ def _run_batch(
                         stream.fetch(first_index + a, b - a), block[: b - a], scratch
                     )
                 else:
-                    stream.fetch(first_index + a, b - a)
-                    for j in range(b - a):
-                        stream.at(first_index + a + j).random(out=block[j])
+                    with fill_lock:
+                        stream.fetch(first_index + a, b - a)
+                        for j in range(b - a):
+                            stream.at(first_index + a + j).random(out=block[j])
                 sweep(a, b)
 
         return run
@@ -545,7 +586,7 @@ def _records_batch(
     descendants.  The edge variant is the node sweep with the root's
     ``P_k`` set to 0 and the root left out of the counts.
     """
-    _check_k(k)
+    k = _int_in("k", k, 1)
     if k > 256:  # P_k stays a normal double: see the module docstring
         raise ValueError(f"k must be at most 256 for records, got {k}")
     n, m = tree.n, tree.max_height
@@ -690,7 +731,7 @@ def simulate_process_batch(
     the GIL, so the batch runs on one worker whatever ``KCUT_THREADS``
     says.
     """
-    _check_k(k)
+    k = _int_in("k", k, 1)
     n = tree.n
     # A node's counter reaches k, so int16 holds it only for k < 2**15.
     counter = np.int16 if k < 1 << 15 else np.int64
@@ -791,9 +832,11 @@ def rescale_counts(counts: np.ndarray | float, r: int | None, k: int, n: int):
     Under either normalization the law converges to ``1 - C3 * W`` for
     the matching limit variable ``W``.
     """
+    from . import series  # here, not at the top: series imports this module
+
     if n < 4:
         raise ValueError(f"rescaling needs n >= 4, got {n!r}")
-    series._check_k(k)
+    k = _int_in("k", k, 1, series.MAX_K)
     lg = math.log2(n)
     if r is None:
         c2_1 = series.constants(k, 1).c2
@@ -805,6 +848,6 @@ def rescale_counts(counts: np.ndarray | float, r: int | None, k: int, n: int):
             for rr in range(1, k + 1)
         )
         return counts * scale - center
-    series._check_r(r, k)
+    r = _int_in("r", r, 1, k)
     scale = lg ** (r / k + 1.0) / (n * series.constants(k, r).c2)
     return counts * scale - series.mu(r, k, n)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import series
-from .cutsim import CompleteTree, _as_int, _check_k
+from .cutsim import CompleteTree, _as_int, _int_in
 
 __all__ = [
     "MeanQuery",
@@ -68,8 +68,8 @@ class MeanQuery:
         object.__setattr__(self, "n", _as_int("n", self.n))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
-        _check_k(self.k)
-        series._check_r(self.r, self.k)
+        object.__setattr__(self, "k", _int_in("k", self.k, 1))
+        object.__setattr__(self, "r", _int_in("r", self.r, 1, self.k))
         if not self.y > 0.0:
             raise ValueError(f"y must be positive, got {self.y!r}")
         if self.variant not in ("node", "edge"):
@@ -116,8 +116,8 @@ def record_prob(r: int, k: int, ancestors: int, y: float) -> float:
     beyond the integrand's exponential tail.  The absolute error bound
     reported by the integrator must be below 1e-11.
     """
-    _check_k(k)
-    series._check_r(r, k)
+    k = _int_in("k", k, 1)
+    r = _int_in("r", r, 1, k)
     ancestors = _as_int("ancestors", ancestors)
     if ancestors < 0:
         raise ValueError(f"ancestors must be >= 0, got {ancestors!r}")
@@ -193,6 +193,8 @@ def asymptotic_mean(n: int, k: int, r: int) -> float:
     lg = math.log2(n)
     m = n.bit_length() - 1
     alpha = lg - m
-    scale = series.constants(k, r).c2 / lg ** (r / k + 1.0)
+    table = series.constants(k, r)
+    k, r = table.k, table.r  # Python ints, as constants checked them
+    scale = table.c2 / lg ** (r / k + 1.0)
     centered = series.mu(r, k, n) - math.log2(lg) + alpha
     return scale * (n * centered + float(2 ** (m + 1)))

@@ -247,7 +247,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        series._check_k(self.k)
+        cutsim._int_in("k", self.k, 1, series.MAX_K)
         if self.r is not None and not 1 <= self.r <= self.k:
             raise ValueError(
                 f"r must be None or in [1, k={self.k}], got {self.r!r}"

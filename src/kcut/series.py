@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cutsim import _int_in
+
 
 __all__ = [
     "BiSeries",
@@ -77,17 +79,6 @@ class BiSeries:
 
     def get(self, j: int, b: int) -> Fraction:
         return self.coeff.get((j, b), _ZERO)
-
-
-def _check_k(k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
-
-
-def _check_r(r: int, k: int) -> None:
-    """Record order ``r`` must be an integer in ``[1, k]``."""
-    if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= k:
-        raise ValueError(f"r must be an integer in [1, k={k}], got {r!r}")
 
 
 def _mul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
@@ -158,7 +149,7 @@ def expand_core(k: int) -> BiSeries:
     ``j*k + j <= b <= j*k + k`` these are the C5 coefficients; entries
     beyond the window are still exact but belong to higher-order bands.
     """
-    _check_k(k)
+    k = _int_in("k", k, 1, MAX_K)
     return _expand(k, [_ONE] + [_ZERO] * _x_cap(k))
 
 
@@ -170,7 +161,7 @@ def expand_h0(k: int) -> BiSeries:
     appears when the root's k-th clock is fixed.  The ``(j, b)`` entries
     with ``j >= 1`` in the window are the C6 coefficients.
     """
-    _check_k(k)
+    k = _int_in("k", k, 1, MAX_K)
     # h0 = 1 / (2 P(x) - exp(x)); the x**b coefficient of 2 P - exp is
     # 1/b! for b < k and -1/b! from b = k on.
     sign = [1 if b < k else -1 for b in range(_x_cap(k) + 1)]
@@ -236,8 +227,8 @@ def constants(k: int, r: int) -> ConstantTable:
       / (r * gamma(a))``
     - ``C1(r, i) = C7(r, i) + sum_{j=1}^{i} C8(r, j, j*k + i)``
     """
-    _check_k(k)
-    _check_r(r, k)
+    k = _int_in("k", k, 1, MAX_K)
+    r = _int_in("r", r, 1, k)
     kf = float(math.factorial(k))
     a = r / k
     gamma_a = math.gamma(a)
@@ -288,6 +279,7 @@ def mu(r: int, k: int, n: int) -> float:
     if n < 2:
         raise ValueError(f"mu requires n >= 2, got {n!r}")
     table = constants(k, r)
+    k, r = table.k, table.r  # Python ints, as constants checked them
     lg = math.log2(n)
     out = (k / r) * lg + math.log2(lg)
     for i in range(1, k + 1):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import integrate, special
 
 from kcut import limitdist, series, specfun
-from kcut.cutsim import CompleteTree, _check_k, substream
+from kcut.cutsim import CompleteTree, _int_in, substream
 from kcut.limitdist import LimitParams, ScaleParams
 
 
@@ -58,7 +58,7 @@ def simulate_process(
     detached subtrees are never updated).  One uniform variate is
     consumed per cut.
     """
-    _check_k(k)
+    k = _int_in("k", k, 1)
     rng = substream(seed, sample_index)
     n = tree.n
     cnt = [0] * (n + 1)

@@ -124,6 +124,28 @@ def test_simulate_k_past_record_bound_exits_2(tmp_path, capsys) -> None:
     assert "k must be at most 256" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_4(tmp_path, monkeypatch, capsys) -> None:
+    """An allocation refused mid-command (numpy raises a subclass of
+    MemoryError) prints one error line instead of a traceback and exits
+    4.  The command is replaced, so nothing large is allocated."""
+
+    def refuse(args):
+        raise MemoryError("Unable to allocate 3.75 GiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_simulate", refuse)
+    rc = cli.main(
+        [
+            "simulate", "--n", "67108863", "--k", "2", "--samples", "1",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: out of memory: Unable to allocate 3.75 GiB for an array"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # exact-mean
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction as F
 from functools import partial
@@ -248,6 +249,41 @@ def test_batch_rejects_bad_k() -> None:
         counts = batch(CompleteTree(3), 256, 1, 2)
         assert counts.shape == (2, 256)
         assert least <= counts.min() and counts.max() <= most
+
+
+def test_numpy_integer_k_and_r_are_accepted() -> None:
+    """k and r may be numpy integers, as n, seed and the counts may: each
+    entry point gives what it gives for Python ints and holds Python
+    ints.  A bool or a float still raises."""
+    k, r = np.int64(2), np.int64(1)
+    tree = CompleteTree(7)
+    for batch in (cutsim.simulate_records_batch, cutsim.simulate_process_batch):
+        assert np.array_equal(batch(tree, k, 1, 5), batch(tree, 2, 1, 5))
+    held = [
+        exactmean.MeanQuery(15, k, r),
+        limitdist.LimitParams(r, k, 0.3),
+        limitdist.ScaleParams(1 << 20, k),
+        series.constants(k, r),
+    ]
+    assert held == [
+        exactmean.MeanQuery(15, 2, 1),
+        limitdist.LimitParams(1, 2, 0.3),
+        limitdist.ScaleParams(1 << 20, 2),
+        series.constants(2, 1),
+    ]
+    assert all(type(h.k) is int for h in held)
+    assert all(type(h.r) is int for h in held if hasattr(h, "r"))
+    for bad in (True, np.True_, 2.0):
+        for make in (
+            lambda: cutsim.simulate_records_batch(tree, bad, 1, 2),
+            lambda: cutsim.simulate_process_batch(tree, bad, 1, 2),
+            lambda: exactmean.MeanQuery(15, 2, bad),
+            lambda: limitdist.LimitParams(1, bad, 0.3),
+            lambda: limitdist.ScaleParams(1 << 20, bad),
+            lambda: series.constants(2, bad),
+        ):
+            with pytest.raises(ValueError, match="[kr] must be an integer"):
+                make()
 
 
 def test_batches_reject_bool_and_non_integer_counts_and_seeds() -> None:
@@ -614,6 +650,50 @@ def test_lane_batch_peak_within_budget() -> None:
     assert peak <= counts.nbytes + (32 + 8) * 2**20
 
 
+def test_short_rows_drawn_per_sample_fill_one_worker_at_a_time(monkeypatch) -> None:
+    """Workers that fill rows per sample of fewer than ``_SERIAL_FILL_ROW``
+    values share one lock, taken once a chunk; rows of at least that
+    many values, rows drawn by lanes and one-worker batches take none.
+    The output does not change."""
+    entered = []
+
+    class Spy:
+        def __init__(self) -> None:
+            self.lock = threading.Lock()
+
+        def __enter__(self) -> None:
+            self.lock.acquire()
+            entered.append(1)
+
+        def __exit__(self, *exc) -> None:
+            self.lock.release()
+
+    monkeypatch.setattr(cutsim, "Lock", Spy)
+    assert cutsim._SERIAL_FILL_ROW == 4096
+    # k = 2: 4094 and 4096 values a row, 12 samples in chunks of 4 (two
+    # rows a worker, three chunks each); 126 values, drawn by lanes.
+    for n, samples, chunk, threads, locks in (
+        (2047, 12, 4, 2, 6),
+        (2048, 12, 4, 2, 0),
+        (63, 2000, None, 2, 0),
+        (2047, 12, 4, 1, 0),
+    ):
+        entered.clear()
+        got = cutsim.simulate_records_batch(
+            CompleteTree(n), 2, 3, samples, chunk=chunk, threads=threads
+        )
+        assert len(entered) == locks, (n, threads)
+        want = cutsim.simulate_records_batch(CompleteTree(n), 2, 3, samples)
+        assert np.array_equal(got, want)
+    # The xi batch's 2059-value rows at (1, 2), n = 2**40: one chunk each.
+    monkeypatch.setenv(cutsim.THREADS_ENV, "2")
+    scale = limitdist.ScaleParams.from_n(1 << 40, 2)
+    p = limitdist.LimitParams(1, 2, scale.gamma)
+    entered.clear()
+    limitdist.xi_sampler_batch(scale, p, None, 3, 4)
+    assert len(entered) == 2
+
+
 def _chunked(m: pytest.MonkeyPatch, process: bool, n: int, k: int, chunk):
     """Keyword arguments that run a batch at ``(n, k)`` in chunks of
     ``chunk`` samples (``None``: the default).  A record batch takes the
@@ -633,20 +713,23 @@ def _chunked(m: pytest.MonkeyPatch, process: bool, n: int, k: int, chunk):
 _RECORDS_TREE = CompleteTree(300)
 _PROCESS_TREE = CompleteTree(256)
 _BATCHES = {
-    "node": partial(cutsim.simulate_records_batch, _RECORDS_TREE, 2, 5),
-    "edge": partial(cutsim.simulate_edge_records_batch, _RECORDS_TREE, 2, 5),
-    "process": partial(cutsim.simulate_process_batch, _PROCESS_TREE, 2, 5),
+    "node": cutsim.simulate_records_batch,
+    "edge": cutsim.simulate_edge_records_batch,
+    "process": cutsim.simulate_process_batch,
 }
 
 
 @pytest.mark.parametrize("kind", ["node", "edge", "process"])
 def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
     """Output is bitwise equal at 1, 2 and 3 workers and in chunks of 1,
-    7 and the default.  The process batch always runs on one worker and
-    takes its chunk from the scratch budget (:func:`_chunked`)."""
+    7 and the default.  The record batches run on rows of 600 values,
+    filled one worker at a time, and of 4200 (n = 2100), at least
+    ``_SERIAL_FILL_ROW``, filled by the workers together.  The process
+    batch always runs on one worker and takes its chunk from the scratch
+    budget (:func:`_chunked`)."""
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
-    batch, process = _BATCHES[kind], kind == "process"
-    tree = _PROCESS_TREE if process else _RECORDS_TREE
+    process = kind == "process"
+    trees = [_PROCESS_TREE] if process else [_RECORDS_TREE, CompleteTree(2100)]
     splits = [{}] if process else [{"threads": t} for t in (1, 2, 3)]
     chunk_rows = cutsim._chunk_rows
     in_flight = []
@@ -656,27 +739,30 @@ def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
         return in_flight[-1]
 
     monkeypatch.setattr(cutsim, "_chunk_rows", spy)
-    for first in (0, 13):
-        for size in (0, 1, 2, 5, 40):
-            want = batch(n_samples=size, first_index=first, **splits[0])
-            assert len(want) == size
-            for split in splits:
-                for chunk in (None, 1, 7):
-                    with monkeypatch.context() as m:
-                        kwargs = _chunked(m, process, tree.n, 2, chunk)
-                        in_flight.clear()
-                        got = batch(
-                            n_samples=size, first_index=first, **kwargs, **split
-                        )
-                    if chunk is not None:
-                        assert in_flight == [chunk]
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want), (split, chunk)
+    for tree in trees:
+        batch = partial(_BATCHES[kind], tree, 2, 5)
+        for first in (0, 13):
+            for size in (0, 1, 2, 5, 40):
+                want = batch(n_samples=size, first_index=first, **splits[0])
+                assert len(want) == size
+                for split in splits:
+                    for chunk in (None, 1, 7):
+                        with monkeypatch.context() as m:
+                            kwargs = _chunked(m, process, tree.n, 2, chunk)
+                            in_flight.clear()
+                            got = batch(
+                                n_samples=size, first_index=first, **kwargs, **split
+                            )
+                        if chunk is not None:
+                            assert in_flight == [chunk]
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want), (tree.n, split, chunk)
 
 
 def test_batch_threads_stress(monkeypatch) -> None:
     """Eight workers, more than most test hosts have cores, switching
-    every microsecond, still fill every row with its own sample."""
+    every microsecond, still fill every row with its own sample (rows of
+    600 values, filled under the workers' shared lock)."""
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     tree = _RECORDS_TREE
     want = cutsim.simulate_records_batch(tree, 2, 8, 400, threads=1)

@@ -1276,9 +1276,9 @@ def test_xi_sampler_chunk_invariance(monkeypatch) -> None:
 
 def test_xi_sampler_thread_and_chunk_invariance(monkeypatch) -> None:
     """Draws are bitwise equal on ``KCUT_THREADS`` = 1, 2 and 3 workers
-    and in chunks of 1, 7 and the default number of draws."""
-    sc = ScaleParams.from_n(1 << 40, 2)  # 1023 clocks a row
-    p = LimitParams(1, 2, sc.gamma)
+    and in chunks of 1, 7 and the default number of draws, at n = 2**40
+    and 2**160 (rows of 2059 and 4041 values, both filled one worker at
+    a time: see ``cutsim._SERIAL_FILL_ROW``)."""
     table = series.constants(2, 1)
     run_batch, chunks = limitdist._run_batch, []
 
@@ -1287,23 +1287,28 @@ def test_xi_sampler_thread_and_chunk_invariance(monkeypatch) -> None:
         return run_batch(*args, **kwargs)
 
     monkeypatch.setattr(limitdist, "_run_batch", spy)
-    for first in (0, 13):
-        for size in (0, 1, 2, 5, 40):
-            monkeypatch.setenv("KCUT_THREADS", "1")
-            want = limitdist.xi_sampler_batch(sc, p, table, 4, size, first_index=first)
-            assert want.shape == (size,)
-            for threads in ("1", "2", "3"):
-                for chunk in (None, 1, 7):
-                    with monkeypatch.context() as m:
-                        m.setenv("KCUT_THREADS", threads)
-                        _xi_chunked(m, sc, p, chunk)
-                        chunks.clear()
-                        got = limitdist.xi_sampler_batch(
-                            sc, p, table, 4, size, first_index=first
-                        )
-                    if chunk is not None:
-                        assert chunks == [chunk]
-                    assert np.array_equal(got, want), (threads, chunk)
+    for lg in (40, 160):
+        sc = ScaleParams.from_n(1 << lg, 2)
+        p = LimitParams(1, 2, sc.gamma)
+        for first in (0, 13):
+            for size in (0, 1, 2, 5, 40):
+                monkeypatch.setenv("KCUT_THREADS", "1")
+                want = limitdist.xi_sampler_batch(
+                    sc, p, table, 4, size, first_index=first
+                )
+                assert want.shape == (size,)
+                for threads in ("1", "2", "3"):
+                    for chunk in (None, 1, 7):
+                        with monkeypatch.context() as m:
+                            m.setenv("KCUT_THREADS", threads)
+                            _xi_chunked(m, sc, p, chunk)
+                            chunks.clear()
+                            got = limitdist.xi_sampler_batch(
+                                sc, p, table, 4, size, first_index=first
+                            )
+                        if chunk is not None:
+                            assert chunks == [chunk]
+                        assert np.array_equal(got, want), (lg, threads, chunk)
 
 
 def test_xi_sampler_threads_share_the_memory_budget(monkeypatch) -> None:
