@@ -6,10 +6,11 @@ Two views of the same law are implemented:
   pick a uniform node still connected to the root, increase its counter,
   and detach its subtree once the counter reaches ``k``; stop when the
   root is removed.  Returns the number of cuts.  The samples of a chunk
-  cut in lockstep; each carries its connected flags from cut to cut and
-  picks through counts of connected nodes per block of about
-  ``sqrt(n)`` heap columns, so a pick reads about ``sqrt(n)`` values of
-  a sample, not ``n``.
+  cut in lockstep; each carries its connected flags from cut to cut as
+  bits, 64 heap columns a 64-bit word, with the number of connected
+  nodes in each word.  A pick reads the ``n / 64`` word counts and one
+  word of a sample, not ``n`` flags, and a removal clears the subtree's
+  words in a fixed number of numpy calls, whatever its depth.
 - ``simulate_records_batch`` -- the equivalent clock/record construction:
   each node ``v`` carries cumulative exponential clock sums ``T_{1,v} <
   ... < T_{k,v}``; ``v`` is an ``r``-record iff ``T_{r,v}`` is below the
@@ -127,11 +128,16 @@ _COUNT_ROW = 4096
 # whole numpy vectors, so two workers win on the rows they fill (best
 # of 15): records 0.60x at 30 values (n = 15, 100 000 samples), 0.82x
 # at 126 (n = 63) and 0.87x at 254 (n = 127), 20 000 samples each.
-# The process batch loses at every size measured: 1.11-1.15x at 126
-# values, 1.21-1.24x at 510, 1.50-1.54x at 1022 and 1.79-1.87x at 2046.
-# Its lockstep sweep is many small numpy calls that hold the GIL (two
-# threads take 1.43x one thread's time on its fancy-index gathers, 1.02x
-# on its short-axis cumsums), so it always runs on one worker.
+# Rows drawn per sample of at least this many values get a second worker
+# only where each worker takes more than one chunk: two workers with one
+# chunk each ran k = 2 records at 23.6 against 17.7 ns a node-sample on
+# one at 2046 values (n = 1023, 580 samples) and 19.1 against 12.8 at
+# 4094 (n = 2047, 280 samples), median of 15 calls.  The process batch,
+# with its sweep on bit-packed flags, takes 2.0x one worker's time on
+# two at 126 values (2000 samples), 2.1x at 510 (2000), 2.0x at 1022
+# (1000) and 1.9x at 2046 (500) with one chunk a worker, and 2.1-2.5x
+# with two (median of 7): its lockstep sweep is many small numpy calls
+# that hold the GIL, so it always runs on one worker.
 _MIN_THREADED_ROW = 1024
 
 # Rows drawn per sample of fewer values than this are filled one worker
@@ -419,19 +425,26 @@ def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
     return chunk
 
 
-def _worker_count(n_rows: int, row_values: int, threads: int | None) -> int:
-    """Workers for ``n_rows`` rows of work of ``row_values`` values each:
-    :func:`resolve_threads` of ``threads``, capped at ``n_rows``.  Rows
-    of fewer than ``_MIN_THREADED_ROW`` values get one worker, except
-    rows that lanes may fill (at most ``_LANE_ROW`` values): they get as
-    many as leave each at least ``_LANE_ROWS_PER_VALUE * row_values``
-    rows, and at least one."""
-    workers = min(resolve_threads(threads), max(n_rows, 1))
+def _worker_count(
+    n_samples: int, in_flight: int, row_values: int, threads: int | None
+) -> int:
+    """Workers for ``n_samples`` rows of ``row_values`` values each, of
+    which ``in_flight`` are held at once over all workers:
+    :func:`resolve_threads` of ``threads``, capped at the rows in flight.
+    Rows of at least ``_MIN_THREADED_ROW`` values get them only where
+    the batch holds more samples than are in flight, so that each worker
+    fills and sweeps more than one chunk and one worker's fill overlaps
+    another's sweep; otherwise one.  Rows that lanes may fill (at most
+    ``_LANE_ROW`` values) get as many as leave each at least
+    ``_LANE_ROWS_PER_VALUE * row_values`` rows in flight, and at least
+    one.  Other rows get one."""
+    rows = min(n_samples, in_flight)
+    workers = min(resolve_threads(threads), max(rows, 1))
     if row_values >= _MIN_THREADED_ROW:
-        return workers
+        return workers if n_samples > in_flight else 1
     if row_values <= _LANE_ROW:
         lane_rows = _LANE_ROWS_PER_VALUE * row_values
-        return max(1, min(workers, n_rows // lane_rows))
+        return max(1, min(workers, rows // lane_rows))
     return 1
 
 
@@ -492,14 +505,16 @@ def _run_batch(
     hundreds.  Every other row is filled per sample, one re-keyed
     generator and one call each.  Both give the same bits.
 
-    The workers are :func:`_worker_count` of ``row_values`` and of the
-    samples, capped at :func:`_chunk_rows`, which the workers share.
-    Rows short enough for lanes run on as many workers as leave each
-    chunk enough samples for lanes.  Where several workers fill rows per
-    sample of fewer than ``_SERIAL_FILL_ROW`` values, they share one
-    lock: a worker holds it while it reads a chunk's states and fills
-    the chunk's rows, and sweeps without it, since each re-key holds the
-    GIL and workers that fill such rows together queue on it.
+    The workers are :func:`_worker_count` of ``row_values``, of the
+    samples and of :func:`_chunk_rows`, which the workers share.  Long
+    rows drawn per sample run on several workers only where the samples
+    outnumber the rows in flight, so that each worker takes more than
+    one chunk.  Rows short enough for lanes run on as many workers as
+    leave each chunk enough samples for lanes.  Where several workers
+    fill rows per sample of fewer than ``_SERIAL_FILL_ROW`` values, they
+    share one lock: a worker holds it while it reads a chunk's states
+    and fills the chunk's rows, and sweeps without it, since each re-key
+    holds the GIL and workers that fill such rows together queue on it.
     """
     n_samples = _as_int("n_samples", n_samples)
     if n_samples < 0:
@@ -510,7 +525,7 @@ def _run_batch(
     lanes = row_values <= _LANE_ROW
     row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
     in_flight = _chunk_rows(row_scratch, chunk)
-    workers = _worker_count(min(n_samples, in_flight), row_values, threads)
+    workers = _worker_count(n_samples, in_flight, row_values, threads)
     rows = in_flight // workers
     min_lane_rows = _LANE_ROWS_PER_VALUE * row_values
     if n_samples == 0:
@@ -572,9 +587,10 @@ def _records_batch(
     as many rows as fit ``_RECORD_VALUES`` (8 MB) with their ancestor
     maxima, level temp and record mask, so that a piece stays near the
     core's L2 cache through the sweep.  Without a ``chunk``, rows drawn
-    per sample come one piece a worker at a time, and rows drawn by
-    lanes in one 32 MB chunk shared by the workers, since a lane step
-    costs about as much for few lanes as for many.  The ancestor maxima
+    per sample come one piece a worker at a time, on every worker where
+    the samples fill more than one piece each, else on one; rows drawn
+    by lanes come in one 32 MB chunk shared by the workers, since a lane
+    step costs about as much for few lanes as for many.  The ancestor maxima
     of ``P_k`` come from a level sweep vectorized across the piece: each
     level's parent maxima go once into a contiguous temp, and from there
     to the first and the second children.  Then one comparison ``P_r >
@@ -600,9 +616,11 @@ def _records_batch(
     piece = max(1, _RECORD_VALUES // row_scratch)
     if chunk is None and row_values <= _LANE_ROW:  # drawn by lanes
         chunk = _chunk_rows(row_scratch + _lane_words(row_values))
-    elif chunk is None:
+    elif chunk is None:  # one piece a worker, on all workers or on one
         n_samples = _as_int("n_samples", n_samples)
-        chunk = _worker_count(n_samples, row_values, threads) * piece
+        all_pieces = piece * resolve_threads(threads)
+        threads = _worker_count(n_samples, all_pieces, row_values, threads)
+        chunk = piece * threads
 
     def worker(block: np.ndarray, out: np.ndarray):
         t = block.reshape(len(block), k, n)
@@ -703,6 +721,84 @@ def simulate_edge_records_batch(
 # ---------------------------------------------------------------------------
 
 
+# The process sweep keeps a sample's connected flags as bits: heap column
+# c is bit c % 64 of word c // 64, and words are little-endian, so byte i
+# of a word holds its columns 8 i .. 8 i + 7 in order.
+_WORD = np.dtype("<u8")
+_ONES = np.uint64(0x0101010101010101)  # 1 in every byte
+_HIGH = np.uint64(0x8080808080808080)  # the top bit of every byte
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)  # 127 in every byte
+
+
+def _byte_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The number of set bits of each byte value (256 entries), and the
+    256 x 8 select table, flattened: entry ``8 x + t`` is the position
+    of the ``(t + 1)``-th set bit of ``x``."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    x, at = np.nonzero(bits)
+    select = np.zeros((256, 8), dtype=np.int64)
+    select[x, np.cumsum(bits, axis=1)[x, at] - 1] = at
+    return bits.sum(axis=1).astype(np.uint8), select.reshape(-1)
+
+
+_BYTE_COUNT, _BYTE_SELECT = _byte_tables()
+
+
+def _byte_prefix(words: np.ndarray) -> np.ndarray:
+    """For a contiguous ``_WORD`` array: byte ``i`` of each result holds
+    the set bits of bytes ``0 .. i`` of the word, so the top byte holds
+    its popcount.  Byte counts are at most 64, so no byte carries into
+    the next when the per-byte counts are multiplied by ``_ONES``."""
+    return _BYTE_COUNT.take(words.view(np.uint8)).view(_WORD) * _ONES
+
+
+def _subtree_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each node's subtree lies in the flag words of a tree of
+    ``n`` nodes, as ``(first, word, keep)``: entries ``first[v] ..
+    first[v + 1] - 1`` name each word that holds part of the subtree of
+    ``v``, and in ``keep`` the bits of that word outside it.
+
+    At depth ``d`` below ``v`` the subtree is the heap range of ``2**d``
+    columns from ``v * 2**d``, which is ``2**d``-aligned.  So for ``d <=
+    5`` it lies inside word ``v >> (6 - d)``, a different word at each
+    depth except word 0, where the ranges of one node ``v < 64`` are
+    merged into one entry.  At depth ``6 + e`` it covers the whole words
+    ``v * 2**e .. (v + 1) * 2**e - 1``: word ``x`` belongs to ``x >> e``
+    at every ``e``.  Ranges that start past column ``n`` are left out.
+    Built by array operations, one pass per depth.  The table holds
+    fewer than ``2 n + (n / 64) lg n`` entries of 16 bytes, plus 8 bytes
+    a node for ``first``: 9.2 KB at ``n = 255``, 1.4 MB at ``2**15 - 1``
+    (about 42 bytes a node); building it peaks near 135 bytes a node.
+    """
+    width = (n >> 6) + 1
+    v = np.arange(n + 1)
+    top = np.zeros(min(n, 63) + 1, dtype=np.uint64)  # word 0 of v < 64
+    nodes, words, keeps = [], [], []
+    for d in range(6):
+        at = v[1 : (n >> d) + 1]  # the nodes with columns at depth d
+        start = at << d
+        mask = np.uint64((1 << (1 << d)) - 1) << (start & 63).astype(np.uint64)
+        low = start < 64
+        top[at[low]] |= mask[low]
+        high = ~low
+        nodes.append(at[high])
+        words.append(start[high] >> 6)
+        keeps.append(~mask[high])
+    nodes.append(v[1 : top.size])
+    words.append(np.zeros(top.size - 1, dtype=np.intp))
+    keeps.append(~top[1:])
+    for e in range((width - 1).bit_length()):
+        x = v[1 << e : width]
+        nodes.append(x >> e)
+        words.append(x)
+        keeps.append(np.zeros(x.size, dtype=np.uint64))
+    nodes = np.concatenate(nodes)
+    order = np.argsort(nodes, kind="stable")
+    first = np.zeros(n + 2, dtype=np.intp)
+    np.cumsum(np.bincount(nodes, minlength=n + 1), out=first[1:])
+    return first, np.concatenate(words)[order], np.concatenate(keeps)[order]
+
+
 def simulate_process_batch(
     tree: CompleteTree,
     k: int,
@@ -714,95 +810,120 @@ def simulate_process_batch(
     ``(n_samples,)``.
 
     All samples of a chunk advance in lockstep, one cut per step.  Each
-    sample keeps its node counters, its connected flags and the number
-    of connected nodes in each block of ``2**ceil(lg(n + 1) / 2)`` heap
-    columns, so a pick reads about ``sqrt(n)`` values per sample.  It
-    takes ``j = floor(u * count)`` and finds the ``(j + 1)``-th connected
-    node in heap order: the block from a cumulative sum of the block
-    counts, the node from one over that block.  When a node's counter
-    reaches ``k``, its subtree's flags are cleared level by level: at
-    depth ``d`` below ``v`` it is the heap range ``v * 2**d .. (v + 1) *
-    2**d - 1``, which lies inside one block or covers whole ones.
-    Sample ``i`` consumes the uniforms of substream ``(seed,
-    first_index + i)`` in cut order, one per cut.  The samples in
-    flight at once share the package's 32 MB scratch budget for the
-    ``k * n`` uniforms of a sample (:func:`_chunk_rows`), which does not
-    change the output.  The sweep is many small numpy calls that hold
-    the GIL, so the batch runs on one worker whatever ``KCUT_THREADS``
-    says.
+    sample keeps its node counters, its connected flags as 64 heap
+    columns a ``uint64`` word, and the number of connected nodes in each
+    word, updated as nodes are removed.  A cut takes ``j = min(floor(u *
+    count), count - 1)`` and picks the ``(j + 1)``-th connected node in
+    heap order: the word from a cumulative sum of the word counts; the
+    byte from running counts over the word's 8 bytes, through a
+    256-entry popcount table (:func:`_byte_prefix`); the bit through a
+    256 x 8 select table.  When a node's counter reaches ``k``, its
+    subtree's flags are cleared in a fixed number of numpy calls,
+    whatever its depth, through a per-tree table of the words it covers
+    and their bits (:func:`_subtree_words`, about 42 bytes a node).  A
+    sample's words lie along the longer axis of the chunk's arrays, so
+    that a step's scans run along long rows.  Sample ``i`` consumes the
+    uniforms of substream ``(seed, first_index + i)`` in cut order, one
+    per cut.  The samples in flight at once share the package's 32 MB
+    scratch budget for the ``k * n`` uniforms of a sample
+    (:func:`_chunk_rows`), which does not change the output.  The sweep
+    is many small numpy calls that hold the GIL, so the batch runs on
+    one worker whatever ``KCUT_THREADS`` says.
     """
     k = _int_in("k", k, 1)
     n = tree.n
     # A node's counter reaches k, so int16 holds it only for k < 2**15.
     counter = np.int16 if k < 1 << 15 else np.int64
-    # Columns 0 .. n in blocks of 2**shift; column 0 is never connected.
-    shift = (n.bit_length() + 1) // 2
-    width, blocks = 1 << shift, (n >> shift) + 1
+    first, words, keep = _subtree_words(n)
+    width = (n >> 6) + 1
+    # Columns 1 .. n start connected; column 0 and those past n never are.
+    full = np.full(width, np.uint64(_MASK64), dtype=_WORD)
+    full[:1] &= ~np.uint64(1)
+    full[-1:] &= np.uint64((2 << (n & 63)) - 1)
+    full_count = (_byte_prefix(full) >> 56).view(np.int64)
 
     def worker(u: np.ndarray, out: np.ndarray):
         # Every cut consumes exactly one uniform, and there are at most
         # k*n cuts, so the whole per-sample stream is drawn up front.
         rows = len(u)
         cnt = np.empty((rows, n + 1), dtype=counter)
-        conn = np.empty((rows, blocks, width), dtype=bool)
-        flat = conn.reshape(rows, blocks * width)
-        per = np.empty((rows, blocks), dtype=np.int64)
+        # A step scans each sample's words, and scans run fastest along
+        # the contiguous axis: so a sample's words are contiguous where
+        # it has more words than there are samples, and a word's samples
+        # otherwise.  conn and per are read as (word, sample) either way.
+        wide = width > rows
+        conn = np.empty((rows, width) if wide else (width, rows), dtype=_WORD)
+        per = np.empty(conn.shape, dtype=np.int64)
+        conn_at, per_at = conn.reshape(-1), per.reshape(-1)
+        if wide:
+            conn, per = conn.T, per.T
+        # Word w of row r is entry w * word_step + r * row_step of conn_at.
+        word_step, row_step = (stride // per.itemsize for stride in per.strides)
+        span = np.arange(rows)
 
         def clear(rs: np.ndarray, vs: np.ndarray) -> None:
-            # Disconnect the subtree of node vs[i] in row rs[i], one
-            # depth below it at a time, keeping the block counts.
-            d = 0
-            while rs.size:
-                first = vs << d
-                if d <= shift:
-                    b = first >> shift
-                    cols = (first & (width - 1))[:, None] + np.arange(1 << d)
-                    at = (rs[:, None], b[:, None], cols)
-                    per[rs, b] -= conn[at].sum(axis=1)
-                    conn[at] = False
-                else:
-                    b = (first >> shift)[:, None] + np.arange(1 << (d - shift))
-                    r = np.broadcast_to(rs[:, None], b.shape)
-                    inside = b < blocks
-                    at = (r[inside], b[inside])
-                    per[at] = 0
-                    conn[at] = False
-                d += 1
-                deeper = (vs << d) <= n
-                rs, vs = rs[deeper], vs[deeper]
+            # Disconnect the subtree of node vs[i] in row rs[i]: every
+            # word it touches, with its count, at once.
+            lo = first[vs]
+            size = first[vs + 1] - lo
+            ends = np.cumsum(size)
+            at = np.repeat(lo - ends + size, size) + np.arange(ends[-1])
+            flat = words[at] * word_step + np.repeat(rs * row_step, size)
+            left = conn_at[flat] & keep[at]
+            conn_at[flat] = left
+            per_at[flat] = (_byte_prefix(left) >> 56).view(np.int64)
 
         def sweep(lo: int, hi: int) -> None:
-            # Row i of u, cnt, conn and per belongs to sample lo + i;
-            # live holds the unfinished ones, which cut once per step.
+            # Column i of conn and per, and row i of u and cnt, belong to
+            # sample lo + i; live holds the unfinished ones, which cut
+            # once per step.
             live = np.arange(hi - lo)
             a = live.size
             cnt[:a] = 0
-            flat[:a] = False
-            flat[:a, 1 : n + 1] = True
-            per[:a] = conn[:a].sum(axis=2)
+            conn[:, :a] = full[:, None]
+            per[:, :a] = full_count[:, None]
             step = 0
             while live.size:
-                below = np.cumsum(per[live], axis=1)
-                counts = below[:, -1]
-                j = np.floor(u[live, step] * counts).astype(np.int64)
+                here = span[: live.size]
+                c = per.T.take(live, axis=0).T if wide else per.take(live, axis=1)
+                below = c.cumsum(axis=0)
+                counts = below[-1]
+                # u * counts >= 0, so the cast is the floor.
+                j = (u[live, step] * counts).astype(np.int64)
                 j = np.minimum(j, counts - 1)
-                # Block b holds the (j+1)-th connected node; j becomes
-                # its rank among the connected nodes of that block.
-                b = (below <= j[:, None]).sum(axis=1)
-                j -= below[np.arange(live.size), b] - per[live, b]
-                seen = np.cumsum(conn[live, b], axis=1)
-                pick = b * width + (seen <= j[:, None]).sum(axis=1)
+                # Word b holds the (j+1)-th connected node; j becomes its
+                # rank among the word's connected nodes.
+                b = (below <= j).sum(axis=0)
+                j -= below[b, here] - c[b, here]
+                word = conn[b, live]
+                prefix = _byte_prefix(word)
+                rank = j.view(np.uint64)
+                # The top bit of each byte whose running count exceeds the
+                # rank: 127 + count - rank lies in [64, 191], so no byte
+                # borrows.  The first such byte holds the node.  Each one
+                # adds 8 to the top byte of the sum, so shift is 8 times
+                # the index of the byte that holds the node.
+                past = (prefix + _LOW7 - rank * _ONES) & _HIGH
+                eights = ((past >> 4) * _ONES) >> 56
+                shift = 64 - eights
+                # Its rank among the byte's set bits, then its bit.
+                rank -= ((prefix << 8) >> shift) & 255
+                byte = (word >> shift) & 255
+                at = ((byte << 3) + rank).view(np.int64)
+                pick = (b << 6) + shift.view(np.int64) + _BYTE_SELECT.take(at)
                 hits = cnt[live, pick] + 1
                 cnt[live, pick] = hits
+                step += 1
                 # The root's k-th hit ends a sample; any other node's
                 # disconnects its subtree.
                 dead = hits == k
+                if not np.count_nonzero(dead):
+                    continue
                 finished = dead & (pick == 1)
-                dead &= ~finished
-                if dead.any():
+                dead ^= finished
+                if np.count_nonzero(dead):
                     clear(live[dead], pick[dead])
-                step += 1
-                if finished.any():
+                if np.count_nonzero(finished):
                     out[lo + live[finished]] = step
                     live = live[~finished]
 

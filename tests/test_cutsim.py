@@ -685,13 +685,43 @@ def test_short_rows_drawn_per_sample_fill_one_worker_at_a_time(monkeypatch) -> N
         assert len(entered) == locks, (n, threads)
         want = cutsim.simulate_records_batch(CompleteTree(n), 2, 3, samples)
         assert np.array_equal(got, want)
-    # The xi batch's 2059-value rows at (1, 2), n = 2**40: one chunk each.
+    # The xi batch's 2059-value rows at (1, 2), n = 2**40, come in chunks
+    # of 146 draws, 73 a worker: 4 draws run on one worker and take no
+    # lock, 300 on two, in three chunks each (73, 73 and 4 draws).
     monkeypatch.setenv(cutsim.THREADS_ENV, "2")
     scale = limitdist.ScaleParams.from_n(1 << 40, 2)
     p = limitdist.LimitParams(1, 2, scale.gamma)
-    entered.clear()
-    limitdist.xi_sampler_batch(scale, p, None, 3, 4)
-    assert len(entered) == 2
+    for draws, locks in ((4, 0), (300, 6)):
+        entered.clear()
+        limitdist.xi_sampler_batch(scale, p, None, 3, draws)
+        assert len(entered) == locks, draws
+
+
+def test_rows_drawn_per_sample_thread_only_past_one_chunk_a_worker(
+    monkeypatch,
+) -> None:
+    """Long rows drawn per sample get a second worker only where each
+    worker takes more than one chunk.  k = 2 record rows of 2046 values
+    (n = 1023) come one piece of 292 a worker at a time: 580 samples
+    would give two workers one chunk each, which ran slower than one
+    worker (23.6 against 17.7 ns a node-sample on 2 CPUs), so with
+    ``KCUT_THREADS`` at 2 they start no pool; 600 samples start one.
+    The output does not change."""
+
+    class NoPool(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise NoPool
+
+    tree = CompleteTree(1023)
+    want = cutsim.simulate_records_batch(tree, 2, 6, 600, threads=1)
+    monkeypatch.setattr(cutsim, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv(cutsim.THREADS_ENV, "2")
+    got = cutsim.simulate_records_batch(tree, 2, 6, 580)
+    assert np.array_equal(got, want[:580])
+    with pytest.raises(NoPool):
+        cutsim.simulate_records_batch(tree, 2, 6, 600)
 
 
 def _chunked(m: pytest.MonkeyPatch, process: bool, n: int, k: int, chunk):
@@ -807,15 +837,17 @@ def test_process_determinism_and_batch_agreement(monkeypatch) -> None:
 # workers, so that the suite's test names stay stable.
 @pytest.mark.parametrize("chunk", [None, 5], ids=["whole", "chunk5-threads2"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n", [21, 31, 100, 256])
+@pytest.mark.parametrize("n", [21, 31, 100, 255, 256, 1023])
 def test_process_batch_matches_plain_process(
     n: int, k: int, chunk, monkeypatch
 ) -> None:
-    """The lockstep sweep, with its carried connected flags and block
-    counts, gives the plain process's total row for row.  n = 21 and
-    100 leave the last level part full and n + 1 off the block width;
-    k = 1 makes every cut a removal; chunks of 5 finish samples at
-    different steps across chunk boundaries."""
+    """The lockstep sweep, with its flag words and their counts carried
+    from cut to cut, gives the plain process's total row for row.  n =
+    21 and 100 leave the last level part full; n = 255 ends on the top
+    bit of word 3 and n = 256 one column into word 4; at n = 1023
+    removals near the root clear whole words; k = 1 makes every cut a
+    removal; chunks of 5 finish samples at different steps across chunk
+    boundaries."""
     tree, seed, first = CompleteTree(n), 4, 5
     _chunked(monkeypatch, True, n, k, chunk)
     totals = cutsim.simulate_process_batch(tree, k, seed, 12, first)
@@ -827,7 +859,8 @@ def test_process_batch_matches_plain_process(
 def test_process_batch_defaults_to_one_worker(monkeypatch) -> None:
     """The process sweep holds the GIL, so it starts no pool, even on
     rows of 2046 values (n = 1023, k = 2) and with ``KCUT_THREADS`` at
-    2, where the record batch does start one."""
+    2, where the record batch does start one in chunks of 2 (two chunks
+    a worker)."""
 
     class NoPool(Exception):
         pass
@@ -841,7 +874,7 @@ def test_process_batch_defaults_to_one_worker(monkeypatch) -> None:
     totals = cutsim.simulate_process_batch(tree, 2, 6, 4)
     assert totals.tolist() == [simulate_process(tree, 2, 6, i) for i in range(4)]
     with pytest.raises(NoPool):
-        cutsim.simulate_records_batch(tree, 2, 6, 4)
+        cutsim.simulate_records_batch(tree, 2, 6, 4, chunk=2)
 
 
 @given(
@@ -866,8 +899,8 @@ def test_process_batch_peak_without_cumulative_rows() -> None:
     """Besides the uniforms and the lane scratch (32 MB together by
     default: 254 values a row go by lanes, whose column block and state
     vectors take 37 of every 291 values) a process batch holds the
-    counters, the connected flags and the block counts; no step builds
-    a cumulative sum over whole rows."""
+    counters, the flag words, their counts and the tree's subtree
+    table; no step builds a cumulative sum over whole rows."""
     tracemalloc.start()
     try:
         cutsim.simulate_process_batch(CompleteTree(127), 2, 0, 20000)

@@ -42,7 +42,7 @@ SHAPES = [
 FULL = {
     "threads": ("1", "2", "3"),
     "budgets": (None, 1, 2000),  # _SCRATCH_VALUES of the process batch
-    "process_n": (4, 255, 256),
+    "process_n": (4, 255, 256, 1023),
     "pieces": (None, 1, 3000),  # _RECORD_VALUES of the record batches
     "record_n": (4, 63, 300, 1023, 5037),
     "ks": (1, 2, 3),
