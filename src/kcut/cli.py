@@ -11,10 +11,9 @@ Subcommands:
 - ``experiment``  -- the full simulate/rescale/compare pipeline from a
   JSON config file.
 
-Each command loads only the modules it runs.  ``simulate`` and
-``constants`` load no part of scipy; ``limit`` loads ``scipy.special``;
-``exact-mean`` and ``experiment`` load ``scipy.integrate`` too, at their
-first quadrature.
+Each command loads only the modules it runs.  ``simulate``,
+``constants`` and ``exact-mean`` load no part of scipy; ``limit`` and
+``experiment`` load ``scipy.special`` and no other scipy subpackage.
 
 Exit codes: 0 on success, 2 for configuration problems (bad arguments,
 unreadable files, invalid parameter combinations), 3 when a numerical
@@ -32,10 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-# cutsim and series load no scipy.  exactmean, limitdist and harness
-# do, so the handlers that use them import them in their own bodies and
-# simulate and constants start without scipy.
-from . import __version__, cutsim, series
+# cutsim, exactmean and series load no scipy.  limitdist and harness
+# load scipy.special, so the handlers that use them import them in their
+# own bodies and simulate, constants and exact-mean start without scipy.
+from . import __version__, cutsim, exactmean, series
 
 __all__ = ["main", "build_parser"]
 
@@ -125,8 +124,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact_mean(args: argparse.Namespace) -> int:
-    from . import exactmean
-
     query = exactmean.MeanQuery(
         n=args.n,
         k=args.k,

@@ -332,9 +332,10 @@ class ExperimentReport:
     config: ExperimentConfig
     results: tuple[NResult, ...]
     versions: dict
-    # Certificate of the limit CDF the KS column used (None if no size
-    # drew samples); JSON only, so the CSV is unchanged.
-    numerics: dict | None
+    # Certificates, JSON only, so the CSV is unchanged: the largest error
+    # bound of the exact_mean column, and the certificate of the limit
+    # CDF the KS column used (left out if no size drew samples).
+    numerics: dict
 
     def csv_text(self) -> str:
         """Deterministic CSV: header row, LF endings, 17-significant-
@@ -396,14 +397,16 @@ def _simulate(n: int, config: ExperimentConfig, threads: int) -> np.ndarray:
     )
 
 
-def _exact_mean(n: int, config: ExperimentConfig) -> float:
+def _exact_mean(n: int, config: ExperimentConfig) -> tuple[float, float]:
+    """The exact mean of the counted records and its error bound."""
     orders = range(1, config.k + 1) if config.r is None else (config.r,)
-    return sum(
-        exactmean.expected_records(
+    means = [
+        exactmean._expected_records(
             exactmean.MeanQuery(n=n, k=config.k, r=r, variant=config.variant)
         )
         for r in orders
-    )
+    ]
+    return sum(m for m, _ in means), sum(e for _, e in means)
 
 
 def _one_size(
@@ -411,8 +414,8 @@ def _one_size(
     config: ExperimentConfig,
     p: limitdist.LimitParams,
     threads: int,
+    exact: float,
 ) -> NResult:
-    exact = _exact_mean(n, config)
     gamma_n = gamma_of(n)
     if config.samples == 0:
         nan = float("nan")
@@ -474,18 +477,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     r_eff = 1 if config.r is None else config.r
     p = limitdist.LimitParams(r_eff, config.k, config.gamma_target)
     threads = cutsim.resolve_threads(config.threads)
-    results = []
+    results, abserr = [], 0.0
     for n in sizes:
         try:
-            results.append(_one_size(n, config, p, threads))
+            exact, bound = _exact_mean(n, config)
+            results.append(_one_size(n, config, p, threads, exact))
         except Exception as exc:
             exc.args = (f"n={n}, seed={config.seed}: {exc}",)
             raise
+        abserr = max(abserr, bound)
+    numerics = {"exact_mean_abserr": abserr}
+    if config.samples:
+        numerics.update(limitdist.cdf_certificate(p))
     return ExperimentReport(
         config=config,
         results=tuple(results),
         versions=_versions(),
-        numerics=limitdist.cdf_certificate(p) if config.samples else None,
+        numerics=numerics,
     )
 
 

@@ -59,6 +59,7 @@ from .cutsim import (
     CompleteTree, _as_int, _int_in, _on_workers, _run_batch, resolve_threads,
     substream,
 )
+from .exactmean import _gauss_kronrod
 
 __all__ = [
     "LimitParams",
@@ -927,36 +928,41 @@ def _xi_centre(scale: ScaleParams, p: LimitParams) -> float:
     1[xi_v <= h]] - f + integral_h^1 x dnu`` with ``h = 2**(beta - alpha)
     * gamma(a)``, the array's own truncated mean moved to the limit's
     truncation at 1.  Each class of :func:`_xi_classes` takes one
-    quadrature over its clock ``T ~ Gamma(k, 1)`` from the point ``t*``
+    integral over its clock ``T ~ Gamma(k, 1)`` from the point ``t*``
     where ``xi_v`` falls to ``h``.  The integrand ``Q(a, m T**k / k!)``
     decays over a clock width ``(k!/m)**(1/k)``, narrow for large ``m``,
-    so the interval is split at fixed multiples of it past ``t*``.
+    so the interval is split at fixed multiples of it past ``t*``.  The
+    classes share the integrand, so those with the same ``t*`` share one
+    integral, and all of them and their pieces take one call of
+    :func:`kcut.exactmean._gauss_kronrod`; a class whose ``abserr``
+    exceeds 1e-9 raises :class:`NumericError`.
     """
     a, k = p.a, p.k
     ga, kfact, log_gk = math.gamma(a), math.factorial(k), math.lgamma(k)
     h = 2.0 ** (scale.beta - scale.alpha) * ga
     width = (kfact / scale.m) ** (1.0 / k)
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray, _: np.ndarray) -> np.ndarray:
         q = specfun.q(a, scale.m * t**k / kfact)
-        return float(q) * t ** (k - 1) * math.exp(-t - log_gk)
+        return q * t ** (k - 1) * np.exp(-t - log_gk)
 
-    from scipy import integrate
-
+    classes = _xi_classes(scale)
+    weights = [scale.m * size / scale.n for size, _ in classes]
+    # For cap >= 1 every term is at most h, and q_inv gives t* = 0.
+    caps = np.array([h / (w * ga) for w in weights])
+    t_star = (kfact * specfun.q_inv(a, caps) / scale.m) ** (1.0 / k)
+    starts, which = np.unique(t_star, return_inverse=True)
+    cuts = [c * width for c in _XI_SPLITS if c * width < _XI_T_SPAN]
+    lo = starts[:, None] + np.array([0.0, *cuts])
+    hi = starts[:, None] + np.array([*cuts, _XI_T_SPAN])
+    owner = np.repeat(np.arange(starts.size), len(cuts) + 1)
+    values, abserrs = _gauss_kronrod(
+        integrand, lo.ravel(), hi.ravel(), owner, 1.0e-12, 1.0e-13
+    )
+    if abserrs.max() > 1.0e-9:
+        raise NumericError(f"centring quadrature error {abserrs.max():.2e}")
     total = 0.0
-    for size, count in _xi_classes(scale):
-        w = scale.m * size / scale.n
-        cap = h / (w * ga)
-        # For cap >= 1 every term is at most h, and q_inv gives t* = 0.
-        t_star = (kfact * specfun.q_inv(a, cap) / scale.m) ** (1.0 / k)
-        t_end = t_star + _XI_T_SPAN
-        splits = [t_star + c * width for c in _XI_SPLITS]
-        value, abserr = integrate.quad(
-            integrand, t_star, t_end, points=[t for t in splits if t < t_end],
-            epsabs=1.0e-12, limit=300,
-        )
-        if abserr > 1.0e-9:
-            raise NumericError(f"centring quadrature error {abserr:.2e}")
+    for (_, count), w, value in zip(classes, weights, values[which].tolist()):
         total += count * w * ga * value
     if h < 1.0:
         block = levy_block_mean(p, h, 1.0)

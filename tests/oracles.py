@@ -116,6 +116,27 @@ def brute_force_distribution(n: int, k: int) -> dict[int, Fraction]:
     return dict(remaining((0,) * n))
 
 
+def record_prob_quad(r: int, k: int, ancestors: int, y: float) -> float:
+    """``integral_0^y g_r(x) Q(k, x)**ancestors dx`` by ``quad`` on
+    pieces split at 0.5, 2, 8 and 32 widths ``(k!/ancestors)**(1/k)``,
+    over which ``Q(k, x)**ancestors`` falls, with Q from
+    ``scipy.special.gammaincc``."""
+    width = (math.factorial(k) / max(ancestors, 1)) ** (1.0 / k)
+    edges = [0.0, *(c * width for c in (0.5, 2.0, 8.0, 32.0) if c * width < y), y]
+    lgamma_r = math.lgamma(r)
+
+    def integrand(x: float) -> float:
+        if x <= 0.0:
+            return 0.0 if r > 1 else 1.0
+        density = math.exp((r - 1) * math.log(x) - x - lgamma_r)
+        return density * special.gammaincc(k, x) ** ancestors
+
+    return math.fsum(
+        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=5e-14, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
 def levy_block_integrals(
     r: int, k: int, gamma: float, tau: float, s_max: int = 80
 ) -> tuple[complex, complex]:

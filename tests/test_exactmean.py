@@ -9,7 +9,7 @@ import pytest
 
 from kcut import cutsim, exactmean, series
 from kcut.exactmean import MeanQuery
-from oracles import height
+from oracles import height, record_prob_quad
 
 
 def test_record_prob_trivial_cases() -> None:
@@ -39,6 +39,35 @@ def test_record_prob_finite_y_closed_form() -> None:
         assert exactmean.record_prob(1, 1, 1, y) == pytest.approx(
             expected, abs=1e-11
         )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_record_prob_matches_quad_oracle(k: int) -> None:
+    """The Gauss--Kronrod rule agrees with QUADPACK's ``quad`` on an
+    integrand built from ``gammaincc`` to 1e-13 relative, for every r <=
+    k, with its own certificate within 1e-11."""
+    for r in range(1, k + 1):
+        for ancestors in (0, 1, 7, 40, 255, 1100):
+            for y in (math.inf, 0.5, 3.0):
+                value, abserr = exactmean._record_probs(
+                    r, k, np.array([float(ancestors)]), y
+                )
+                want = record_prob_quad(r, k, ancestors, y)
+                case = (r, k, ancestors, y)
+                assert value[0] == pytest.approx(want, rel=1e-13, abs=0.0), case
+                assert 0.0 < abserr[0] <= 1e-11, case
+                assert exactmean.record_prob(r, k, ancestors, y) == value[0]
+
+
+def test_record_prob_raises_past_subinterval_cap(monkeypatch) -> None:
+    """With one subinterval allowed the rule cannot certify 1e-11, and
+    ``record_prob`` raises instead of returning the uncertified value."""
+    monkeypatch.setattr(exactmean, "_GK_LIMIT", 1)
+    with pytest.raises(exactmean.QuadratureError) as err:
+        exactmean.record_prob(1, 2, 40, math.inf)
+    assert err.value.achieved > err.value.target == 1e-11
+    with pytest.raises(exactmean.QuadratureError):
+        exactmean.expected_records(MeanQuery(n=1023, k=2, r=1))
 
 
 def test_record_prob_monte_carlo() -> None:

@@ -318,7 +318,7 @@ def test_run_experiment_error_context(monkeypatch) -> None:
     def boom(query):
         raise exactmean.QuadratureError(1.0, 1e-11)
 
-    monkeypatch.setattr(exactmean, "expected_records", boom)
+    monkeypatch.setattr(exactmean, "_expected_records", boom)
     with pytest.raises(ArithmeticError, match=r"n=64, seed=1234"):
         harness.run_experiment(_smoke_config())
 
@@ -347,15 +347,33 @@ def test_report_thread_count_invariance() -> None:
 
 
 def test_report_json_carries_cdf_certificate() -> None:
+    """The JSON carries the CDF certificate and the exact means' error
+    bound: positive, and within the 1e-11 that each record probability
+    must certify, times the node count of the larger tree and its two
+    orders."""
     base = _smoke_config(samples=200)
     one = harness.run_experiment(dataclasses.replace(base, threads=1))
     two = harness.run_experiment(dataclasses.replace(base, threads=2))
     numerics = one.json_dict()["numerics"]
     assert numerics == two.json_dict()["numerics"]
-    assert set(numerics) == {"cdf_err_estimate", "cdf_t_max", "cdf_panels"}
+    assert set(numerics) == {
+        "exact_mean_abserr", "cdf_err_estimate", "cdf_t_max", "cdf_panels"
+    }
+    bound = exactmean._QUAD_TOL * base.k * max(base.sizes())
+    assert 0.0 < numerics["exact_mean_abserr"] <= bound
     assert 0.0 < numerics["cdf_err_estimate"] < 1e-4
     assert numerics["cdf_t_max"] == 32.0 and numerics["cdf_panels"] == 369
     assert one.csv_text() == two.csv_text()
+
+
+def test_report_without_samples_carries_exact_mean_abserr() -> None:
+    """With no samples there is no KS column and no CDF certificate, but
+    the exact means and their error bound are still reported."""
+    config = _smoke_config(samples=0)
+    numerics = harness.run_experiment(config).json_dict()["numerics"]
+    assert set(numerics) == {"exact_mean_abserr"}
+    bound = exactmean._QUAD_TOL * config.k * max(config.sizes())
+    assert 0.0 < numerics["exact_mean_abserr"] <= bound
 
 
 def test_report_json_mirrors_csv(tmp_path) -> None:

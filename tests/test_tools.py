@@ -40,4 +40,20 @@ def test_bitwise_two_saves_compare_equal(tmp_path, capsys, monkeypatch) -> None:
     np.savez(c, **arrays)
     capsys.readouterr()
     assert bitwise.main(["compare", a, c]) == 1
-    assert capsys.readouterr().out.startswith(f"{len(arrays)} arrays, 2 differ")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{len(arrays)} arrays, 2 differ"
+    assert sorted(lines[1:]) == sorted([
+        f"  {first}: abs 1 rel {1 / abs(arrays[first].flat[0] - 1):.3g}",
+        f"  {second}: int64{arrays[second].shape} against int32{arrays[second].shape}",
+    ])
+
+
+def test_bitwise_describes_gaps_per_csv_column() -> None:
+    """A CSV text is compared per column: only the columns that differ
+    are named, each with its largest absolute and relative gap."""
+    bitwise = _bitwise()
+    a = np.array("n,mean,gap\n63,2.5,0.5\n255,4.0,nan\n")
+    b = np.array("n,mean,gap\n63,2.5,0.5\n255,4.000000001,nan\n")
+    assert bitwise.describe(a, b) == "mean abs 1e-09 rel 2.5e-10"
+    c = np.array([1.0, -2.0, 0.0])
+    assert bitwise.describe(c, np.array([1.0, -2.5, 0.0])) == "abs 0.5 rel 0.25"

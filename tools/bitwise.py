@@ -16,8 +16,9 @@ grid and ``cdf_certificate`` for seven shapes; ``kcut experiment``'s
 CSV for three configurations; and ``rescale_counts``,
 ``asymptotic_mean`` and ``ScaleParams`` values.  ``--small`` saves a
 reduced set in about a second, for a smoke test.  ``compare`` counts
-the arrays that differ in dtype or in any value (``np.array_equal``) and
-exits 1 if any do, 0 if none do.
+the arrays that differ in dtype or in any value (``np.array_equal``),
+prints for each its largest absolute and relative difference (for a CSV
+text, per column), and exits 1 if any differ, 0 if none do.
 """
 
 from __future__ import annotations
@@ -222,6 +223,42 @@ def compare(path_a: str, path_b: str) -> list[str]:
         ]
 
 
+def _gaps(a: np.ndarray, b: np.ndarray) -> str:
+    """Largest absolute and relative difference of ``b`` from ``a``."""
+    if a.dtype.kind in "biu":
+        a, b = a.astype(float), b.astype(float)
+    gap = np.abs(a - b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(gap == 0.0, 0.0, gap / np.abs(a))
+    return f"abs {np.nanmax(gap, initial=0.0):.3g} rel {np.nanmax(rel, initial=0.0):.3g}"
+
+
+def describe(a: np.ndarray, b: np.ndarray) -> str:
+    """How two arrays that differ do: their dtypes or shapes if those
+    differ, else their largest gaps; a CSV text (one string, a header
+    row, numeric cells) per column that differs."""
+    if a.dtype.kind == b.dtype.kind == "U":
+        return _csv_gaps(str(a), str(b))
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return f"{a.dtype}{a.shape} against {b.dtype}{b.shape}"
+    return _gaps(a, b)
+
+
+def _csv_gaps(a: str, b: str) -> str:
+    rows_a, rows_b = a.splitlines(), b.splitlines()
+    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        return "text with other rows or columns"
+    va, vb = (
+        np.array([row.split(",") for row in rows[1:]], dtype=float)
+        for rows in (rows_a, rows_b)
+    )
+    return "; ".join(
+        f"{name} {_gaps(va[:, j], vb[:, j])}"
+        for j, name in enumerate(rows_a[0].split(","))
+        if not np.array_equal(va[:, j], vb[:, j], equal_nan=True)
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -235,10 +272,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.mode == "save":
         print(save(args.out, args.small), "arrays saved")
         return 0
-    with np.load(args.a) as a:
-        total = len(a.files)
     differ = compare(args.a, args.b)
-    print(f"{total} arrays, {len(differ)} differ", *differ[:20])
+    with np.load(args.a) as a, np.load(args.b) as b:
+        print(f"{len(a.files)} arrays, {len(differ)} differ")
+        for name in differ:
+            print(f"  {name}: {describe(a[name], b[name])}")
     return 1 if differ else 0
 
 
