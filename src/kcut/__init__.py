@@ -2,9 +2,10 @@
 
 The package is organised in layers:
 
-- :mod:`kcut.specfun` -- the regularized upper incomplete gamma ``Q`` and
-  its inverse, scalar or array, on ``scipy.special``: the one route to
-  both used throughout.
+- :mod:`kcut.specfun` -- the special functions, in numpy: the regularized
+  upper incomplete gamma ``Q`` and its inverse, scalar or array (the one
+  route to both used throughout), ``log Q`` at integer shapes, the sine
+  integral and binomial CDF tables.
 - :mod:`kcut.series` -- exact rational power-series expansions that produce
   the coefficient tables feeding the moment asymptotics.
 - :mod:`kcut.cutsim` -- vectorized batch simulators for the cutting

@@ -11,9 +11,8 @@ Subcommands:
 - ``experiment``  -- the full simulate/rescale/compare pipeline from a
   JSON config file.
 
-Each command loads only the modules it runs.  ``simulate``,
-``constants`` and ``exact-mean`` load no part of scipy; ``limit`` and
-``experiment`` load ``scipy.special`` and no other scipy subpackage.
+Each command loads only the modules it runs, and none loads scipy: the
+special functions are numpy code in :mod:`kcut.specfun`.
 
 Exit codes: 0 on success, 2 for configuration problems (bad arguments,
 unreadable files, invalid parameter combinations), 3 when a numerical
@@ -31,9 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-# cutsim, exactmean and series load no scipy.  limitdist and harness
-# load scipy.special, so the handlers that use them import them in their
-# own bodies and simulate, constants and exact-mean start without scipy.
+# The handlers of limit and experiment import limitdist and harness in
+# their own bodies, so simulate, constants and exact-mean do not load them.
 from . import __version__, cutsim, exactmean, series
 
 __all__ = ["main", "build_parser"]

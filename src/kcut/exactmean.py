@@ -15,7 +15,7 @@ certify 1e-11; ``expected_records`` sums it over the exact per-height
 node counts of a complete binary tree, from
 :meth:`kcut.cutsim.CompleteTree.size_classes`, with every height in one
 call of the rule; ``asymptotic_mean`` evaluates the closed-form
-approximation the sums converge to.  The module loads no scipy.
+approximation the sums converge to.
 """
 
 from __future__ import annotations
@@ -183,16 +183,16 @@ def _gauss_kronrod(
 
 def _log_integrand(r: int, k: int, ancestors, x: np.ndarray) -> np.ndarray:
     """``log(g_r(x) Q(k, x)**ancestors)`` for ``x > 0``, with ``log Q(k,
-    x) = -x + log(sum_{i<k} x**i / i!)``, a sum of positive terms (no
-    cancellation)."""
-    total, term = np.ones_like(x), np.ones_like(x)
-    for i in range(1, k):
-        term = term * (x / i)
-        total += term
+    x)`` from :func:`kcut.specfun.log_q_int`, which keeps its relative
+    accuracy where ``Q`` is near 1."""
+    # Imported here so that `kcut.cli`, which imports this module, does not
+    # load specfun for the commands that never integrate.
+    from . import specfun
+
     out = -x - math.lgamma(r)
     if r > 1:
         out += (r - 1) * np.log(x)
-    return out + ancestors * (np.log(total) - x)
+    return out + ancestors * specfun.log_q_int(k, x)
 
 
 def _record_probs(

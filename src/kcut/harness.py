@@ -366,16 +366,12 @@ class ExperimentReport:
 
 
 def _versions() -> dict:
-    import numpy
-    import scipy
-
     from . import __version__
 
     return {
         "package": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "numpy": np.__version__,
     }
 
 

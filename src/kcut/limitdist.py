@@ -38,9 +38,10 @@ integral are one Filon rule, cubics integrated exactly against
 ``e^{isy}``, evaluated by one class, :class:`_Filon`, in fixed blocks of
 points on all CPUs (:func:`kcut.cutsim.resolve_threads`), with values
 that do not depend on the worker count.  Every evaluation of ``Q`` and
-``Q^{-1}``, scalar or vectorized, goes through :mod:`kcut.specfun`, the
-package's one scipy-backed route; every Levy series sums ``s =
-1.._S_MAX`` of one ``_thetas`` array call.
+``Q^{-1}``, scalar or vectorized, and of the other special functions
+(the sine integral, binomial tables) goes through :mod:`kcut.specfun`,
+in numpy; every Levy series sums ``s = 1.._S_MAX`` of one ``_thetas``
+array call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import special
 
 from . import series, specfun
 from .cutsim import (
@@ -351,8 +351,10 @@ _NODE_OFFS = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 # Inverse of the Vandermonde matrix on those nodes: maps four samples to
 # monomial coefficients in the scaled variable s = u/h.
 _V4_INV = np.linalg.inv(np.vander(_NODE_OFFS, 4, increasing=True))
-# Terms of the power series of a panel's moments where |s h| < 1/2.
+# Terms of the power series of a panel's moments where |s h| < 1/2, and
+# n! for each term n (exact in float64).
 _SERIES_TERMS = 18
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(_SERIES_TERMS)])
 # Rows of J(s) that a Filon evaluation returns: Re and Im, or Im only.
 _RE_IM = slice(0, 2)
 _IM = slice(1, 2)
@@ -402,7 +404,7 @@ class _Filon:
         h = self.widths[:, None]
         n = np.arange(_SERIES_TERMS)
         powers = np.arange(4)
-        self.beta = (h ** (n + 1) / special.factorial(n)) * (
+        self.beta = (h ** (n + 1) / _FACTORIALS) * (
             self.coeffs @ (1.0 / (powers[:, None] + n[None, :] + 1))
         )
         # falling[k, p] = p!/(p-k)!.
@@ -599,7 +601,7 @@ class _CfMachine:
         # du, from beta by the binomial theorem.
         beta, edges = self.filon.beta, self.filon.edges
         n = np.arange(_SERIES_TERMS)
-        taylor = edges[:-1, None] ** n / special.factorial(n)
+        taylor = edges[:-1, None] ** n / _FACTORIALS
         self.moments = np.array(
             [np.sum(beta[:, : i + 1] * taylor[:, i::-1]) for i in n]
         )
@@ -800,7 +802,7 @@ class _CdfCache:
         checked nor clipped."""
         im_j = filon.integral(-omega, _IM)[0]
         # The 1/t part: integral_0^t_end sin(omega t)/t dt = Si(omega t_end).
-        return 0.5 + (special.sici(omega * filon.edges[-1])[0] - im_j) / math.pi
+        return 0.5 + (specfun.sine_integral(omega * filon.edges[-1]) - im_j) / math.pi
 
     @classmethod
     def _cdf(cls, filon: _Filon, omega: np.ndarray) -> np.ndarray:
@@ -992,14 +994,15 @@ def _xi_plan(scale: ScaleParams, p: LimitParams) -> tuple:
     # The factor keeps total * Q(a, z_cut) <= 1e-13 after rounding.
     z_cut = float(specfun.q_inv(p.a, _XI_SKIP / total)) * (1.0 + 1e-12)
     t_cut = math.exp((math.lgamma(k + 1) + math.log(z_cut / scale.m)) / k)
-    p_cut = float(special.gammainc(k, t_cut))
+    log_q_cut = float(specfun.log_q_int(k, t_cut))
+    p_cut = -math.expm1(log_q_cut)
     power_rate = p_cut * math.exp(math.lgamma(k + 1) - k * math.log(t_cut))
     power = 2.0 / power_rate < k / p_cut
     rate = power_rate if power else p_cut
     # Trials until a Binomial(nodes, p_cut) count of clocks is accepted.
     kept = sum(counts) * p_cut
     sd = math.sqrt(kept * (2.0 - p_cut - rate)) / rate
-    cdfs = [special.bdtr(np.arange(c + 1), c, p_cut) for c in counts]
+    cdfs = [specfun.binom_cdf(c, p_cut, math.exp(log_q_cut)) for c in counts]
     tables = [f[: min(int(np.searchsorted(f, 1.0)), c)] for f, c in zip(cdfs, counts)]
     trials = math.ceil(kept / rate + _XI_MARGIN * sd) + 1
     return ga_weights, tables, t_cut, z_cut, power, trials
@@ -1088,15 +1091,25 @@ def xi_sampler_batch(
             more = np.append(more, accept(rng.random((1, width - classes)))[1])
         return more[:missing]
 
+    # All class tables in one sorted array of keys c + i F: complex numbers
+    # compare by real part, then imaginary part, so one search of c + i U
+    # finds class c's count exactly, offset by the entries before it.
+    merged = np.concatenate([c + 1j * cdf for c, cdf in enumerate(tables)])
+    starts = np.cumsum([0] + [len(cdf) for cdf in tables[:-1]])
+
     def worker(budget: np.ndarray, out: np.ndarray):
         cells = np.empty((len(budget), classes + 1), dtype=np.int64)
         is_class = np.arange(cells.size) % (classes + 1) < classes
+        keys = np.empty((len(budget), classes), dtype=complex)
+        keys.real = np.arange(classes)
 
         def sweep(lo: int, hi: int) -> None:
             # count[:, c] is class c's clocks, count[:, -1] the spare trials.
             u, count = budget[: hi - lo], cells[: hi - lo]
-            for c, cdf in enumerate(tables):
-                count[:, c] = np.searchsorted(cdf, u[:, c], side="right")
+            key = keys[: hi - lo]
+            key.imag = u[:, :classes]
+            found = np.searchsorted(merged, key.ravel(), side="right")
+            np.subtract(found.reshape(key.shape), starts, out=count[:, :-1])
             flag, kept = accept(u[:, classes:])
             got = np.count_nonzero(flag, axis=1)
             count[:, -1] = got - count[:, :-1].sum(axis=1)

@@ -387,53 +387,53 @@ def test_experiment_invalid_json_exits_2(tmp_path) -> None:
 # import graph
 # ---------------------------------------------------------------------------
 
-# Run in a fresh interpreter: pytest itself imports scipy.integrate for
-# its warning filters.  Each step asserts which public scipy subpackages
-# are loaded.
+# Run in a fresh interpreter: pytest and the oracles import scipy.  After
+# each step no scipy module may be loaded.
 _IMPORT_GRAPH = """
 import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 out = sys.argv[2]
 
-def loaded():
-    return {
-        m for m in sys.modules
-        if m.startswith("scipy.") and m.count(".") == 1
-        and not m.startswith("scipy._") and m != "scipy.version"
-    }
+def no_scipy():
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, loaded
 
 import kcut.cutsim
-assert not loaded(), loaded()
+no_scipy()
 from kcut import cli
-assert not loaded(), loaded()
+no_scipy()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "--n", "63", "--k", "2", "--samples", "50",
                      "--out", out + "/sim.csv"]) == 0
+    no_scipy()
     assert cli.main(["constants", "--k", "2", "--r", "1"]) == 0
+    no_scipy()
     assert cli.main(["exact-mean", "--n", "1023", "--k", "2", "--r", "1",
                      "--compare-asymptotic"]) == 0
-assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
+    no_scipy()
     assert cli.main(["limit", "--r", "1", "--k", "2", "--gamma", "0.3",
                      "--cdf", "--grid=-4:4:9", "--out", out + "/cdf.csv"]) == 0
-assert loaded() == {"scipy.special"}, loaded()
+    no_scipy()
+    assert cli.main(["limit", "--r", "2", "--k", "3", "--gamma", "0.9",
+                     "--cdf", "--grid=-4:4:9", "--out", out + "/cdf23.csv"]) == 0
+    no_scipy()
 import kcut.exactmean, kcut.harness, kcut.limitdist
+no_scipy()
 config = {"k": 2, "r": None, "n_list": [63, 255], "samples": 200, "seed": 3,
           "csv_path": out + "/exp.csv", "json_path": out + "/exp.json"}
 with open(out + "/exp.cfg", "w") as fh:
     json.dump(config, fh)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["experiment", "--config", out + "/exp.cfg"]) == 0
-assert loaded() == {"scipy.special"}, loaded()
-assert "scipy.integrate" not in sys.modules
+no_scipy()
 assert cli.main(["exact-mean", "--n", "127", "--k", "2", "--r", "1"]) == 0
 """
 
 
 def test_commands_load_only_the_scipy_they_use(tmp_path, capsys) -> None:
-    """simulate, constants and exact-mean load no scipy; limit and
-    experiment only scipy.special, so no command loads scipy.integrate;
-    exact-mean prints what it prints in process."""
+    """No command loads any scipy module: simulate, constants,
+    exact-mean, limit (at r/k = 1/2 and 2/3) and experiment; exact-mean
+    prints what it prints in process."""
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GRAPH, str(src), str(tmp_path)],

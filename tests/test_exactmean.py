@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,21 @@ def test_record_prob_trivial_cases() -> None:
     assert exactmean.record_prob(1, 1, 1, math.inf) == pytest.approx(
         0.5, abs=1e-11
     )
+
+
+def test_record_prob_with_q_near_one_matches_mpmath() -> None:
+    """With 1100 ancestors the integrand is Q(4, x)**1100 at small x,
+    where Q is within 1e-3 of 1: log Q taken as log(sum) - x cancelled
+    and put the value 3e-14 off.  Now within 1e-15 of a 30-digit mpmath
+    quadrature."""
+    with mpmath.workdps(30):
+        def f(x):
+            q4 = mpmath.exp(-x) * (1 + x + x**2 / 2 + x**3 / 6)
+            return mpmath.exp(-x) * q4**1100
+
+        ref = float(mpmath.quad(f, [0, 0.25, 0.5, 1, 2, 4, mpmath.inf]))
+    got = exactmean.record_prob(1, 4, 1100, math.inf)
+    assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_record_prob_k1_harmonic_law() -> None:

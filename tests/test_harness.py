@@ -280,7 +280,7 @@ def test_run_experiment_smoke_fields() -> None:
         rel=1e-12,
     )
     assert res.mean_gap_sigmas < 4.0
-    assert set(report.versions) == {"package", "python", "numpy", "scipy"}
+    assert set(report.versions) == {"package", "python", "numpy"}
 
 
 def test_run_experiment_total_mode_k2() -> None:

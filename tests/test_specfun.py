@@ -1,5 +1,6 @@
-"""Unit and property tests for Q and its inverse, checked against
-closed forms and mpmath."""
+"""Unit and property tests for the special functions: Q and its inverse,
+log Q at integer shapes, the sine integral and binomial tables, checked
+against closed forms, mpmath and (in tests only) scipy.special."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from kcut import specfun
 
@@ -224,3 +226,139 @@ def test_q_inv_derivative_formula() -> None:
             theta = specfun.q_inv(a, y)
             ana = -math.gamma(a) * math.exp(theta) * theta ** (1.0 - a)
             assert num == pytest.approx(ana, rel=5e-6, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# scipy.special as an oracle, and elementwise kernels.
+# ---------------------------------------------------------------------------
+
+
+def test_erfc_branch_matches_scipy() -> None:
+    """q(1/2, x**2) = erfc(x) on [0, 30], in steps of 1/1024 so that x**2
+    is exact: within 2e-15 relative where erfc exceeds 1e-300 (6.7e-16
+    seen), within 1e-300 below, where scipy returns 0 and q the
+    subnormal value."""
+    x = np.arange(30 * 1024 + 1) / 1024.0
+    ref = special.erfc(x)
+    ours = specfun.q(0.5, x * x)
+    normal = ref > 1e-300
+    np.testing.assert_allclose(ours[normal], ref[normal], rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(ours[~normal], ref[~normal], rtol=0.0, atol=1e-300)
+
+
+def test_sine_integral_matches_scipy() -> None:
+    """Si on +-[0, 1e12] against scipy's sici within 4e-15 absolute
+    (1.1e-15 seen), across the Taylor (|x| <= 4), continued-fraction
+    (< 40) and asymptotic branches; exact at 0 and odd."""
+    t = np.concatenate([np.linspace(0.0, 100.0, 100_001), np.geomspace(1e-300, 1e12, 20_000)])
+    t = np.concatenate([t, -t])
+    np.testing.assert_allclose(
+        specfun.sine_integral(t), special.sici(t)[0], rtol=0.0, atol=4e-15
+    )
+    assert specfun.sine_integral(np.array([0.0]))[0] == 0.0
+
+
+def test_sine_integral_branch_ends_match_mpmath() -> None:
+    """Within 1e-15 of mpmath on both sides of the branch ends 4 and 40."""
+    t = np.concatenate([np.linspace(3.9, 4.1, 21), np.linspace(39.0, 41.0, 21)])
+    with mpmath.workdps(30):
+        ref = [float(mpmath.si(mpmath.mpf(float(v)))) for v in t]
+    np.testing.assert_allclose(specfun.sine_integral(t), ref, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 255, 1000, 4095])
+def test_binom_cdf_matches_bdtr(count: int) -> None:
+    """Binomial CDF tables against scipy's bdtr within 5e-12 absolute:
+    bdtr itself is off by up to 2.9e-12 at 4095 (see the mpmath test
+    below); each table ends at exactly 1 and never decreases."""
+    for p in (1e-9, 1e-3, 0.05, 0.3, 0.5, 0.77, 0.999):
+        ours = specfun.binom_cdf(count, p, 1.0 - p)
+        ref = special.bdtr(np.arange(count + 1), count, p)
+        np.testing.assert_allclose(ours, ref, rtol=0.0, atol=5e-12)
+        assert ours[-1] == 1.0
+        assert np.all(np.diff(ours) >= 0.0)
+
+
+def test_binom_cdf_matches_mpmath() -> None:
+    """Near the mode of Binomial(4095, p), within 1e-15 of an exact sum
+    (where bdtr is 2.9e-12 off)."""
+    for p, js in ((0.5, (1900, 2046, 2200)), (0.1, (350, 401, 450))):
+        ours = specfun.binom_cdf(4095, p, 1.0 - p)
+        with mpmath.workdps(40):
+            pp = mpmath.mpf(p)
+            pmf = [mpmath.binomial(4095, j) * pp**j * (1 - pp) ** (4095 - j)
+                   for j in range(max(js) + 1)]
+            for j in js:
+                assert abs(ours[j] - float(mpmath.fsum(pmf[: j + 1]))) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [1.0 / 8.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.5])
+def test_q_inv_matches_scipy(a: float) -> None:
+    """q_inv against gammainccinv (erfcinv squared at a = 1/2) within
+    1e-13 relative on the Levy profile's y = 2**-s and near y = 1."""
+    y = np.exp2(-np.linspace(0.0, 80.0, 2001))[1:]
+    y = np.concatenate([y, 1.0 - np.geomspace(1e-15, 0.5, 500)])
+    ref = special.erfcinv(y) ** 2 if a == 0.5 else special.gammainccinv(a, y)
+    np.testing.assert_allclose(specfun.q_inv(a, y), ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 20])
+def test_log_q_int_matches_mpmath(k: int) -> None:
+    """log Q(k, x) within 2e-15 relative of mpmath's log1p(-P(k, x)),
+    also where Q is within 1e-30 of 1."""
+    x = np.concatenate([np.geomspace(1e-4, k, 40), np.linspace(k, 3 * k + 10, 20)])
+    with mpmath.workdps(40):
+        ref = [float(mpmath.log1p(-mpmath.gammainc(k, 0, mpmath.mpf(float(v)),
+                                                   regularized=True)))
+               for v in x]
+    np.testing.assert_allclose(specfun.log_q_int(k, x), ref, rtol=2e-15, atol=0.0)
+    assert specfun.log_q_int(k, np.array([0.0]))[0] == 0.0
+
+
+def _one_by_one(fn, x: np.ndarray) -> np.ndarray:
+    return np.array([fn(x[i : i + 1])[0] for i in range(x.size)])
+
+
+# Points on every branch: 0, the series, the small-x series of Q, the
+# continued fraction, the erf and big-x fix-ups of a = 1/2, far tails.
+_BRANCH_X = np.array([0.0, 1e-9, 0.03, 0.4, 0.9, 1.05, 1.2, 1.9, 3.3, 8.0,
+                      30.0, 63.9, 64.0, 200.0, 750.0])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0 / 8.0, 2.0 / 3.0, 1.5, 7.0])
+def test_q_one_value_equals_value_in_array(a: float) -> None:
+    """Every kernel is elementwise: a value computed alone is the value
+    computed inside an array, bit for bit, with or without ``out``."""
+    x = np.concatenate([_BRANCH_X, np.random.default_rng(3).uniform(0, 40, 500)])
+    whole = specfun.q(a, x)
+    assert np.array_equal(_one_by_one(lambda v: specfun.q(a, v), x), whole)
+    y = x.copy()
+    specfun.q(a, y, out=y)
+    assert np.array_equal(y, whole)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0 / 8.0, 2.0 / 3.0])
+def test_q_inv_one_value_equals_value_in_array(a: float) -> None:
+    y = np.concatenate([[0.0, 1.0, 0.5, 1e-300],
+                        np.exp2(-np.linspace(0.0, 80.0, 161)),
+                        1.0 - np.geomspace(1e-15, 0.5, 40)])
+    whole = specfun.q_inv(a, y)
+    assert np.array_equal(_one_by_one(lambda v: specfun.q_inv(a, v), y), whole)
+
+
+def test_other_kernels_one_value_equals_value_in_array() -> None:
+    t = np.concatenate([[0.0, -3.0, 4.0, 39.9, 40.0, -1e12],
+                        np.random.default_rng(4).uniform(-500, 500, 300)])
+    assert np.array_equal(_one_by_one(specfun.sine_integral, t),
+                          specfun.sine_integral(t))
+    x = np.concatenate([_BRANCH_X[:-1], np.geomspace(1e-5, 50.0, 100)])
+    for k in (1, 2, 5):
+        assert np.array_equal(_one_by_one(lambda v: specfun.log_q_int(k, v), x),
+                              specfun.log_q_int(k, x))
+    # The binomial tables' iterative kernel, bd0(j, n p).
+    j = np.arange(1.0, 400.0)
+    m = np.full(j.size, 123.4)
+    assert np.array_equal(
+        np.array([specfun._bd0(j[i : i + 1], m[i : i + 1])[0] for i in range(j.size)]),
+        specfun._bd0(j, m),
+    )
