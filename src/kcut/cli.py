@@ -42,9 +42,17 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: str, text: str) -> None:
+# Lines a block of a CSV that simulate or limit writes: each block is
+# formatted (limit: evaluated too) and written before the next, so the
+# memory a command takes beyond its arrays does not grow with the output.
+_CSV_LINES = 1 << 14
+
+
+def _write_blocks(path: str, blocks) -> None:
+    """Write the strings of ``blocks`` to ``path``, one after another."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for text in blocks:
+            fh.write(text)
 
 
 def _rational(value: Fraction) -> str:
@@ -108,16 +116,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     counts = batch(tree, args.k, args.seed, args.samples)
     # One line per order and one total per sample, as (index, value)
-    # pairs, formatted in one pass.
+    # pairs, formatted one block of samples at a time.
     samples, k = counts.shape
-    pairs = np.empty((samples, k + 1, 2), dtype=np.int64)
-    pairs[:, :, 0] = np.arange(samples)[:, None]
-    pairs[:, :k, 1] = counts
-    pairs[:, k, 1] = counts.sum(axis=1)
     lines = "".join(f"%d,{r},%d\n" for r in range(1, k + 1)) + "%d,total,%d\n"
-    body = (lines * samples) % tuple(pairs.ravel().tolist())
-    _write_text(args.out, "sample_index,r,count\n" + body)
-    print(f"wrote {counts.shape[0]} samples to {args.out}")
+    step = max(1, _CSV_LINES // (k + 1))
+
+    def blocks():
+        yield "sample_index,r,count\n"
+        for lo in range(0, samples, step):
+            part = counts[lo : lo + step]
+            pairs = np.empty((len(part), k + 1, 2), dtype=np.int64)
+            pairs[:, :, 0] = np.arange(lo, lo + len(part))[:, None]
+            pairs[:, :k, 1] = part
+            pairs[:, k, 1] = part.sum(axis=1)
+            yield (lines * len(part)) % tuple(pairs.ravel().tolist())
+
+    _write_blocks(args.out, blocks())
+    print(f"wrote {samples} samples to {args.out}")
     return 0
 
 
@@ -150,24 +165,33 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     p = limitdist.LimitParams(args.r, args.k, args.gamma)
     grid = _parse_grid(args.grid)
     kind = args.kind or "density"
-    if kind in ("density", "tail"):
-        fn = limitdist.levy_density if kind == "density" else limitdist.levy_tail
-        rows = [f"x,{kind}"] + [
-            f"{x:.17g},{v:.17g}" for x, v in zip(grid, fn(grid, p))
-        ]
-    elif kind == "cf":
-        rows = ["t,real,imag"] + [
-            f"{t:.17g},{z.real:.17g},{z.imag:.17g}"
-            for t, z in zip(grid, limitdist.char_fn(grid, p))
-        ]
-    else:  # cdf
+    if kind == "cdf":
         table = series.constants(args.k, args.r)
-        vals = limitdist.limit_cdf(grid, p, table)
-        rows = ["w,cdf"] + [
-            f"{w:.17g},{v:.17g}" for w, v in zip(grid, vals)
-        ]
-    _write_text(args.out, "\n".join(rows) + "\n")
-    print(f"wrote {len(rows) - 1} rows to {args.out}")
+        header, evaluate = "w,cdf", lambda x: limitdist.limit_cdf(x, p, table)
+    elif kind == "cf":
+        header, evaluate = "t,real,imag", lambda t: limitdist.char_fn(t, p)
+    else:
+        fn = limitdist.levy_density if kind == "density" else limitdist.levy_tail
+        header, evaluate = f"x,{kind}", lambda x: fn(x, p)
+    # The grid is monotone, so its ends are its extremes: any point the
+    # function refuses, or a CDF it cannot certify, raises here, before
+    # the file is opened.
+    evaluate(grid[[0, -1]])
+
+    def blocks():
+        yield header + "\n"
+        for i in range(0, grid.size, _CSV_LINES):
+            x = grid[i : i + _CSV_LINES]
+            if kind == "cf":
+                yield "".join(
+                    f"{t:.17g},{z.real:.17g},{z.imag:.17g}\n"
+                    for t, z in zip(x, evaluate(x))
+                )
+            else:
+                yield "".join(f"{w:.17g},{v:.17g}\n" for w, v in zip(x, evaluate(x)))
+
+    _write_blocks(args.out, blocks())
+    print(f"wrote {grid.size} rows to {args.out}")
     return 0
 
 

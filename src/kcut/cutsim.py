@@ -53,16 +53,26 @@ Rows drawn per sample of fewer than ``_SERIAL_FILL_ROW`` values are
 filled one worker at a time, while the others sweep, because each
 re-key holds the GIL.  The chunks of all workers together hold at most
 a batch's chunk of samples; only the record batches take it as an
-input.  A record batch sweeps its rows in pieces of as many as fit 8 MB
-with their scratch (``_RECORD_VALUES``), so that a piece stays near its
-core's L2 cache.  By default its rows drawn per sample come in chunks
-of one piece a worker; rows drawn by lanes, and the process batch's
-rows, come in chunks that share one 32 MB budget (:func:`_chunk_rows`),
-lane scratch included.  The xi batch of :mod:`kcut.limitdist` sizes its own chunk.
+input.
+
+Memory: a record-batch worker holds at most 8 MB of scratch
+(``_RECORD_VALUES``) at any ``n`` and ``k``, plus the output it was
+asked for.  It sweeps its rows in pieces of as many as fit 8 MB with
+their scratch, lane scratch included, so that a piece stays near its
+core's L2 cache, and by default its rows come in chunks of one piece.
+A sample whose row does not fit 8 MB with its scratch
+(``_SPLIT_SCRATCH``, a constant of its own) is swept by bottom
+subtrees instead: the top levels, then the bottom subtrees in
+heap order, in groups that fit one piece, one sample on one worker at a
+time.  The process batch's rows come in chunks that share one 32 MB
+budget (:func:`_chunk_rows`), lane scratch included, besides its
+per-tree table.  The xi batch of :mod:`kcut.limitdist` sizes its own
+chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Callable
@@ -103,10 +113,25 @@ _SCRATCH_VALUES = 1 << 22
 # each), best of 15, on 2 CPUs with 2 MB of L2 each: 2**18 values 0.756
 # on one thread and 0.479 on two, 2**19 0.814 and 0.484, 2**20 0.858
 # and 0.461, one 32 MB chunk shared by the workers and swept whole 1.04
-# and 0.527.  Rows drawn by lanes keep 32 MB chunks: a lane step costs
-# about the same for 2 000 lanes as for 14 000 (5.3 against 4.2 ns a
-# value at 254 values a row).
+# and 0.527.  Rows drawn by lanes come in pieces too, their lane words
+# counted: a row's scratch is then at most about 650 values, so a piece
+# holds 1 600 rows or more, at least _LANE_ROWS_PER_VALUE a value.  A
+# lane step costs a little more on few lanes (5.3 against 4.2 ns a value
+# at 254 values a row, 2 000 lanes against 14 000).  This is the one
+# scratch budget of a record-batch worker, at any n and k.
 _RECORD_VALUES = 1 << 20
+
+# A record sample whose row does not fit _SPLIT_SCRATCH values (8 MB) with
+# its scratch (_row_scratch) is swept by bottom subtrees (see
+# _records_by_subtrees), in a draw order of its own.  This is a constant
+# of its own, not _RECORD_VALUES, so that draws never depend on the
+# budget.  The record trees of the tests and the benchmark (n = 2**18 at
+# k = 2 the largest, 917 504 values with its scratch) stay below it, so
+# their draws are those of the whole-row sweep.  A bottom subtree holds
+# at most _SUBTREE_VALUES uniforms: 2**16 - 1 nodes at k = 2, 511 at
+# k = 256.
+_SPLIT_SCRATCH = 1 << 20
+_SUBTREE_VALUES = 1 << 17
 
 # Rows of at least this many nodes count each order's records with one
 # count_nonzero call a row (about 0.25 us a call plus 0.03-0.1 ns a
@@ -415,8 +440,9 @@ def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
     """Samples in flight at once in one batch call, over all its
     workers: ``chunk`` if given, else as many as keep the largest
     per-sample scratch array within 2**22 float64 values (32 MB).  The
-    record batches pass their own chunk (see ``_RECORD_VALUES``), and so
-    does the xi batch.  Draws never depend on the chunk."""
+    record batches pass their own chunk, one piece a worker (see
+    ``_RECORD_VALUES``), and so does the xi batch.  Draws never depend on
+    the chunk."""
     if chunk is None:
         return max(1, _SCRATCH_VALUES // floats_per_row)
     chunk = _as_int("chunk", chunk)
@@ -448,6 +474,36 @@ def _worker_count(
     return 1
 
 
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_free_memory() -> None:
+    """Hand the C heap's free pages back to the system (glibc's
+    ``malloc_trim``; nothing where the C library has none).
+
+    A record batch's workers free their scratch, up to 8 MB each, when
+    it ends.  Once glibc's dynamic mmap threshold has risen past such
+    arrays they come from the heap, and a small block that outlives the
+    batch above them keeps the heap from shrinking: the process then
+    holds them to its end.  In about one run of three that took the
+    simulate benchmark's peak RSS from 64.9 to 72.3 MB, at random; the
+    page faults of fresh scratch in the next batch cost about 1 ms per
+    8 MB."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _on_workers(
     n_rows: int, workers: int, start: Callable[[int, int], Callable[[], None]]
 ) -> None:
@@ -474,8 +530,9 @@ def _run_batch(
     first_index: int,
     chunk: int | None,
     threads: int | None,
-    worker: Callable[[np.ndarray, np.ndarray], Callable[[int, int], None]],
+    worker: Callable[[np.ndarray, np.ndarray], Callable],
     result: tuple[tuple[int, ...], type] = ((), np.float64),
+    parts: bool = False,
 ) -> np.ndarray:
     """Run one batch of samples ``0 .. n_samples - 1`` on worker threads
     and return its output, an array of shape ``(n_samples, *shape)`` and
@@ -515,6 +572,13 @@ def _run_batch(
     share one lock: a worker holds it while it reads a chunk's states
     and fills the chunk's rows, and sweeps without it, since each re-key
     holds the GIL and workers that fill such rows together queue on it.
+
+    With ``parts``, a sample reads its uniforms in parts, and each runs
+    alone on one worker.  ``chunk`` is then the samples in flight, one a
+    worker; the block is a flat array of ``row_values`` values, the
+    largest part; and ``sweep(i)`` is a generator that yields, in draw
+    order, each contiguous float64 array to fill next from sample ``i``'s
+    generator, and finishes sample ``i`` into ``out``.
     """
     n_samples = _as_int("n_samples", n_samples)
     if n_samples < 0:
@@ -522,6 +586,25 @@ def _run_batch(
     seed, first_index = _as_int("seed", seed), _as_int("first_index", first_index)
     shape, dtype = result
     out = np.empty((n_samples, *shape), dtype=dtype)
+    if parts:
+        in_flight = _chunk_rows(row_values, chunk)
+        workers = min(resolve_threads(threads), max(1, min(n_samples, in_flight)))
+
+        def start_parts(lo: int, hi: int) -> Callable[[], None]:
+            sweep = worker(np.empty(row_values), out)
+
+            def run() -> None:
+                stream = _Restream(seed)
+                for i in range(lo, hi):
+                    gen = stream.at(first_index + i)
+                    for part in sweep(i):
+                        gen.random(out=part)
+
+            return run
+
+        if n_samples:
+            _on_workers(n_samples, workers, start_parts)
+        return out
     lanes = row_values <= _LANE_ROW
     row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
     in_flight = _chunk_rows(row_scratch, chunk)
@@ -567,6 +650,68 @@ def _run_batch(
 # ---------------------------------------------------------------------------
 
 
+def _row_scratch(k: int, size: int) -> tuple[int, int]:
+    """Scratch values of one record row of a complete tree of ``size``
+    nodes, and the width of its level temp: the row's ``k * size``
+    uniforms, its ancestor maxima, the temp and its mask bytes."""
+    m = size.bit_length() - 1
+    # The most parents a level has: 2**(m - 2) above level m - 1, or half
+    # the last level's size - 2**m + 1 nodes, rounded up.
+    width = max(1 << m >> 2, (size - (1 << m) + 2) // 2)
+    return k * size + size + width + -(-k * size // 8), width
+
+
+def _sweep(
+    t: np.ndarray,
+    anc: np.ndarray,
+    up: np.ndarray,
+    mask: np.ndarray,
+    counts: np.ndarray,
+    edge: bool,
+) -> None:
+    """Count the records of each order in rows of complete trees of one
+    size, into ``counts`` (``(rows, k)``, contiguous).
+
+    ``t`` holds each row's uniforms order-major, ``(rows, k, size)``, and
+    becomes the running products ``P_r``.  Column 0 of ``anc`` (``(rows,
+    size)``) holds each root's ancestor maximum, 0 for a whole tree; the
+    sweep fills the other columns, level by level and vectorized across
+    the rows: each level's parent maxima go once into a contiguous temp
+    (in ``up``, a flat array of at least ``rows * width`` values), and
+    from there to the first and the second children.  Then one
+    comparison ``P_r > max`` for every order fills ``mask`` (``(rows, k,
+    size)``, contiguous), which is counted row by row (one call a row on
+    rows of at least ``_COUNT_ROW`` nodes, one call in all on shorter
+    rows).  ``edge`` sets each root's ``P_k`` to 0 and leaves it out of
+    the counts.
+    """
+    c, k, n = t.shape
+    for r in range(1, k):
+        t[:, r] *= t[:, r - 1]
+    if edge:
+        t[:, k - 1, 0] = 0.0
+    pk = t[:, k - 1]
+    # Level h holds nodes a .. b - 1, children of the w nodes of the level
+    # above, two apiece in order.
+    for h in range(1, n.bit_length()):
+        a, b = 1 << h, min(2 << h, n + 1)
+        w = (b - a + 1) // 2
+        par = slice(a // 2 - 1, a // 2 - 1 + w)
+        u = up[: c * w].reshape(c, w)
+        np.maximum(anc[:, par], pk[:, par], out=u)
+        anc[:, a - 1 : b - 1 : 2] = u
+        anc[:, a : b - 1 : 2] = u[:, : (b - a) // 2]
+    np.greater(t, anc[:, None, :], out=mask)
+    if edge:
+        mask[:, :, 0] = False
+    if n < _COUNT_ROW:  # the count fits int32
+        counts[:] = mask.view(np.uint8).sum(axis=2, dtype=np.int32)
+    else:
+        counts.reshape(-1)[:] = [
+            np.count_nonzero(row) for row in mask.reshape(c * k, n)
+        ]
+
+
 def _records_batch(
     tree: CompleteTree,
     k: int,
@@ -582,41 +727,40 @@ def _records_batch(
 
     Each sample draws its ``k * n`` uniforms order-major, as ``(k, n)``
     (the ``n`` nodes' first uniforms, then their second, ...), from its
-    own substream, and turns them into the running products ``P_r =
-    e^{-T_r}`` along the orders.  A worker sweeps its chunk in pieces of
-    as many rows as fit ``_RECORD_VALUES`` (8 MB) with their ancestor
-    maxima, level temp and record mask, so that a piece stays near the
-    core's L2 cache through the sweep.  Without a ``chunk``, rows drawn
-    per sample come one piece a worker at a time, on every worker where
-    the samples fill more than one piece each, else on one; rows drawn
-    by lanes come in one 32 MB chunk shared by the workers, since a lane
-    step costs about as much for few lanes as for many.  The ancestor maxima
-    of ``P_k`` come from a level sweep vectorized across the piece: each
-    level's parent maxima go once into a contiguous temp, and from there
-    to the first and the second children.  Then one comparison ``P_r >
-    max`` for every order fills a ``(rows, k, n)`` mask, which is counted
-    row by row (one call a row on rows of at least ``_COUNT_ROW`` nodes,
-    one call a piece on shorter rows).  A tie (probability zero) is not
-    a record.  A uniform of exactly 0 (probability 2**-53 a value) is an
+    own substream, and :func:`_sweep` turns them into the running
+    products ``P_r = e^{-T_r}`` and counts the records.  A worker sweeps
+    its chunk in pieces of as many rows as fit ``_RECORD_VALUES`` (8 MB)
+    with their ancestor maxima, level temp and record mask, and the lane
+    scratch where lanes may fill them, so that a piece stays near the
+    core's L2 cache through the sweep.  Without a ``chunk``, rows come
+    one piece a worker at a time, on every worker where the samples fill
+    more than one piece each (rows drawn by lanes: where each worker's
+    piece holds ``_LANE_ROWS_PER_VALUE`` rows a value), else on one.  A
+    sample whose row does not fit ``_SPLIT_SCRATCH`` values with its
+    scratch is swept by bottom subtrees instead
+    (:func:`_records_by_subtrees`).  A tie (probability zero) is not a
+    record.  A uniform of exactly 0 (probability 2**-53 a value) is an
     infinite clock: no record of its order or later, and no bound on its
     descendants.  The edge variant is the node sweep with the root's
-    ``P_k`` set to 0 and the root left out of the counts.
+    ``P_k`` set to 0 and the root left out of the counts.  The workers'
+    freed scratch goes back to the system (:func:`_release_free_memory`).
     """
     k = _int_in("k", k, 1)
     if k > 256:  # P_k stays a normal double: see the module docstring
         raise ValueError(f"k must be at most 256 for records, got {k}")
-    n, m = tree.n, tree.max_height
+    n = tree.n
     row_values = k * n
-    # The most parents a level has: 2**(m - 2) above level m - 1, or half
-    # the last level's n - 2**m + 1 nodes, rounded up.
-    width = max(1 << m >> 2, (n - (1 << m) + 2) // 2)
-    # A row's uniforms, ancestor maxima, level temp and mask bytes; a
-    # piece, the rows swept at a time, holds _RECORD_VALUES of them.
-    row_scratch = row_values + n + width + -(-row_values // 8)
+    row_scratch, width = _row_scratch(k, n)
+    if row_scratch > _SPLIT_SCRATCH:
+        counts = _records_by_subtrees(
+            tree, k, seed, n_samples, first_index, edge, chunk, threads
+        )
+        _release_free_memory()
+        return counts
+    if row_values <= _LANE_ROW:  # lanes may draw the rows
+        row_scratch += _lane_words(row_values)
     piece = max(1, _RECORD_VALUES // row_scratch)
-    if chunk is None and row_values <= _LANE_ROW:  # drawn by lanes
-        chunk = _chunk_rows(row_scratch + _lane_words(row_values))
-    elif chunk is None:  # one piece a worker, on all workers or on one
+    if chunk is None:  # one piece a worker, on all workers or on one
         n_samples = _as_int("n_samples", n_samples)
         all_pieces = piece * resolve_threads(threads)
         threads = _worker_count(n_samples, all_pieces, row_values, threads)
@@ -628,49 +772,122 @@ def _records_batch(
         # anc[:, v-1] = max of k-th products over proper ancestors of v.
         anc = np.empty((rows, n))
         anc[:, 0] = 0.0
-        up = np.empty((rows, width))
+        up = np.empty(rows * width)
         mask = np.empty((rows, k, n), dtype=bool)
 
         def sweep(lo: int, hi: int) -> None:
             for first in range(lo, hi, rows):
                 last = min(first + rows, hi)
-                sweep_piece(t[first - lo : last - lo], out[first:last])
+                c = last - first
+                _sweep(
+                    t[first - lo : last - lo], anc[:c], up, mask[:c],
+                    out[first:last], edge,
+                )
 
-        def sweep_piece(tc: np.ndarray, counts: np.ndarray) -> None:
-            c = len(tc)
-            ac, uc = anc[:c], up[:c]
-            for r in range(1, k):
-                tc[:, r] *= tc[:, r - 1]
-            if edge:
-                tc[:, k - 1, 0] = 0.0
-            pk = tc[:, k - 1]
-            # Level h holds nodes a .. b - 1, children of the w nodes of
-            # the level above, two apiece in order: their maxima go to a
-            # contiguous temp, then to the first and second children.
-            for h in range(1, m + 1):
-                a, b = 1 << h, min(2 << h, n + 1)
-                w = (b - a + 1) // 2
-                par = slice(a // 2 - 1, a // 2 - 1 + w)
-                u = uc[:, :w]
-                np.maximum(ac[:, par], pk[:, par], out=u)
-                ac[:, a - 1 : b - 1 : 2] = u
-                ac[:, a : b - 1 : 2] = u[:, : (b - a) // 2]
-            is_record = mask[:c]
-            np.greater(tc, ac[:, None, :], out=is_record)
-            if edge:
-                is_record[:, :, 0] = False
-            if n < _COUNT_ROW:  # the count fits int32
-                counts[:] = is_record.view(np.uint8).sum(axis=2, dtype=np.int32)
-            else:
-                counts.reshape(-1)[:] = [
-                    np.count_nonzero(row) for row in is_record.reshape(c * k, n)
-                ]
+        return sweep
+
+    counts = _run_batch(
+        n_samples, row_values, seed, first_index, chunk, threads, worker,
+        result=((k,), np.int64),
+    )
+    _release_free_memory()
+    return counts
+
+
+def _records_by_subtrees(
+    tree: CompleteTree,
+    k: int,
+    seed: int,
+    n_samples: int,
+    first_index: int,
+    edge: bool,
+    chunk: int | None,
+    threads: int | None,
+) -> np.ndarray:
+    """:func:`_records_batch` for samples whose row does not fit
+    ``_SPLIT_SCRATCH`` values with its scratch, swept by bottom subtrees
+    within one piece a worker.
+
+    The bottom subtrees span the last ``L`` levels, as many as keep a
+    full one's ``k * (2**L - 1)`` uniforms within ``_SUBTREE_VALUES``,
+    and are rooted at depth ``d = m - L + 1``; the top levels ``0 .. d -
+    1`` hold ``2**d - 1`` nodes.  A sample reads its uniforms from its
+    substream in this order: the top levels', order-major, as ``(k, 2**d
+    - 1)``; then each bottom subtree's in heap order of its root,
+    order-major, as ``(k, size)`` in the subtree's own heap order.  So the
+    full subtrees come first, then at most one partly filled one, then
+    those of ``2**(L - 1) - 1`` nodes, as ``size_classes()[d]`` lists
+    them.  The top is swept as one row.  Each bottom root's ancestor
+    maximum, the larger of its parent's ancestor maximum and ``P_k``,
+    starts its row's ``anc[:, 0]``; subtrees of one size are swept in
+    groups of as many rows as fit one piece, so the partial subtree is a
+    row of its own.  A sample runs on one worker (``chunk`` is the
+    samples in flight, one a worker; by default one on every worker).
+    The top levels' row must fit ``_SPLIT_SCRATCH`` with its scratch,
+    which bounds ``n`` (``2**34 - 1`` at ``k = 2``, ``2**20 - 1`` at
+    256): a larger tree raises ``ValueError`` naming the largest.
+    """
+    n, m = tree.n, tree.max_height
+    levels = min(m, (_SUBTREE_VALUES // k + 1).bit_length() - 1)
+    top_levels = 1  # the most whose row fits _SPLIT_SCRATCH
+    while _row_scratch(k, (2 << top_levels) - 1)[0] <= _SPLIT_SCRATCH:
+        top_levels += 1
+    largest = (1 << (top_levels + levels)) - 1
+    if n > largest:
+        raise ValueError(
+            f"records at k = {k} take trees of at most {largest} nodes, got {n}"
+        )
+    depth = m - levels + 1
+    top, full = (1 << depth) - 1, (1 << levels) - 1
+    bottom = tree.size_classes()[depth]
+    top_width = _row_scratch(k, top)[1]
+    full_scratch, full_width = _row_scratch(k, full)
+    group = max(1, _RECORD_VALUES // full_scratch)
+    values = max(k * top, group * k * full)
+    if chunk is None:
+        chunk = resolve_threads(threads)
+
+    def worker(block: np.ndarray, out: np.ndarray):
+        anc = np.empty(max(top, group * full))
+        up = np.empty(max(top_width, group * full_width))
+        mask = np.empty(values, dtype=bool)
+        counts = np.empty((group, k), dtype=np.int64)
+        bounds = np.empty(1 << depth)  # the bottom roots' ancestor maxima
+
+        def rows(size: int, g: int):
+            # The uniforms, ancestor maxima and mask of g rows of size nodes.
+            return (
+                block[: g * k * size].reshape(g, k, size),
+                anc[: g * size].reshape(g, size),
+                mask[: g * k * size].reshape(g, k, size),
+            )
+
+        def sweep(i: int):
+            t, a, is_record = rows(top, 1)
+            yield t
+            a[:, 0] = 0.0
+            _sweep(t, a, up, is_record, out[i : i + 1], edge)
+            # Two bottom roots a top leaf: the larger of its ancestor
+            # maximum and its P_k bounds both.
+            leaves = slice(top // 2, top)
+            np.maximum(a[0, leaves], t[0, k - 1, leaves], out=bounds[::2])
+            bounds[1::2] = bounds[::2]
+            j = 0
+            for size, count in bottom:
+                for first in range(0, count, group):
+                    g = min(group, count - first)
+                    t, a, is_record = rows(size, g)
+                    yield t
+                    a[:, 0] = bounds[j : j + g]
+                    _sweep(t, a, up, is_record, counts[:g], False)
+                    out[i] += counts[:g].sum(axis=0)
+                    j += g
 
         return sweep
 
     return _run_batch(
-        n_samples, row_values, seed, first_index, chunk, threads, worker,
-        result=((k,), np.int64),
+        n_samples, values, seed, first_index, chunk, threads, worker,
+        result=((k,), np.int64), parts=True,
     )
 
 
@@ -691,9 +908,18 @@ def simulate_records_batch(
     assemble into the same sequence.  ``chunk`` (samples in flight at
     once, shared by the ``threads`` workers; see :func:`resolve_threads`)
     defaults to one piece a worker, as many rows as fit 8 MB with their
-    ancestor maxima, level temp and record mask, or to 32 MB shared by
-    the workers where lanes draw the rows (``n * k`` at most 256).
-    Neither changes the output.
+    ancestor maxima, level temp, record mask and, where lanes draw the
+    rows (``n * k`` at most 256), lane scratch.  Neither changes the
+    output.  Each worker holds at most 8 MB of scratch at any ``n``,
+    besides the output.
+
+    A tree whose row does not fit 8 MB with its scratch (above about
+    3 * 10**5 nodes at k = 2, 3600 at k = 256) is swept by bottom
+    subtrees, one sample a worker, and its sample reads the same
+    uniforms in another order: the top levels, order-major, then each
+    bottom subtree by heap order of its root, order-major in the
+    subtree's own heap order (see :func:`_records_by_subtrees`, which
+    also bounds ``n``: ``2**34 - 1`` at k = 2, ``2**20 - 1`` at 256).
     """
     return _records_batch(
         tree, k, seed, n_samples, first_index, False, chunk, threads
@@ -959,16 +1185,23 @@ def rescale_counts(counts: np.ndarray | float, r: int | None, k: int, n: int):
         raise ValueError(f"rescaling needs n >= 4, got {n!r}")
     k = _int_in("k", k, 1, series.MAX_K)
     lg = math.log2(n)
+    # counts * lg**power / (n * c2), with n = ratio * 2**e taken apart so
+    # that no float holds n: the same bits where n is a float, and no
+    # overflow where it is not.
+    e = int(n).bit_length() - 1
+    ratio = n / (1 << e)
+
+    def per_node(power: float, c2: float):
+        return np.ldexp(np.multiply(counts, lg**power / (ratio * c2)), -e)
+
     if r is None:
         c2_1 = series.constants(k, 1).c2
-        scale = lg ** (1.0 / k + 1.0) / (n * c2_1)
         center = sum(
             (series.constants(k, rr).c2 / c2_1)
             * lg ** (-(rr - 1.0) / k)
             * series.mu(rr, k, n)
             for rr in range(1, k + 1)
         )
-        return counts * scale - center
+        return per_node(1.0 / k + 1.0, c2_1) - center
     r = _int_in("r", r, 1, k)
-    scale = lg ** (r / k + 1.0) / (n * series.constants(k, r).c2)
-    return counts * scale - series.mu(r, k, n)
+    return per_node(r / k + 1.0, series.constants(k, r).c2) - series.mu(r, k, n)

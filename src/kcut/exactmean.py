@@ -306,4 +306,13 @@ def asymptotic_mean(n: int, k: int, r: int) -> float:
     k, r = table.k, table.r  # Python ints, as constants checked them
     scale = table.c2 / lg ** (r / k + 1.0)
     centered = series.mu(r, k, n) - math.log2(lg) + alpha
-    return scale * (n * centered + float(2 ** (m + 1)))
+    # scale * (n * centered + 2**(m+1)), with n = ratio * 2**(m+1) taken
+    # apart so that no float holds n: the same bits where n is a float,
+    # and finite wherever the mean is.
+    ratio = n / (1 << (m + 1))
+    try:
+        return math.ldexp(scale * (ratio * centered + 1.0), m + 1)
+    except OverflowError:
+        raise OverflowError(
+            f"the asymptotic mean at n = 2**{lg:.6g} exceeds the float range"
+        ) from None

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +104,101 @@ def test_simulate_csv_bytes_match_line_loop(tmp_path, k: int, variant: str) -> N
             lines.append(f"{i},{r},{c}")
         lines.append(f"{i},total,{sum(row)}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _traced_peak(argv: list[str]) -> int:
+    """Peak bytes traced while ``kcut argv`` runs; it must exit 0."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_beyond_counts_does_not_grow(tmp_path, monkeypatch) -> None:
+    """kcut simulate formats and writes its CSV a block of samples at a
+    time.  At n = 63 on two workers the traced peak beyond the
+    ``(samples, 2)`` counts array is the workers' two 8 MB pieces plus at
+    most 4 MB, at 20 000 samples and at 100 000."""
+    monkeypatch.setenv(cutsim.THREADS_ENV, "2")
+    for samples in (20_000, 100_000):
+        peak = _traced_peak([
+            "simulate", "--n", "63", "--k", "2", "--samples", str(samples),
+            "--out", str(tmp_path / "sim.csv"),
+        ])
+        assert peak - samples * 2 * 8 <= (2 * 8 + 4) * 2**20, samples
+
+
+def test_limit_memory_beyond_grid_does_not_grow(tmp_path) -> None:
+    """kcut limit evaluates and writes its grid a block at a time: the
+    traced peak of ``--cdf`` beyond the grid array, with the build of
+    the CDF's cache where it is cold, stays within 16 MB at 20 000 and at
+    100 000 points."""
+    for points in (20_000, 100_000):
+        peak = _traced_peak([
+            "limit", "--r", "1", "--k", "2", "--gamma", "0.3", "--cdf",
+            f"--grid=-20:8:{points}", "--out", str(tmp_path / "cdf.csv"),
+        ])
+        assert peak - points * 8 <= 16 * 2**20, points
+
+
+def test_csv_blocks_keep_the_bytes(tmp_path, monkeypatch) -> None:
+    """The CSVs of simulate and limit are the same bytes whatever the
+    block: blocks of 7 lines (two samples at k = 2, so blocks end
+    mid-sample-range; 7 grid points) against the default's one block."""
+    commands = {
+        "sim.csv": ["simulate", "--n", "20", "--k", "2", "--samples", "9"],
+        "edge.csv": [
+            "simulate", "--n", "9", "--k", "3", "--samples", "5",
+            "--variant", "edge",
+        ],
+        "cdf.csv": ["limit", "--r", "1", "--k", "2", "--gamma", "0.3",
+                    "--cdf", "--grid=-4:4:30"],
+        "cf.csv": ["limit", "--r", "1", "--k", "2", "--gamma", "0.3",
+                   "--cf", "--grid=0:9:30"],
+        "tail.csv": ["limit", "--r", "1", "--k", "1", "--gamma", "0.0",
+                     "--tail", "--grid=3:0.5:30"],
+    }
+    written = {}
+    for lines in (None, 7):
+        with monkeypatch.context() as m:
+            if lines is not None:
+                m.setattr(cli, "_CSV_LINES", lines)
+            for name, argv in commands.items():
+                out = tmp_path / f"{lines}-{name}"
+                assert cli.main([*argv, "--out", str(out)]) == 0
+                written.setdefault(name, []).append(out.read_bytes())
+    for name, (whole, blocks) in written.items():
+        assert whole == blocks, name
+    assert written["sim.csv"][0].count(b"\n") == 1 + 9 * 3
+
+
+def test_simulate_above_the_split_within_1gb(tmp_path) -> None:
+    """A record sample of n = 2**26 - 1 nodes (k = 2) is swept by bottom
+    subtrees within the 8 MB piece, so ``kcut simulate`` runs it in a
+    child process whose address space is capped at 1 GB (set in the
+    child only)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    limit = 1 << 30
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(src), cutsim.THREADS_ENV: "1"}
+    out = tmp_path / "big.csv"
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "kcut.cli", "simulate", "--n", "67108863",
+            "--k", "2", "--samples", "1", "--out", str(out),
+        ],
+        capture_output=True, text=True, timeout=300, preexec_fn=cap, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = out.read_text().splitlines()
+    assert rows[0] == "sample_index,r,count" and len(rows) == 4
+    first, second, total = (int(row.split(",")[2]) for row in rows[1:])
+    assert 0 < second <= first and total == first + second
 
 
 def test_simulate_bad_n_exits_2(tmp_path) -> None:

@@ -218,8 +218,8 @@ def test_records_batch_matches_naive_sweep(
 def test_records_batch_sweeps_chunks_in_pieces(monkeypatch) -> None:
     """A chunk of more rows than fit ``_RECORD_VALUES`` is swept piece by
     piece with the same counts: pieces of one row give the default's
-    output, for rows drawn by lanes (n = 21, k = 2: one shared chunk)
-    and rows drawn per sample in chunks of 7 on two workers (n = 600)."""
+    output, for rows drawn by lanes (n = 21, k = 2) and rows drawn per
+    sample in chunks of 7 on two workers (n = 600)."""
     batches = (cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch)
     cases = [(21, {}), (600, {"chunk": 7, "threads": 2})]
     want = [batch(CompleteTree(n), 2, 4, 40, 5, **split)
@@ -229,6 +229,122 @@ def test_records_batch_sweeps_chunks_in_pieces(monkeypatch) -> None:
            for n, split in cases for batch in batches]
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
+
+
+def _subtree_order_counts(
+    n: int, k: int, seed: int, first: int, count: int, edge: bool
+) -> np.ndarray:
+    """Per-order record counts by a per-node loop, each sample's uniforms
+    read in the order that the sweep by bottom subtrees states: the top
+    levels, order-major, then each bottom subtree by heap order of its
+    root, order-major in its own heap order."""
+    m = n.bit_length() - 1
+    levels = min(m, (cutsim._SUBTREE_VALUES // k + 1).bit_length() - 1)
+    depth = m - levels + 1
+    top = (1 << depth) - 1
+    rows = []
+    for i in range(count):
+        gen = cutsim.substream(seed, first + i)
+        u = np.empty((k, n))
+        u[:, :top] = gen.random((k, top))
+        for root in range(1 << depth, 2 << depth):
+            nodes = [
+                v for t in range(levels)
+                for v in range(root << t, min((root + 1) << t, n + 1))
+            ]
+            u[:, np.array(nodes) - 1] = gen.random((k, len(nodes)))
+        p = np.cumprod(u, axis=0)
+        want = np.zeros(k, int)
+        for v in range(1 + edge, n + 1):
+            above = [p[k - 1, (v >> s) - 1] for s in range(1, v.bit_length() - edge)]
+            want += p[:, v - 1] > max(above, default=0.0)
+        rows.append(want)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_records_by_subtrees_match_naive_sweep(k: int, monkeypatch) -> None:
+    """A sample whose row does not fit ``_SPLIT_SCRATCH`` with its scratch
+    is swept by bottom subtrees, and both variants then equal a per-node
+    loop over its uniforms in the stated order.  With the split at 150
+    values and subtrees of at most 14 uniforms, trees of 50 to 200 nodes
+    split: full ones (63, 127) and partial ones, whose bottom holds full,
+    partial and short subtrees.  Pieces of one subtree row (the budget at
+    1 value), and 1, 2 and 3 workers, give the same counts.  At k = 3
+    the top levels fit the split only up to n = 127."""
+    monkeypatch.setattr(cutsim, "_SPLIT_SCRATCH", 150)
+    monkeypatch.setattr(cutsim, "_SUBTREE_VALUES", 14)
+    sizes = [
+        n for n in (50, 63, 70, 100, 127, 200)
+        if cutsim._row_scratch(k, n)[0] > 150 and k * n < 600
+    ]
+    assert len(sizes) >= 3
+    for n in sizes:
+        for edge, batch in (
+            (False, cutsim.simulate_records_batch),
+            (True, cutsim.simulate_edge_records_batch),
+        ):
+            want = _subtree_order_counts(n, k, 4, 2**64 - 2, 5, edge)
+            got = batch(CompleteTree(n), k, 4, 5, 2**64 - 2)
+            assert np.array_equal(got, want), (n, edge)
+            for split in ({"threads": 2}, {"threads": 3, "chunk": 2}):
+                assert np.array_equal(
+                    batch(CompleteTree(n), k, 4, 5, 2**64 - 2, **split), want
+                )
+            with monkeypatch.context() as m:
+                m.setattr(cutsim, "_RECORD_VALUES", 1)
+                assert np.array_equal(batch(CompleteTree(n), k, 4, 5, 2**64 - 2), want)
+
+
+def test_records_by_subtrees_threads_and_piece() -> None:
+    """Above the split (n = 2**20 + 12345, k = 2: top levels of 15
+    nodes, then 16 bottom subtrees of up to 2**16 - 1 nodes) the output
+    is bitwise equal at 1, 2 and 3 workers and with one sample in
+    flight, and a worker's scratch stays within its 8 MB piece: the
+    peak on two workers is at most 2 * 8 MB, plus 1 MB for the counts,
+    a subtree group's counts and numpy's iterator buffers."""
+    tree = CompleteTree(2**20 + 12345)
+    assert cutsim._row_scratch(2, tree.n)[0] > cutsim._SPLIT_SCRATCH
+    want = cutsim.simulate_records_batch(tree, 2, 21, 4, threads=1)
+    for split in ({"threads": 2}, {"threads": 3}, {"threads": 2, "chunk": 1}):
+        got = cutsim.simulate_records_batch(tree, 2, 21, 4, **split)
+        assert np.array_equal(got, want), split
+    edge = _peak(cutsim.simulate_edge_records_batch, tree, 2, 21, 2, threads=2)
+    node = _peak(cutsim.simulate_records_batch, tree, 2, 21, 2, threads=2)
+    assert max(edge, node) <= (2 * 8 + 1) * 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_records_by_subtrees_means_match_exactmean(k: int) -> None:
+    """Above the split each order's mean record count lies within 5
+    standard errors of the exact mean, at the full tree n = 2**20 - 1
+    and at the partial one n = 10**6, node variant, and at n = 10**6 in
+    the edge variant."""
+    for n, variant in ((2**20 - 1, "node"), (10**6, "node"), (10**6, "edge")):
+        assert cutsim._row_scratch(k, n)[0] > cutsim._SPLIT_SCRATCH
+        batch = {
+            "node": cutsim.simulate_records_batch,
+            "edge": cutsim.simulate_edge_records_batch,
+        }[variant]
+        samples = 40
+        counts = batch(CompleteTree(n), k, 2600 + k, samples)
+        for r in range(1, k + 1):
+            want = exactmean.expected_records(
+                exactmean.MeanQuery(n=n, k=k, r=r, variant=variant)
+            )
+            draws = counts[:, r - 1]
+            se = draws.std(ddof=1) / math.sqrt(samples)
+            assert abs(draws.mean() - want) <= 5.0 * se, (n, variant, r)
+
+
+def test_records_by_subtrees_refuse_trees_past_their_top() -> None:
+    """The top levels' row must fit the split too, which bounds n: 2**34
+    - 1 at k = 2 and 2**20 - 1 at k = 256.  A larger tree raises a
+    ValueError naming the largest before anything is allocated."""
+    for k, largest in ((2, 2**34 - 1), (256, 2**20 - 1)):
+        message = f"at most {largest} nodes, got {largest + 1}"
+        with pytest.raises(ValueError, match=message):
+            cutsim.simulate_records_batch(CompleteTree(largest + 1), k, 1, 1)
 
 
 def test_batch_rejects_bad_k() -> None:
@@ -634,11 +750,22 @@ def test_lanes_fill_short_rows_only(monkeypatch) -> None:
 def test_lane_batch_peak_within_budget() -> None:
     """At n = 4 a record row is 8 uniforms and its lane scratch, a block
     of 8 columns and five state vectors, is larger than the row.  Rows
-    drawn by lanes keep one 32 MB chunk, shared by the workers, which
-    counts both and the row's ancestor maxima, level temp and mask, so a
-    chunk holds fewer rows.  Besides the 16 MB output the peak is that
-    budget plus 8 MB for what it does not count: the fetched states, 32
-    bytes a row (4.7 MB), and numpy's iterator buffers."""
+    drawn by lanes come one 8 MB piece a worker at a time, a piece
+    counting the row, its lane scratch, ancestor maxima, level temp and
+    mask.  Besides the 16 MB output the peak on two workers is their two
+    pieces, plus what a piece does not count: the fetched states, 32
+    bytes a row, and 1 MB for numpy's iterator buffers.  Every row that
+    lanes may draw (k * n at most 256) leaves a piece at least
+    ``_LANE_ROWS_PER_VALUE`` rows a value."""
+    lane_scratch = [
+        cutsim._row_scratch(k, n)[0] + cutsim._lane_words(k * n)
+        for k in range(1, 257) for n in range(1, 256 // k + 1)
+    ]
+    assert max(lane_scratch) <= 650
+    assert cutsim._RECORD_VALUES // 650 >= cutsim._LANE_ROWS_PER_VALUE * 256
+    piece = cutsim._RECORD_VALUES // (
+        cutsim._row_scratch(2, 4)[0] + cutsim._lane_words(8)
+    )
     tracemalloc.start()
     try:
         counts = cutsim.simulate_records_batch(
@@ -647,7 +774,7 @@ def test_lane_batch_peak_within_budget() -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= counts.nbytes + (32 + 8) * 2**20
+    assert peak <= counts.nbytes + 2 * (8 * 2**20 + 32 * piece) + 2**20
 
 
 def test_short_rows_drawn_per_sample_fill_one_worker_at_a_time(monkeypatch) -> None:
@@ -792,19 +919,34 @@ def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
 def test_batch_threads_stress(monkeypatch) -> None:
     """Eight workers, more than most test hosts have cores, switching
     every microsecond, still fill every row with its own sample (rows of
-    600 values, filled under the workers' shared lock)."""
+    600 values, filled under the workers' shared lock), and still sweep
+    each sample of a tree above the split on one worker (n = 127 with
+    the split at 150 values)."""
     monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     tree = _RECORDS_TREE
     want = cutsim.simulate_records_batch(tree, 2, 8, 400, threads=1)
+    with monkeypatch.context() as m:
+        m.setattr(cutsim, "_SPLIT_SCRATCH", 150)
+        m.setattr(cutsim, "_SUBTREE_VALUES", 14)
+        want_split = cutsim.simulate_records_batch(
+            CompleteTree(127), 2, 8, 60, threads=1
+        )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = cutsim.simulate_records_batch(
             tree, 2, 8, 400, chunk=16, threads=8
         )
+        with monkeypatch.context() as m:
+            m.setattr(cutsim, "_SPLIT_SCRATCH", 150)
+            m.setattr(cutsim, "_SUBTREE_VALUES", 14)
+            got_split = cutsim.simulate_records_batch(
+                CompleteTree(127), 2, 8, 60, threads=8
+            )
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
+    assert np.array_equal(got_split, want_split)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,3 +1161,33 @@ def test_rescale_counts_validation() -> None:
     assert math.isfinite(cutsim.rescale_counts(float(total), None, 2, 16))
     with pytest.raises(ValueError):
         cutsim.rescale_counts(1.0, 1, 2, 3)
+
+
+def test_rescale_counts_past_the_float_range_of_n() -> None:
+    """``n`` never becomes a float: at n = 2**1100, past the float range,
+    a count of 1 rescales to a finite value, ``1 * scale - mu`` with
+    ``scale`` below 1e-300, for one order and for the total.  Where n
+    fits a float the result is ``counts * lg**(r/k + 1) / (n * C2) - mu``
+    bit for bit."""
+    n = 2**1100
+    for r in (1, 2, None):
+        got = cutsim.rescale_counts([1.0], r, 2, n)
+        assert got.shape == (1,) and math.isfinite(got[0]), r
+        if r is not None:
+            assert got[0] == pytest.approx(-series.mu(r, 2, n), rel=1e-15)
+    assert cutsim.rescale_counts(1.0, 1, 2, 2**1000) == pytest.approx(
+        -1992.3, abs=0.05
+    )
+    counts = np.arange(0.0, 400.0, 7.0)
+    c2 = series.constants(2, 1).c2
+    for n in (4, 63, 5037, 2**40 + 3, 2**60 + 1):
+        lg = math.log2(n)
+        for r in (1, None):
+            center = (
+                series.mu(1, 2, n) if r == 1 else sum(
+                    series.constants(2, rr).c2 / c2 * lg ** (-(rr - 1.0) / 2)
+                    * series.mu(rr, 2, n) for rr in (1, 2)
+                )
+            )
+            want = counts * (lg**1.5 / (n * c2)) - center
+            assert np.array_equal(cutsim.rescale_counts(counts, r, 2, n), want)

@@ -234,3 +234,18 @@ def test_asymptotic_mean_validation() -> None:
     for k, r in ((2, 3), (2, 0), (series.MAX_K + 1, 1), (True, 1)):
         with pytest.raises(ValueError):
             exactmean.asymptotic_mean(16, k, r)
+
+
+def test_asymptotic_mean_finite_up_to_the_float_range() -> None:
+    """The closed form never holds ``n`` as a float: along n = 2**64 ...
+    2**1023 (k = 2, r = 1), up to where the exact mean nears the float
+    range, it is finite and within 3e-4 of that mean.  Where the mean
+    itself passes the float range an OverflowError says so."""
+    for e in (64, 128, 256, 512, 1000, 1022, 1023):
+        n = 1 << e
+        approx = exactmean.asymptotic_mean(n, 2, 1)
+        exact = exactmean.expected_records(MeanQuery(n, 2, 1))
+        assert math.isfinite(approx), e
+        assert abs(approx / exact - 1.0) < 3e-4, (e, approx, exact)
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        exactmean.asymptotic_mean(1 << 1030, 2, 1)

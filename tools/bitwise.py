@@ -11,8 +11,10 @@ saving on both trees and comparing::
 this script serves both trees.  It runs the record, edge, process and
 xi batches at ``KCUT_THREADS`` = 1, 2 and 3 with their default and with
 small scratch budgets (so that chunks of one row and of a few rows
-run); ``limit_cdf`` on ``-400:8:4097``, ``char_fn`` on a 404-point t
-grid and ``cdf_certificate`` for seven shapes; ``kcut experiment``'s
+run), and the record and edge batches with their defaults at every
+``(n, k)`` that the tests and the benchmark draw records at;
+``limit_cdf`` on ``-400:8:4097``, ``char_fn`` on a 404-point t grid
+and ``cdf_certificate`` for seven shapes; ``kcut experiment``'s
 CSV for three configurations; and ``rescale_counts``,
 ``asymptotic_mean`` and ``ScaleParams`` values.  ``--small`` saves a
 reduced set in about a second, for a smoke test.  ``compare`` counts
@@ -48,6 +50,16 @@ FULL = {
     "record_n": (4, 63, 300, 1023, 5037),
     "ks": (1, 2, 3),
     "chunks": (None, 1, 7),
+    # (n, k) of every record draw in the tests and bench/.
+    "record_sizes": (
+        (1, 1), (2, 1), (3, 1), (3, 2), (3, 256), (4, 2), (7, 2), (10, 2),
+        (15, 1), (15, 2), (16, 2), (20, 2), (21, 3), (31, 2), (63, 2),
+        (63, 3), (127, 2), (129, 2), (255, 1), (255, 2), (255, 3), (256, 2),
+        (300, 2), (600, 3), (1023, 2), (1024, 1), (1024, 2), (2047, 2),
+        (2048, 2), (2100, 2), (4100, 3), (5037, 2), (6483, 1), (14116, 1),
+        (16384, 2), (23822, 2), (32767, 2), (32768, 1), (32768, 2),
+        (51268, 2), (65536, 1), (2**18 - 1, 2), (2**18, 2),
+    ),
     "xi_budgets": (None, 1, 50_000),  # _XI_CHUNK_VALUES
     "xi_lg": (20, 40, 160),
     "xi_shapes": ((1, 1), (1, 2), (2, 3)),
@@ -66,6 +78,7 @@ SMALL = {
     "record_n": (63, 1023),
     "ks": (2,),
     "chunks": (None, 7),
+    "record_sizes": ((63, 3), (5037, 2)),
     "xi_budgets": (None,),
     "xi_lg": (40,),
     "xi_shapes": ((1, 2),),
@@ -117,6 +130,15 @@ def _batches(plan: dict, threads: str, out: dict) -> None:
                                 CompleteTree(n), k, 11, samples, first_index=3,
                                 chunk=chunk,
                             )
+    for n, k in plan["record_sizes"]:
+        samples = max(2, min(64, (1 << 17) // n))
+        for name, batch in (
+            ("node", cutsim.simulate_records_batch),
+            ("edge", cutsim.simulate_edge_records_batch),
+        ):
+            out[f"{name}-{threads}-size-{n}-{k}"] = batch(
+                CompleteTree(n), k, 13, samples, first_index=2**64 - 1
+            )
     for budget in plan["xi_budgets"]:
         with _patched(limitdist, "_XI_CHUNK_VALUES", budget):
             for lg in plan["xi_lg"]:
