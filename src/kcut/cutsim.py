@@ -37,37 +37,38 @@ from an SFC64 generator whose state is the Philox block at counter
 ``i`` under key ``(s, 0)`` (:func:`substream`), so results are
 reproducible and independent of how samples are partitioned across
 threads or chunks.  Every batch here and in :mod:`kcut.limitdist` runs
-through one runner, :func:`_run_batch`, which alone fills the samples'
-rows of uniforms: it splits the samples into one contiguous range per
-worker thread (:func:`resolve_threads`: all CPUs unless told otherwise;
-always one for the process batch), and each worker allocates one block
-of rows once, reads the states of a chunk's samples in one Philox call
-and fills the chunk's rows from them.  Short rows, as the record,
-process and xi batches read on small trees, are drawn by lanes
-(:func:`_fill_lanes`): all of a chunk's SFC64 states step together as
-numpy ``uint64`` vectors, one column of the chunk's uniforms a step,
-where a Python call per sample would cost more than the row.  Longer
-rows, and chunks of few samples, re-key one generator per sample
-instead (the crossover is ``_LANE_ROW``).  Both give the same bits.
-Rows drawn per sample of fewer than ``_SERIAL_FILL_ROW`` values are
-filled one worker at a time, while the others sweep, because each
-re-key holds the GIL.  The chunks of all workers together hold at most
-a batch's chunk of samples; only the record batches take it as an
-input.
+through one runner, :func:`_run_batch`, which alone sizes, threads and
+releases a batch and fills the samples' rows of uniforms: it splits the
+samples into one contiguous range per worker thread
+(:func:`resolve_threads`: all CPUs unless told otherwise; always one for
+the process batch), and each worker allocates one block of rows once,
+reads the states of a chunk's samples in one Philox call and fills the
+chunk's rows from them.  Short rows, as the record, process and xi
+batches read on small trees, are drawn by lanes (:func:`_fill_lanes`):
+all of a chunk's SFC64 states step together as numpy ``uint64``
+vectors, one column of the chunk's uniforms a step, where a Python call
+per sample would cost more than the row.  Longer rows, and chunks of few
+samples, re-key one generator per sample instead (the crossover is
+``_LANE_ROW``).  Both give the same bits.  Rows drawn per sample run on
+several workers only where each worker takes more than one chunk, and
+those of fewer than ``_SERIAL_FILL_ROW`` values are then filled one
+worker at a time, while the others sweep, because each re-key holds the
+GIL.
 
-Memory: a record-batch worker holds at most 8 MB of scratch
-(``_RECORD_VALUES``) at any ``n`` and ``k``, plus the output it was
-asked for.  It sweeps its rows in pieces of as many as fit 8 MB with
-their scratch, lane scratch included, so that a piece stays near its
-core's L2 cache, and by default its rows come in chunks of one piece.
-A sample whose row does not fit 8 MB with its scratch
-(``_SPLIT_SCRATCH``, a constant of its own) is swept by bottom
-subtrees instead: the top levels, then the bottom subtrees in
-heap order, in groups that fit one piece, one sample on one worker at a
-time.  The process batch's rows come in chunks that share one 32 MB
-budget (:func:`_chunk_rows`), lane scratch included, besides its
-per-tree table.  The xi batch of :mod:`kcut.limitdist` sizes its own
-chunk.
+Memory: a worker's chunk is at most one piece, as many rows as fit the
+batch's budget with the scratch that the batch says a row takes, lane
+scratch included.  A record-batch worker so holds at most 8 MB of
+scratch (``_RECORD_VALUES``) at any ``n``, ``k`` and ``chunk``, plus the
+output it was asked for; by default its rows come in chunks of one
+piece, which stays near its core's L2 cache.  A sample whose row does
+not fit 8 MB with its scratch (``_SPLIT_SCRATCH``, a constant of its
+own) is swept by bottom subtrees instead: the top levels, then the
+bottom subtrees in heap order, in groups that fit one piece, one sample
+on one worker at a time.  The process batch, on one worker, keeps a
+32 MB budget (``_SCRATCH_VALUES``) besides its per-tree table; the xi
+batch of :mod:`kcut.limitdist` passes its own 8 MB chunk, shared by its
+workers.  Every batch hands its freed scratch back to the system when it
+ends (:func:`_release_free_memory`).
 """
 
 from __future__ import annotations
@@ -98,27 +99,28 @@ _MASK64 = (1 << 64) - 1
 
 THREADS_ENV = "KCUT_THREADS"
 
-# Scratch budget of one batch call, in float64 values (32 MB), shared by
-# all of its workers.
+# Scratch budget of the process batch, in float64 values (32 MB): its one
+# worker's chunk is as many samples as fit it.
 _SCRATCH_VALUES = 1 << 22
 
-# A record-batch worker sweeps its rows in pieces of as many as fit this
-# many float64 values (8 MB) with their ancestor maxima, level temp and
-# record mask, so that a piece stays in or near the core's L2 cache
-# through the sweep's passes; rows drawn per sample come in chunks of
-# one piece.  A larger piece means fewer numpy calls per node, which
-# matters on two threads: calls under about 100 us hold the GIL for a
-# large share of their time.  Seconds for the three record batches of
-# the experiment benchmark (n = 5037, 23822, 51268; k = 2; 2048 samples
-# each), best of 15, on 2 CPUs with 2 MB of L2 each: 2**18 values 0.756
-# on one thread and 0.479 on two, 2**19 0.814 and 0.484, 2**20 0.858
-# and 0.461, one 32 MB chunk shared by the workers and swept whole 1.04
-# and 0.527.  Rows drawn by lanes come in pieces too, their lane words
-# counted: a row's scratch is then at most about 650 values, so a piece
-# holds 1 600 rows or more, at least _LANE_ROWS_PER_VALUE a value.  A
-# lane step costs a little more on few lanes (5.3 against 4.2 ns a value
-# at 254 values a row, 2 000 lanes against 14 000).  This is the one
-# scratch budget of a record-batch worker, at any n and k.
+# A batch worker's chunk is at most one piece, as many rows as fit this
+# many float64 values (8 MB) with their scratch: for a record row its
+# ancestor maxima, level temp and record mask, so that a piece stays in
+# or near the core's L2 cache through the sweep's passes.  A larger
+# piece means fewer numpy calls per node, which matters on two threads:
+# calls under about 100 us hold the GIL for a large share of their time.
+# Seconds for the three record batches of the experiment benchmark (n =
+# 5037, 23822, 51268; k = 2; 2048 samples each), best of 15, on 2 CPUs
+# with 2 MB of L2 each: 2**18 values 0.756 on one thread and 0.479 on
+# two, 2**19 0.814 and 0.484, 2**20 0.858 and 0.461, one 32 MB chunk
+# shared by the workers and swept whole 1.04 and 0.527.  Rows drawn by
+# lanes come in pieces too, their lane words counted: a row's scratch is
+# then at most about 650 values, so a piece holds 1 600 rows or more, at
+# least _LANE_ROWS_PER_VALUE a value.  A lane step costs a little more on
+# few lanes (5.3 against 4.2 ns a value at 254 values a row, 2 000 lanes
+# against 14 000).  This is the one scratch budget of a record-batch
+# worker, at any n, k and chunk, and the xi batch's shared chunk never
+# exceeds it.
 _RECORD_VALUES = 1 << 20
 
 # A record sample whose row does not fit _SPLIT_SCRATCH values (8 MB) with
@@ -138,32 +140,6 @@ _SUBTREE_VALUES = 1 << 17
 # value); shorter rows sum the mask's bytes in one int32 call (0.13 ns a
 # value; numpy's bool sum takes 0.27-0.5).  They tie at about 4096 nodes.
 _COUNT_ROW = 4096
-
-# Rows of fewer values run on one thread, unless lanes fill them (see
-# _worker_count).  Below this the per-sample loop, which holds the GIL,
-# dominates and threads lose.  Two threads against one on 2 CPUs, k = 2,
-# best of 11, two runs, before rows were filled one worker at a time
-# (_SERIAL_FILL_ROW): records filled per sample 1.13-1.19x the time
-# at 510 values a row (n = 255; 1.12x in a later run of 20 000 samples),
-# 0.96-0.97x at 766, 0.88-0.97x at 1022 and 0.80-0.87x at 1534; xi draws
-# 1.07x at 164 values and 1.12-1.20x at 328.  Since (median of 15 or
-# 21): records 1.35x at 510 values in 2000 samples (one chunk a worker,
-# so no fill overlaps a sweep) but 0.82x in 20 000, 0.84x at 1022
-# (4891 samples); xi draws 0.68x at 2059 (n = 2**40, k = 2).  Lanes step
-# whole numpy vectors, so two workers win on the rows they fill (best
-# of 15): records 0.60x at 30 values (n = 15, 100 000 samples), 0.82x
-# at 126 (n = 63) and 0.87x at 254 (n = 127), 20 000 samples each.
-# Rows drawn per sample of at least this many values get a second worker
-# only where each worker takes more than one chunk: two workers with one
-# chunk each ran k = 2 records at 23.6 against 17.7 ns a node-sample on
-# one at 2046 values (n = 1023, 580 samples) and 19.1 against 12.8 at
-# 4094 (n = 2047, 280 samples), median of 15 calls.  The process batch,
-# with its sweep on bit-packed flags, takes 2.0x one worker's time on
-# two at 126 values (2000 samples), 2.1x at 510 (2000), 2.0x at 1022
-# (1000) and 1.9x at 2046 (500) with one chunk a worker, and 2.1-2.5x
-# with two (median of 7): its lockstep sweep is many small numpy calls
-# that hold the GIL, so it always runs on one worker.
-_MIN_THREADED_ROW = 1024
 
 # Rows drawn per sample of fewer values than this are filled one worker
 # at a time: a batch's workers share one lock, held while a worker reads
@@ -436,42 +412,34 @@ class CompleteTree:
         return tuple(levels)
 
 
-def _chunk_rows(floats_per_row: int, chunk: int | None = None) -> int:
-    """Samples in flight at once in one batch call, over all its
-    workers: ``chunk`` if given, else as many as keep the largest
-    per-sample scratch array within 2**22 float64 values (32 MB).  The
-    record batches pass their own chunk, one piece a worker (see
-    ``_RECORD_VALUES``), and so does the xi batch.  Draws never depend on
-    the chunk."""
-    if chunk is None:
-        return max(1, _SCRATCH_VALUES // floats_per_row)
-    chunk = _as_int("chunk", chunk)
-    if chunk < 1:
-        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
-    return chunk
-
-
+# Rows drawn per sample get a second worker only where each worker takes
+# more than one chunk, so that one worker's fill overlaps another's sweep.
+# Two workers against one on 2 CPUs, k = 2 records, median of 15 or 21
+# calls: over several chunks a worker, 0.82x the time at 510 values a row
+# (n = 255, 20 000 samples) and 0.84x at 1022 (4891 samples); with one
+# chunk a worker, 1.35x at 510 values (2000 samples), and 23.6 against
+# 17.7 ns a node-sample at 2046 values (n = 1023, 580 samples) and 19.1
+# against 12.8 at 4094 (n = 2047, 280 samples).  Lanes step whole numpy
+# vectors, so two workers win on the rows they fill (best of 15): 0.60x
+# at 30 values (n = 15, 100 000 samples), 0.82x at 126 (n = 63) and 0.87x
+# at 254 (n = 127), 20 000 samples each.
 def _worker_count(
-    n_samples: int, in_flight: int, row_values: int, threads: int | None
+    n_samples: int, in_flight: int, row_values: int, threads: int
 ) -> int:
     """Workers for ``n_samples`` rows of ``row_values`` values each, of
-    which ``in_flight`` are held at once over all workers:
-    :func:`resolve_threads` of ``threads``, capped at the rows in flight.
-    Rows of at least ``_MIN_THREADED_ROW`` values get them only where
-    the batch holds more samples than are in flight, so that each worker
-    fills and sweeps more than one chunk and one worker's fill overlaps
-    another's sweep; otherwise one.  Rows that lanes may fill (at most
-    ``_LANE_ROW`` values) get as many as leave each at least
+    which ``in_flight`` are held at once over all workers: at most
+    ``threads`` and the rows in flight.  Rows that lanes may fill (at
+    most ``_LANE_ROW`` values) get as many as leave each at least
     ``_LANE_ROWS_PER_VALUE * row_values`` rows in flight, and at least
-    one.  Other rows get one."""
+    one.  Rows drawn per sample, at any length, get them only where the
+    batch holds more samples than are in flight, so that each worker
+    fills and sweeps more than one chunk; otherwise one."""
     rows = min(n_samples, in_flight)
-    workers = min(resolve_threads(threads), max(rows, 1))
-    if row_values >= _MIN_THREADED_ROW:
-        return workers if n_samples > in_flight else 1
+    workers = min(threads, max(rows, 1))
     if row_values <= _LANE_ROW:
         lane_rows = _LANE_ROWS_PER_VALUE * row_values
         return max(1, min(workers, rows // lane_rows))
-    return 1
+    return workers if n_samples > in_flight else 1
 
 
 @functools.cache
@@ -491,14 +459,14 @@ def _release_free_memory() -> None:
     """Hand the C heap's free pages back to the system (glibc's
     ``malloc_trim``; nothing where the C library has none).
 
-    A record batch's workers free their scratch, up to 8 MB each, when
-    it ends.  Once glibc's dynamic mmap threshold has risen past such
-    arrays they come from the heap, and a small block that outlives the
-    batch above them keeps the heap from shrinking: the process then
-    holds them to its end.  In about one run of three that took the
-    simulate benchmark's peak RSS from 64.9 to 72.3 MB, at random; the
-    page faults of fresh scratch in the next batch cost about 1 ms per
-    8 MB."""
+    A batch's workers free their scratch, up to 8 MB each (32 MB for the
+    process batch), when it ends.  Once glibc's dynamic mmap threshold
+    has risen past such arrays they come from the heap, and a small
+    block that outlives the batch above them keeps the heap from
+    shrinking: the process then holds them to its end.  In about one run
+    of three that took the simulate benchmark's peak RSS from 64.9 to
+    72.3 MB, at random; the page faults of fresh scratch in the next
+    batch cost about 1 ms per 8 MB."""
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
@@ -533,27 +501,44 @@ def _run_batch(
     worker: Callable[[np.ndarray, np.ndarray], Callable],
     result: tuple[tuple[int, ...], type] = ((), np.float64),
     parts: bool = False,
+    scratch: int | None = None,
+    budget: int | None = None,
 ) -> np.ndarray:
     """Run one batch of samples ``0 .. n_samples - 1`` on worker threads
     and return its output, an array of shape ``(n_samples, *shape)`` and
     type ``dtype`` for ``result = (shape, dtype)``.
 
-    ``n_samples``, ``seed`` and ``first_index`` must be integers, not
-    bools (``ValueError`` naming the one that is not); ``n_samples`` is
-    at least 0.  ``row_values`` is the number of uniforms a sample reads
-    up front; without a ``chunk``, the batch's 32 MB budget
-    (:func:`_chunk_rows`) counts them, plus the lane scratch where lanes
-    may fill the rows, per sample; the record and xi batches pass their
-    own chunks.  The samples are split into one contiguous range per
-    worker.  For each worker, a ``(rows, row_values)`` float64 block is
-    allocated and ``worker(block, out)`` is called once; it allocates
-    the rest of its scratch and returns ``sweep``.  Then, chunk by
-    chunk, row ``j`` of
+    ``n_samples``, ``seed``, ``first_index`` and ``chunk`` must be
+    integers, not bools (``ValueError`` naming the one that is not);
+    ``n_samples`` is at least 0 and ``chunk``, if given, at least 1.
+    ``row_values`` is the number of uniforms a sample reads up front.
+    The samples are split into one contiguous range per worker.  For
+    each worker, a ``(rows, row_values)`` float64 block is allocated and
+    ``worker(block, out)`` is called once; it allocates the rest of its
+    scratch and returns ``sweep``.  Then, chunk by chunk, row ``j`` of
     the block takes the first ``row_values`` uniforms of the generator
     keyed ``(seed, first_index + lo + j)``, for sample ``lo + j``, and
     ``sweep(lo, hi)`` finishes samples ``lo .. hi - 1`` into ``out``
     from the first ``hi - lo`` rows.  Each sample owns its key, so the
     results do not depend on the worker count or the chunk.
+
+    This is the one place that sizes, threads and releases a batch.  A
+    worker's chunk is at most one piece: as many rows as fit ``budget``
+    values (by default ``_RECORD_VALUES``, 8 MB) with their ``scratch``,
+    the values a row takes in all (by default ``row_values``), plus the
+    lane scratch where lanes may fill the rows.  ``chunk`` is a ceiling
+    on the samples in flight over all workers, by default one piece a
+    worker of :func:`resolve_threads` of ``threads``.  The workers are
+    :func:`_worker_count` of the samples in flight: rows drawn per
+    sample run on several only where each worker takes more than one
+    chunk, rows short enough for lanes on as many as leave each chunk
+    enough samples for lanes.  Where several workers fill rows per
+    sample of fewer than ``_SERIAL_FILL_ROW`` values, they share one
+    lock: a worker holds it while it reads a chunk's states and fills
+    the chunk's rows, and sweeps without it, since each re-key holds the
+    GIL and workers that fill such rows together queue on it.  When the
+    batch ends, returns or raises, its freed scratch goes back to the
+    system (:func:`_release_free_memory`).
 
     Rows of at most ``_LANE_ROW`` values are filled by lanes
     (:func:`_fill_lanes`, all of a chunk's generators stepped together)
@@ -562,35 +547,36 @@ def _run_batch(
     hundreds.  Every other row is filled per sample, one re-keyed
     generator and one call each.  Both give the same bits.
 
-    The workers are :func:`_worker_count` of ``row_values``, of the
-    samples and of :func:`_chunk_rows`, which the workers share.  Long
-    rows drawn per sample run on several workers only where the samples
-    outnumber the rows in flight, so that each worker takes more than
-    one chunk.  Rows short enough for lanes run on as many workers as
-    leave each chunk enough samples for lanes.  Where several workers
-    fill rows per sample of fewer than ``_SERIAL_FILL_ROW`` values, they
-    share one lock: a worker holds it while it reads a chunk's states
-    and fills the chunk's rows, and sweeps without it, since each re-key
-    holds the GIL and workers that fill such rows together queue on it.
-
     With ``parts``, a sample reads its uniforms in parts, and each runs
-    alone on one worker.  ``chunk`` is then the samples in flight, one a
-    worker; the block is a flat array of ``row_values`` values, the
-    largest part; and ``sweep(i)`` is a generator that yields, in draw
-    order, each contiguous float64 array to fill next from sample ``i``'s
-    generator, and finishes sample ``i`` into ``out``.
+    alone on one worker: one sample in flight a worker, and ``chunk`` a
+    ceiling on the samples in flight.  The block is a flat array of
+    ``row_values`` values, the largest part; and ``sweep(i)`` is a
+    generator that yields, in draw order, each contiguous float64 array
+    to fill next from sample ``i``'s generator, and finishes sample
+    ``i`` into ``out``.
     """
     n_samples = _as_int("n_samples", n_samples)
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     seed, first_index = _as_int("seed", seed), _as_int("first_index", first_index)
+    if chunk is not None:
+        chunk = _as_int("chunk", chunk)
+        if chunk < 1:
+            raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
+    threads = resolve_threads(threads)
     shape, dtype = result
     out = np.empty((n_samples, *shape), dtype=dtype)
+    lanes = not parts and row_values <= _LANE_ROW
+    row_scratch = (row_values if scratch is None else scratch) + (
+        _lane_words(row_values) if lanes else 0
+    )
+    budget = _RECORD_VALUES if budget is None else budget
+    piece = 1 if parts else max(1, budget // row_scratch)
+    in_flight = piece * threads if chunk is None else min(chunk, piece * threads)
     if parts:
-        in_flight = _chunk_rows(row_values, chunk)
-        workers = min(resolve_threads(threads), max(1, min(n_samples, in_flight)))
+        workers = min(threads, max(1, min(n_samples, in_flight)))
 
-        def start_parts(lo: int, hi: int) -> Callable[[], None]:
+        def start(lo: int, hi: int) -> Callable[[], None]:
             sweep = worker(np.empty(row_values), out)
 
             def run() -> None:
@@ -602,46 +588,45 @@ def _run_batch(
 
             return run
 
+    else:
+        workers = _worker_count(n_samples, in_flight, row_values, threads)
+        rows = min(piece, in_flight // workers)
+        min_lane_rows = _LANE_ROWS_PER_VALUE * row_values
+        serial = workers > 1 and not lanes and row_values < _SERIAL_FILL_ROW
+        fill_lock = Lock() if serial else nullcontext()  # for rows drawn per sample
+
+        def start(lo: int, hi: int) -> Callable[[], None]:
+            block = np.empty((min(rows, hi - lo), row_values))
+            sweep = worker(block, out)
+            lane_scratch = None
+            if lanes and len(block) >= min_lane_rows:
+                shape = (_lane_words(row_values), len(block))
+                lane_scratch = np.empty(shape, dtype=np.uint64)
+
+            def run() -> None:
+                stream = _Restream(seed)
+                for a in range(lo, hi, rows):
+                    b = min(a + rows, hi)
+                    if lane_scratch is not None and b - a >= min_lane_rows:
+                        _fill_lanes(
+                            stream.fetch(first_index + a, b - a),
+                            block[: b - a],
+                            lane_scratch,
+                        )
+                    else:
+                        with fill_lock:
+                            stream.fetch(first_index + a, b - a)
+                            for j in range(b - a):
+                                stream.at(first_index + a + j).random(out=block[j])
+                    sweep(a, b)
+
+            return run
+
+    try:
         if n_samples:
-            _on_workers(n_samples, workers, start_parts)
-        return out
-    lanes = row_values <= _LANE_ROW
-    row_scratch = row_values + (_lane_words(row_values) if lanes else 0)
-    in_flight = _chunk_rows(row_scratch, chunk)
-    workers = _worker_count(n_samples, in_flight, row_values, threads)
-    rows = in_flight // workers
-    min_lane_rows = _LANE_ROWS_PER_VALUE * row_values
-    if n_samples == 0:
-        return out
-    serial = workers > 1 and not lanes and row_values < _SERIAL_FILL_ROW
-    fill_lock = Lock() if serial else nullcontext()  # for rows drawn per sample
-
-    def start(lo: int, hi: int) -> Callable[[], None]:
-        block = np.empty((min(rows, hi - lo), row_values))
-        sweep = worker(block, out)
-        scratch = None
-        if lanes and len(block) >= min_lane_rows:
-            shape = (_lane_words(row_values), len(block))
-            scratch = np.empty(shape, dtype=np.uint64)
-
-        def run() -> None:
-            stream = _Restream(seed)
-            for a in range(lo, hi, rows):
-                b = min(a + rows, hi)
-                if scratch is not None and b - a >= min_lane_rows:
-                    _fill_lanes(
-                        stream.fetch(first_index + a, b - a), block[: b - a], scratch
-                    )
-                else:
-                    with fill_lock:
-                        stream.fetch(first_index + a, b - a)
-                        for j in range(b - a):
-                            stream.at(first_index + a + j).random(out=block[j])
-                sweep(a, b)
-
-        return run
-
-    _on_workers(n_samples, workers, start)
+            _on_workers(n_samples, workers, start)
+    finally:
+        _release_free_memory()
     return out
 
 
@@ -728,47 +713,33 @@ def _records_batch(
     Each sample draws its ``k * n`` uniforms order-major, as ``(k, n)``
     (the ``n`` nodes' first uniforms, then their second, ...), from its
     own substream, and :func:`_sweep` turns them into the running
-    products ``P_r = e^{-T_r}`` and counts the records.  A worker sweeps
-    its chunk in pieces of as many rows as fit ``_RECORD_VALUES`` (8 MB)
-    with their ancestor maxima, level temp and record mask, and the lane
-    scratch where lanes may fill them, so that a piece stays near the
-    core's L2 cache through the sweep.  Without a ``chunk``, rows come
-    one piece a worker at a time, on every worker where the samples fill
-    more than one piece each (rows drawn by lanes: where each worker's
-    piece holds ``_LANE_ROWS_PER_VALUE`` rows a value), else on one.  A
-    sample whose row does not fit ``_SPLIT_SCRATCH`` values with its
-    scratch is swept by bottom subtrees instead
+    products ``P_r = e^{-T_r}`` and counts the records.  The row's
+    scratch, its ancestor maxima, level temp and record mask counted
+    (:func:`_row_scratch`), is all :func:`_run_batch` needs to size and
+    thread the batch: a worker's chunk is one piece of at most 8 MB
+    (``_RECORD_VALUES``), so that it stays near the core's L2 cache
+    through the sweep, which takes the chunk whole.  A sample whose row
+    does not fit ``_SPLIT_SCRATCH`` values with its scratch is swept by
+    bottom subtrees instead
     (:func:`_records_by_subtrees`).  A tie (probability zero) is not a
     record.  A uniform of exactly 0 (probability 2**-53 a value) is an
     infinite clock: no record of its order or later, and no bound on its
     descendants.  The edge variant is the node sweep with the root's
-    ``P_k`` set to 0 and the root left out of the counts.  The workers'
-    freed scratch goes back to the system (:func:`_release_free_memory`).
+    ``P_k`` set to 0 and the root left out of the counts.
     """
     k = _int_in("k", k, 1)
     if k > 256:  # P_k stays a normal double: see the module docstring
         raise ValueError(f"k must be at most 256 for records, got {k}")
     n = tree.n
-    row_values = k * n
-    row_scratch, width = _row_scratch(k, n)
-    if row_scratch > _SPLIT_SCRATCH:
-        counts = _records_by_subtrees(
+    scratch, width = _row_scratch(k, n)
+    if scratch > _SPLIT_SCRATCH:
+        return _records_by_subtrees(
             tree, k, seed, n_samples, first_index, edge, chunk, threads
         )
-        _release_free_memory()
-        return counts
-    if row_values <= _LANE_ROW:  # lanes may draw the rows
-        row_scratch += _lane_words(row_values)
-    piece = max(1, _RECORD_VALUES // row_scratch)
-    if chunk is None:  # one piece a worker, on all workers or on one
-        n_samples = _as_int("n_samples", n_samples)
-        all_pieces = piece * resolve_threads(threads)
-        threads = _worker_count(n_samples, all_pieces, row_values, threads)
-        chunk = piece * threads
 
     def worker(block: np.ndarray, out: np.ndarray):
-        t = block.reshape(len(block), k, n)
-        rows = min(len(block), piece)
+        rows = len(block)
+        t = block.reshape(rows, k, n)
         # anc[:, v-1] = max of k-th products over proper ancestors of v.
         anc = np.empty((rows, n))
         anc[:, 0] = 0.0
@@ -776,22 +747,15 @@ def _records_batch(
         mask = np.empty((rows, k, n), dtype=bool)
 
         def sweep(lo: int, hi: int) -> None:
-            for first in range(lo, hi, rows):
-                last = min(first + rows, hi)
-                c = last - first
-                _sweep(
-                    t[first - lo : last - lo], anc[:c], up, mask[:c],
-                    out[first:last], edge,
-                )
+            c = hi - lo
+            _sweep(t[:c], anc[:c], up, mask[:c], out[lo:hi], edge)
 
         return sweep
 
-    counts = _run_batch(
-        n_samples, row_values, seed, first_index, chunk, threads, worker,
-        result=((k,), np.int64),
+    return _run_batch(
+        n_samples, k * n, seed, first_index, chunk, threads, worker,
+        result=((k,), np.int64), scratch=scratch,
     )
-    _release_free_memory()
-    return counts
 
 
 def _records_by_subtrees(
@@ -821,8 +785,8 @@ def _records_by_subtrees(
     maximum, the larger of its parent's ancestor maximum and ``P_k``,
     starts its row's ``anc[:, 0]``; subtrees of one size are swept in
     groups of as many rows as fit one piece, so the partial subtree is a
-    row of its own.  A sample runs on one worker (``chunk`` is the
-    samples in flight, one a worker; by default one on every worker).
+    row of its own.  A sample runs on one worker (:func:`_run_batch`
+    with ``parts``: by default one sample in flight on every worker).
     The top levels' row must fit ``_SPLIT_SCRATCH`` with its scratch,
     which bounds ``n`` (``2**34 - 1`` at ``k = 2``, ``2**20 - 1`` at
     256): a larger tree raises ``ValueError`` naming the largest.
@@ -844,8 +808,6 @@ def _records_by_subtrees(
     full_scratch, full_width = _row_scratch(k, full)
     group = max(1, _RECORD_VALUES // full_scratch)
     values = max(k * top, group * k * full)
-    if chunk is None:
-        chunk = resolve_threads(threads)
 
     def worker(block: np.ndarray, out: np.ndarray):
         anc = np.empty(max(top, group * full))
@@ -905,13 +867,15 @@ def simulate_records_batch(
     Column ``r - 1`` holds ``X_{n,r}``, for ``k`` at most 256.  Sample
     ``i`` reads its ``k * n`` uniforms, order-major, from substream
     ``(seed, first_index + i)``, so disjoint ranges computed anywhere
-    assemble into the same sequence.  ``chunk`` (samples in flight at
-    once, shared by the ``threads`` workers; see :func:`resolve_threads`)
-    defaults to one piece a worker, as many rows as fit 8 MB with their
-    ancestor maxima, level temp, record mask and, where lanes draw the
-    rows (``n * k`` at most 256), lane scratch.  Neither changes the
-    output.  Each worker holds at most 8 MB of scratch at any ``n``,
-    besides the output.
+    assemble into the same sequence.  A worker's chunk is one piece: as
+    many rows as fit 8 MB with their ancestor maxima, level temp, record
+    mask and, where lanes draw the rows (``n * k`` at most 256), lane
+    scratch.  ``chunk`` is a ceiling: at most that many samples in
+    flight at once over the ``threads`` workers (see
+    :func:`resolve_threads`), and at most one piece a worker, which is
+    also the default.  Neither changes the output.  Each worker holds at
+    most 8 MB of scratch at any ``n`` and any ``chunk``, besides the
+    output.
 
     A tree whose row does not fit 8 MB with its scratch (above about
     3 * 10**5 nodes at k = 2, 3600 at k = 256) is swept by bottom
@@ -936,7 +900,9 @@ def simulate_edge_records_batch(
     threads: int | None = None,
 ) -> np.ndarray:
     """Edge-variant record counts, shape ``(n_samples, k)``; otherwise
-    as :func:`simulate_records_batch`, and coupled with it per sample."""
+    as :func:`simulate_records_batch`, and coupled with it per sample:
+    the same uniforms, the same 8 MB piece a worker, and ``chunk`` the
+    same ceiling on the samples in flight."""
     return _records_batch(
         tree, k, seed, n_samples, first_index, True, chunk, threads
     )
@@ -1050,11 +1016,11 @@ def simulate_process_batch(
     sample's words lie along the longer axis of the chunk's arrays, so
     that a step's scans run along long rows.  Sample ``i`` consumes the
     uniforms of substream ``(seed, first_index + i)`` in cut order, one
-    per cut.  The samples in flight at once share the package's 32 MB
-    scratch budget for the ``k * n`` uniforms of a sample
-    (:func:`_chunk_rows`), which does not change the output.  The sweep
-    is many small numpy calls that hold the GIL, so the batch runs on
-    one worker whatever ``KCUT_THREADS`` says.
+    per cut.  The samples in flight at once fill a 32 MB scratch budget
+    (``_SCRATCH_VALUES``) with the ``k * n`` uniforms of a sample, which
+    does not change the output.  The sweep is many small numpy calls
+    that hold the GIL, so the batch runs on one worker whatever
+    ``KCUT_THREADS`` says.
     """
     k = _int_in("k", k, 1)
     n = tree.n
@@ -1155,9 +1121,14 @@ def simulate_process_batch(
 
         return sweep
 
+    # One worker whatever KCUT_THREADS says: the lockstep sweep is many
+    # small numpy calls that hold the GIL.  Two workers against one, one
+    # chunk each, took 2.0x the time at 126 values a row (2000 samples),
+    # 2.1x at 510 (2000), 2.0x at 1022 (1000) and 1.9x at 2046 (500), and
+    # 2.1-2.5x with two chunks each (median of 7, on 2 CPUs).
     return _run_batch(
         n_samples, k * n, seed, first_index, None, 1, worker,
-        result=((), np.int64),
+        result=((), np.int64), budget=_SCRATCH_VALUES,
     )
 
 

@@ -256,13 +256,23 @@ def _expected_records(query: MeanQuery) -> tuple[float, float]:
     ancestors, y = (heights, math.inf) if unconditional else (heights - 1.0, query.y)
     probs, abserrs = _record_probs(query.r, query.k, ancestors, y)
     _certified(abserrs)
-    total = 1.0 if unconditional else 0.0  # the root is always a record
+    # The sums run on node counts over 2**shift, so that no float holds a
+    # count past the float range: the same bits below 2**1000 nodes, and
+    # finite wherever the mean is.
+    shift = max(0, query.n.bit_length() - 1000)
+    total = math.ldexp(1.0, -shift) if unconditional else 0.0  # the root
     bound = 0.0
     for level, prob, abserr in zip(levels[1:], probs.tolist(), abserrs.tolist()):
-        count = sum(c for _, c in level)
+        count = sum(c for _, c in level) / (1 << shift)
         total += count * prob
         bound += count * abserr
-    return total, bound
+    try:
+        return math.ldexp(total, shift), math.ldexp(bound, shift)
+    except OverflowError:
+        raise OverflowError(
+            f"the mean record count at n = 2**{math.log2(query.n):.6g} "
+            "exceeds the float range"
+        ) from None
 
 
 def expected_records(query: MeanQuery) -> float:

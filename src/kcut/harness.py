@@ -37,7 +37,6 @@ __all__ = [
     "circular_gamma_distance",
     "subsequence_select",
     "ks_statistic",
-    "ks_two_sample",
     "run_experiment",
     "write_report",
 ]
@@ -107,25 +106,38 @@ def subsequence_select(
     kept.  An empty result is reported as a
     :class:`ConfigurationWarning`, not an error: some (range, gamma,
     delta) combinations genuinely contain no admissible size.
+
+    ``n_min``, ``n_max`` and ``count`` must be integers, not bools, and
+    ``gamma`` and ``delta`` finite (``ValueError`` naming the one that is
+    not).  Sizes are exact ints and the spread is taken in ``lg``, so any
+    range works, up to ``2**4096`` and past it.
     """
+    n_min, n_max = cutsim._as_int("n_min", n_min), cutsim._as_int("n_max", n_max)
+    count = cutsim._as_int("count", count)
     if n_min < 16 or n_min >= n_max:
         raise ValueError(
             f"need 16 <= n_min < n_max, got n_min={n_min!r}, n_max={n_max!r}"
         )
     if count < 1:
         raise ValueError(f"count must be positive, got {count!r}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta!r}")
     gamma = gamma % 1.0
 
-    g_lo = math.log2(n_min) - math.log2(math.log2(n_min))
-    g_hi = math.log2(n_max) - math.log2(math.log2(n_max))
+    lg_min, lg_max = math.log2(n_min), math.log2(n_max)
+    g_lo = lg_min - math.log2(lg_min)
+    g_hi = lg_max - math.log2(lg_max)
     rungs: list[int] = []
     for j in range(math.floor(g_lo - gamma) - 1, math.ceil(g_hi - gamma) + 2):
         x = _solve_rung(j + gamma)
         if x is None:
             continue
-        center = round(2.0**x)
+        # round(2.0**x) as an exact int, from a float that cannot
+        # overflow: the same bits below 2**61.
+        shift = max(0, math.floor(x) - 60)
+        center = round(2.0 ** (x - shift)) << shift
         best: tuple[float, int] | None = None
         for n in (center - 1, center, center + 1):
             if n < max(n_min, 16) or n > n_max:
@@ -147,18 +159,18 @@ def subsequence_select(
     if len(rungs) <= count:
         return rungs
 
-    # Thin to a geometric spread: walk anchors from n_min to n_max and
-    # greedily take the nearest unused rung (in log space).
+    # Thin to a geometric spread: walk anchors from n_min to n_max, evenly
+    # spaced in lg, and greedily take the nearest unused rung.
     if count == 1:
-        anchors = [math.sqrt(n_min * n_max)]
+        anchors = [(lg_min + lg_max) / 2.0]
     else:
-        ratio = (n_max / n_min) ** (1.0 / (count - 1))
-        anchors = [n_min * ratio**i for i in range(count)]
+        step = (lg_max - lg_min) / (count - 1)
+        anchors = [lg_min + i * step for i in range(count)]
     chosen: list[int] = []
     for anchor in anchors:
         pick = min(
             (n for n in rungs if n not in chosen),
-            key=lambda n: abs(math.log2(n) - math.log2(anchor)),
+            key=lambda n: abs(math.log2(n) - anchor),
         )
         chosen.append(pick)
     return sorted(chosen)
@@ -185,18 +197,6 @@ def ks_statistic(samples, cdf) -> float:
     return float(
         max(np.max(np.abs(f - steps_hi)), np.max(np.abs(f - steps_lo)))
     )
-
-
-def ks_two_sample(first, second) -> float:
-    """Sup-norm distance between two empirical CDFs."""
-    a = np.sort(np.asarray(first, dtype=float))
-    b = np.sort(np.asarray(second, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("ks_two_sample needs nonempty samples on both sides")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ with the code it checks: node heights and subtree sizes from the heap
 indices, the cutting procedure run one sample at a time, the exact
 cut-count law of tiny trees by enumeration, the Levy measure's block
 integrals by QUADPACK's oscillatory rule, its second moment by adaptive
-quadrature of the density, and the xi array with a clock drawn for
-every node.
+quadrature of the density, the xi array with a clock drawn for every
+node, and the two-sample Kolmogorov-Smirnov distance.
 """
 
 from __future__ import annotations
@@ -259,3 +259,15 @@ def xi_sampler_dense(
         terms = ga_weights[near] * specfun.q(p.a, z[near])
         out[i] = shift - table.c3 * terms.sum()
     return out
+
+
+def ks_two_sample(first, second) -> float:
+    """Sup-norm distance between two empirical CDFs."""
+    a = np.sort(np.asarray(first, dtype=float))
+    b = np.sort(np.asarray(second, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("ks_two_sample needs nonempty samples on both sides")
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))

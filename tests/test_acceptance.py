@@ -33,7 +33,7 @@ from kcut import cutsim, exactmean, harness, limitdist, series, specfun
 from kcut.harness import ExperimentConfig
 from kcut.limitdist import LimitParams, ScaleParams
 
-from oracles import brute_force_distribution
+from oracles import brute_force_distribution, ks_two_sample
 from test_series import (
     _lagrange_check,
     _oracle_base,
@@ -111,7 +111,7 @@ def test_04_process_and_record_simulators_agree_in_law() -> None:
     tree = cutsim.CompleteTree(127)
     proc = cutsim.simulate_process_batch(tree, 2, 710, 100_000)
     recs = cutsim.simulate_records_batch(tree, 2, 711, 100_000).sum(axis=1)
-    stat = harness.ks_two_sample(proc.astype(float), recs.astype(float))
+    stat = ks_two_sample(proc.astype(float), recs.astype(float))
     # 0.1% two-sample critical value for equal sizes: 1.95 * sqrt(2/N).
     assert stat < 1.95 * math.sqrt(2.0 / 100_000)
     assert time.perf_counter() - start < 60.0

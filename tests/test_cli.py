@@ -291,6 +291,12 @@ def test_exact_mean_bad_params(capsys) -> None:
     assert cli.main(["exact-mean", "--n", "7", "--k", "1", "--r", "2"]) == 2
 
 
+def test_exact_mean_past_the_float_range_exits_3(capsys) -> None:
+    argv = ["exact-mean", "--n", str(2**1100), "--k", "2", "--r", "1"]
+    assert cli.main(argv) == 3
+    assert "exceeds the float range" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------

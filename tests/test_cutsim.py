@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcut import cutsim, exactmean, harness, limitdist, series
+from kcut import cutsim, exactmean, limitdist, series
 from kcut.cutsim import CompleteTree
 from oracles import (
     brute_force_distribution,
     height,
+    ks_two_sample,
     simulate_process,
     subtree_size,
 )
@@ -194,11 +195,12 @@ def test_records_batch_matches_naive_sweep(
     proper ancestors (0 if none), the root excluded in the edge variant,
     where the root itself never counts.  n = 21, 600 and 4100 leave the
     last level part full; chunks of 5 on two workers (threaded here
-    despite the short rows) put the per-order counts of one batch across
-    chunk and worker boundaries.  Rows of 600 and 4100 nodes are drawn
-    per sample, by default in one cache-sized piece a worker, and rows
-    of 4100 nodes, above ``_COUNT_ROW``, are counted one call a row."""
-    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
+    despite the short rows, with lanes off) put the per-order counts of
+    one batch across chunk and worker boundaries.  Rows of 600 and 4100
+    nodes are drawn per sample, by default in one cache-sized piece a
+    worker, and rows of 4100 nodes, above ``_COUNT_ROW``, are counted
+    one call a row."""
+    monkeypatch.setattr(cutsim, "_LANE_ROW", 0)
     tree, seed, first = CompleteTree(n), 4, 5
     node = cutsim.simulate_records_batch(tree, k, seed, 12, first, **split)
     edge = cutsim.simulate_edge_records_batch(tree, k, seed, 12, first, **split)
@@ -216,10 +218,10 @@ def test_records_batch_matches_naive_sweep(
 
 
 def test_records_batch_sweeps_chunks_in_pieces(monkeypatch) -> None:
-    """A chunk of more rows than fit ``_RECORD_VALUES`` is swept piece by
-    piece with the same counts: pieces of one row give the default's
-    output, for rows drawn by lanes (n = 21, k = 2) and rows drawn per
-    sample in chunks of 7 on two workers (n = 600)."""
+    """A chunk of more rows than fit ``_RECORD_VALUES`` is cut to one
+    piece a worker with the same counts: pieces of one row give the
+    default's output, for rows drawn by lanes (n = 21, k = 2) and rows
+    drawn per sample in chunks of 7 on two workers (n = 600)."""
     batches = (cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch)
     cases = [(21, {}), (600, {"chunk": 7, "threads": 2})]
     want = [batch(CompleteTree(n), 2, 4, 40, 5, **split)
@@ -510,7 +512,7 @@ def test_records_and_process_totals_agree_in_law_k3() -> None:
     tree, n_each = CompleteTree(63), 20_000
     recs = cutsim.simulate_records_batch(tree, 3, 1931, n_each).sum(axis=1)
     proc = cutsim.simulate_process_batch(tree, 3, 1932, n_each)
-    stat = harness.ks_two_sample(recs, proc)
+    stat = ks_two_sample(recs, proc)
     assert stat < 1.95 * math.sqrt(2.0 / n_each)
 
 
@@ -851,6 +853,99 @@ def test_rows_drawn_per_sample_thread_only_past_one_chunk_a_worker(
         cutsim.simulate_records_batch(tree, 2, 6, 600)
 
 
+def _spy_workers(monkeypatch) -> list[int]:
+    """The worker count of every batch that runs from here on."""
+    on_workers, workers = cutsim._on_workers, []
+
+    def spy(n_rows, count, start):
+        workers.append(count)
+        return on_workers(n_rows, count, start)
+
+    monkeypatch.setattr(cutsim, "_on_workers", spy)
+    return workers
+
+
+def test_short_rows_drawn_per_sample_thread_only_past_one_chunk_a_worker(
+    monkeypatch,
+) -> None:
+    """Rows drawn per sample below 1024 values follow the same rule as
+    longer ones: k = 2 record rows of 510 values (n = 255) come one piece
+    of 1174 a worker at a time, so on two workers 2348 samples are in
+    flight.  2000 samples, or 2348, run on one worker; 2349 and 20 000 on
+    two, where each takes more than one chunk.  The output is bitwise
+    equal at 1, 2 and 3 threads."""
+    tree = CompleteTree(255)
+    piece = cutsim._RECORD_VALUES // cutsim._row_scratch(2, tree.n)[0]
+    assert piece == 1174
+    want = cutsim.simulate_records_batch(tree, 2, 9, 20000, threads=1)
+    workers = _spy_workers(monkeypatch)
+    for samples, count in ((2000, 1), (2 * piece, 1), (2 * piece + 1, 2), (20000, 2)):
+        workers.clear()
+        got = cutsim.simulate_records_batch(tree, 2, 9, samples, threads=2)
+        assert workers == [count], samples
+        assert np.array_equal(got, want[:samples])
+    assert np.array_equal(cutsim.simulate_records_batch(tree, 2, 9, 20000, threads=3), want)
+
+
+def test_records_batch_chunk_is_a_ceiling(monkeypatch) -> None:
+    """An explicit chunk is capped at one 8 MB piece a worker: at n =
+    2**15 - 1 (k = 2) a piece holds 9 rows, and 128 samples in a chunk of
+    128 peak, traced, at no more than 8 MB a worker plus 1 MB for the
+    counts, the fetched states and numpy's iterator buffers.  The output
+    is that of the default chunk."""
+    tree = CompleteTree(2**15 - 1)
+    want = cutsim.simulate_records_batch(tree, 2, 17, 128)
+    workers = _spy_workers(monkeypatch)
+    peak = _peak(cutsim.simulate_records_batch, tree, 2, 17, 128, chunk=128)
+    assert len(workers) == 1
+    assert peak <= (8 * workers[0] + 1) * 2**20
+    got = cutsim.simulate_records_batch(tree, 2, 17, 128, chunk=128)
+    assert np.array_equal(got, want)
+
+
+def test_every_batch_releases_its_scratch_once(monkeypatch) -> None:
+    """Every batch hands its freed scratch back once, when it ends: node,
+    edge, bottom-subtree (the split at 150 values), process and xi
+    batches, and a batch whose worker raises."""
+    released = []
+    monkeypatch.setattr(cutsim, "_release_free_memory", lambda: released.append(1))
+    scale = limitdist.ScaleParams.from_n(1 << 40, 2)
+    p = limitdist.LimitParams(1, 2, scale.gamma)
+    records = (cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch)
+
+    def split(m: pytest.MonkeyPatch) -> None:
+        m.setattr(cutsim, "_SPLIT_SCRATCH", 150)
+        m.setattr(cutsim, "_SUBTREE_VALUES", 14)
+
+    calls = [partial(batch, CompleteTree(300), 2, 1, 40, chunk=7, threads=threads)
+             for batch in records for threads in (1, 2)]
+    calls += [partial(cutsim.simulate_process_batch, CompleteTree(63), 2, 1, 50),
+              partial(limitdist.xi_sampler_batch, scale, p, None, 1, 300)]
+    for call in calls:
+        released.clear()
+        call()
+        assert released == [1], call
+    with monkeypatch.context() as m:
+        split(m)
+        for batch in records:
+            released.clear()
+            batch(CompleteTree(127), 2, 1, 5, threads=2)
+            assert released == [1], batch
+
+    def fail(*args) -> None:
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(cutsim, "_sweep", fail)
+    for n, threads in ((300, 1), (300, 2), (127, 2)):
+        with monkeypatch.context() as m:
+            if n == 127:
+                split(m)
+            released.clear()
+            with pytest.raises(RuntimeError, match="sweep failed"):
+                cutsim.simulate_records_batch(CompleteTree(n), 2, 1, 40, threads=threads)
+            assert released == [1], (n, threads)
+
+
 def _chunked(m: pytest.MonkeyPatch, process: bool, n: int, k: int, chunk):
     """Keyword arguments that run a batch at ``(n, k)`` in chunks of
     ``chunk`` samples (``None``: the default).  A record batch takes the
@@ -865,8 +960,8 @@ def _chunked(m: pytest.MonkeyPatch, process: bool, n: int, k: int, chunk):
     return {}
 
 
-# Rows of 600 and 512 values: the tests below set _MIN_THREADED_ROW to 1
-# so that threads engage on them.
+# Rows of 600 and 512 values: threads engage on the record rows wherever
+# a chunk holds fewer samples than the batch.
 _RECORDS_TREE = CompleteTree(300)
 _PROCESS_TREE = CompleteTree(256)
 _BATCHES = {
@@ -884,18 +979,17 @@ def test_batch_thread_and_chunk_invariance(kind, monkeypatch) -> None:
     ``_SERIAL_FILL_ROW``, filled by the workers together.  The process
     batch always runs on one worker and takes its chunk from the scratch
     budget (:func:`_chunked`)."""
-    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     process = kind == "process"
     trees = [_PROCESS_TREE] if process else [_RECORDS_TREE, CompleteTree(2100)]
     splits = [{}] if process else [{"threads": t} for t in (1, 2, 3)]
-    chunk_rows = cutsim._chunk_rows
+    worker_count = cutsim._worker_count
     in_flight = []
 
-    def spy(floats_per_row, chunk=None):
-        in_flight.append(chunk_rows(floats_per_row, chunk))
-        return in_flight[-1]
+    def spy(n_samples, rows, row_values, threads):
+        in_flight.append(rows)
+        return worker_count(n_samples, rows, row_values, threads)
 
-    monkeypatch.setattr(cutsim, "_chunk_rows", spy)
+    monkeypatch.setattr(cutsim, "_worker_count", spy)
     for tree in trees:
         batch = partial(_BATCHES[kind], tree, 2, 5)
         for first in (0, 13):
@@ -922,7 +1016,6 @@ def test_batch_threads_stress(monkeypatch) -> None:
     600 values, filled under the workers' shared lock), and still sweep
     each sample of a tree above the split on one worker (n = 127 with
     the split at 150 values)."""
-    monkeypatch.setattr(cutsim, "_MIN_THREADED_ROW", 1)
     tree = _RECORDS_TREE
     want = cutsim.simulate_records_batch(tree, 2, 8, 400, threads=1)
     with monkeypatch.context() as m:

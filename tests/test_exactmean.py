@@ -249,3 +249,17 @@ def test_asymptotic_mean_finite_up_to_the_float_range() -> None:
         assert abs(approx / exact - 1.0) < 3e-4, (e, approx, exact)
     with pytest.raises(OverflowError, match="exceeds the float range"):
         exactmean.asymptotic_mean(1 << 1030, 2, 1)
+
+
+def test_expected_records_past_the_float_range() -> None:
+    """Node counts past the float range are summed scaled down: at n =
+    2**1030, k = 1, the mean is finite and within 3e-4 of the closed
+    form, though the last level's 2**1029 nodes are not a float.  Where
+    the mean itself passes the float range, at n = 2**1100 (k = 1 and
+    2), an OverflowError says so."""
+    exact = exactmean.expected_records(MeanQuery(1 << 1030, 1, 1))
+    approx = exactmean.asymptotic_mean(1 << 1030, 1, 1)
+    assert math.isfinite(exact) and abs(approx / exact - 1.0) < 3e-4
+    for k in (1, 2):
+        with pytest.raises(OverflowError, match="mean .* exceeds the float range"):
+            exactmean.expected_records(MeanQuery(1 << 1100, k, 1))

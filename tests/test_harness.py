@@ -14,6 +14,7 @@ import pytest
 from kcut import cutsim, exactmean, harness, series
 from kcut.harness import ExperimentConfig
 from kcut.limitdist import ScaleParams
+from oracles import ks_two_sample
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,61 @@ def test_subsequence_validation() -> None:
         harness.subsequence_select(0.3, 16, 1024, 3, delta=0.7)
 
 
+def _on_rungs(picks: list[int], lo: int, hi: int, gamma: float) -> bool:
+    return all(
+        lo <= n <= hi
+        and harness.circular_gamma_distance(harness.gamma_of(n), gamma) <= 0.02
+        for n in picks
+    )
+
+
+def test_subsequence_select_past_the_float_range() -> None:
+    """Rungs above 2**1024 are exact ints: three sizes in [2**1000,
+    2**1030], as many through an experiment config's sizes in [2**1000,
+    2**1100], and four in [2**4000, 2**4096], each on its rung and
+    spread over the range."""
+    picks = harness.subsequence_select(0.3, 2**1000, 2**1030, 3)
+    assert [n.bit_length() for n in picks] == [1001, 1016, 1030]
+    assert _on_rungs(picks, 2**1000, 2**1030, 0.3)
+    config = ExperimentConfig(k=2, n_min=2**1000, n_max=2**1100, samples=0)
+    picks = config.sizes()
+    assert len(picks) == 3 and _on_rungs(picks, 2**1000, 2**1100, 0.0)
+    picks = harness.subsequence_select(0.3, 2**4000, 2**4096, 4)
+    assert [n.bit_length() for n in picks] == [4001, 4033, 4065, 4096]
+    assert _on_rungs(picks, 2**4000, 2**4096, 0.3)
+
+
+def test_subsequence_select_one_anchor_past_the_float_range() -> None:
+    """One size from [2**600, 2**700]: its anchor, the middle of the
+    range in lg, needs no float of the sizes' product."""
+    picks = harness.subsequence_select(0.3, 2**600, 2**700, 1)
+    assert [n.bit_length() for n in picks] == [650]
+    assert _on_rungs(picks, 2**600, 2**700, 0.3)
+
+
+def test_subsequence_select_rejects_non_integer_bounds() -> None:
+    with pytest.raises(ValueError, match="n_min must be an integer, got 16.5"):
+        harness.subsequence_select(0.3, 16.5, 1024, 3)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        harness.subsequence_select(0.3, 16, 1024.0, 3)
+    with pytest.raises(ValueError, match="count must be an integer, got True"):
+        harness.subsequence_select(0.3, 16, 1024, True)
+
+
+def test_subsequence_select_rejects_fractional_count() -> None:
+    with pytest.raises(ValueError, match="count must be an integer, got 2.5"):
+        harness.subsequence_select(0.3, 16, 1024, 2.5)
+
+
+def test_subsequence_select_rejects_non_finite_gamma_and_delta() -> None:
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            harness.subsequence_select(gamma, 16, 1024, 3)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            harness.subsequence_select(0.3, 16, 1024, 3, delta=delta)
+
+
 # ---------------------------------------------------------------------------
 # KS statistics.
 # ---------------------------------------------------------------------------
@@ -158,19 +214,19 @@ def test_ks_empty_inputs_raise() -> None:
     with pytest.raises(ValueError):
         harness.ks_statistic([], lambda x: x)
     with pytest.raises(ValueError):
-        harness.ks_two_sample([], [1.0])
+        ks_two_sample([], [1.0])
 
 
 def test_ks_two_sample_extremes() -> None:
-    assert harness.ks_two_sample([1, 2, 3], [1, 2, 3]) == 0.0
-    assert harness.ks_two_sample([0.0, 0.1], [5.0, 6.0]) == 1.0
+    assert ks_two_sample([1, 2, 3], [1, 2, 3]) == 0.0
+    assert ks_two_sample([0.0, 0.1], [5.0, 6.0]) == 1.0
 
 
 def test_ks_two_sample_matches_statistic_shape() -> None:
     rng = np.random.default_rng(11)
     a = rng.normal(size=500)
     b = rng.normal(size=700)
-    stat = harness.ks_two_sample(a, b)
+    stat = ks_two_sample(a, b)
     assert 0.0 < stat < 0.15
 
 
@@ -414,6 +470,6 @@ def test_total_and_r1_modes_share_limit_family() -> None:
         counts = cutsim.simulate_records_batch(tree, 2, 4242, 1500)
         tot = cutsim.rescale_counts(counts.sum(axis=1).astype(float), None, 2, n)
         r1 = cutsim.rescale_counts(counts[:, 0].astype(float), 1, 2, n)
-        stats[e] = harness.ks_two_sample(tot, r1)
+        stats[e] = ks_two_sample(tot, r1)
     assert stats[18] < stats[14]
     assert stats[18] < 0.1

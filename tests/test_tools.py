@@ -20,8 +20,9 @@ def _bitwise():
 
 def test_bitwise_two_saves_compare_equal(tmp_path, capsys, monkeypatch) -> None:
     """Two saves of the small set hold the same arrays, bit for bit, and
-    leave ``KCUT_THREADS`` as they found it; one changed value or dtype
-    is counted, and ``compare`` then exits 1."""
+    leave ``KCUT_THREADS`` as they found it; among them, record counts
+    swept by bottom subtrees.  One changed value or dtype is counted,
+    and ``compare`` then exits 1."""
     bitwise = _bitwise()
     monkeypatch.delenv("KCUT_THREADS", raising=False)
     a, b, c = (str(tmp_path / f"{name}.npz") for name in "abc")
@@ -32,6 +33,7 @@ def test_bitwise_two_saves_compare_equal(tmp_path, capsys, monkeypatch) -> None:
     with np.load(a) as saved:
         arrays = dict(saved)
     assert any(name.startswith("xi-2-") for name in arrays)
+    assert any(name.startswith("edge-2-split-") for name in arrays)
     assert any(name.startswith("experiment-") for name in arrays)
     first, second = sorted(name for name in arrays if name.startswith("node-"))[:2]
     arrays[first] = arrays[first].copy()

@@ -12,7 +12,9 @@ this script serves both trees.  It runs the record, edge, process and
 xi batches at ``KCUT_THREADS`` = 1, 2 and 3 with their default and with
 small scratch budgets (so that chunks of one row and of a few rows
 run), and the record and edge batches with their defaults at every
-``(n, k)`` that the tests and the benchmark draw records at;
+``(n, k)`` that the tests and the benchmark draw records at and by
+bottom subtrees (above the split, and with the split and the subtrees
+set small as the tests set them, in chunks of every size);
 ``limit_cdf`` on ``-400:8:4097``, ``char_fn`` on a 404-point t grid
 and ``cdf_certificate`` for seven shapes; ``kcut experiment``'s
 CSV for three configurations; and ``rescale_counts``,
@@ -60,6 +62,11 @@ FULL = {
         (16384, 2), (23822, 2), (32767, 2), (32768, 1), (32768, 2),
         (51268, 2), (65536, 1), (2**18 - 1, 2), (2**18, 2),
     ),
+    # (n, k) swept by bottom subtrees: with the split at 150 values and
+    # subtrees of at most 14 uniforms (as tests/test_cutsim.py sets them),
+    # and above the split as it stands.
+    "split_small": ((50, 2), (127, 2), (200, 2), (70, 3), (127, 3)),
+    "split_large": ((2**20 + 12345, 2),),
     "xi_budgets": (None, 1, 50_000),  # _XI_CHUNK_VALUES
     "xi_lg": (20, 40, 160),
     "xi_shapes": ((1, 1), (1, 2), (2, 3)),
@@ -79,6 +86,8 @@ SMALL = {
     "ks": (2,),
     "chunks": (None, 7),
     "record_sizes": ((63, 3), (5037, 2)),
+    "split_small": ((100, 2),),
+    "split_large": (),
     "xi_budgets": (None,),
     "xi_lg": (40,),
     "xi_shapes": ((1, 2),),
@@ -107,6 +116,15 @@ def _batches(plan: dict, threads: str, out: dict) -> None:
     from kcut import cutsim, limitdist
     from kcut.cutsim import CompleteTree
 
+    records = (
+        ("node", cutsim.simulate_records_batch),
+        ("edge", cutsim.simulate_edge_records_batch),
+    )
+
+    def split(n: int, k: int) -> None:
+        if cutsim._row_scratch(k, n)[0] <= cutsim._SPLIT_SCRATCH:
+            raise RuntimeError(f"n = {n}, k = {k} is not swept by subtrees")
+
     for budget in plan["budgets"]:
         with _patched(cutsim, "_SCRATCH_VALUES", budget):
             for n in plan["process_n"]:
@@ -122,23 +140,32 @@ def _batches(plan: dict, threads: str, out: dict) -> None:
                 samples = 200 if n < 1000 else 24
                 for k in plan["ks"]:
                     for chunk in plan["chunks"]:
-                        for name, batch in (
-                            ("node", cutsim.simulate_records_batch),
-                            ("edge", cutsim.simulate_edge_records_batch),
-                        ):
+                        for name, batch in records:
                             out[f"{name}-{threads}-{piece}-{n}-{k}-{chunk}"] = batch(
                                 CompleteTree(n), k, 11, samples, first_index=3,
                                 chunk=chunk,
                             )
     for n, k in plan["record_sizes"]:
         samples = max(2, min(64, (1 << 17) // n))
-        for name, batch in (
-            ("node", cutsim.simulate_records_batch),
-            ("edge", cutsim.simulate_edge_records_batch),
-        ):
+        for name, batch in records:
             out[f"{name}-{threads}-size-{n}-{k}"] = batch(
                 CompleteTree(n), k, 13, samples, first_index=2**64 - 1
             )
+    with _patched(cutsim, "_SPLIT_SCRATCH", 150), _patched(
+        cutsim, "_SUBTREE_VALUES", 14
+    ):
+        for n, k in plan["split_small"]:
+            split(n, k)
+            for chunk in plan["chunks"]:
+                for name, batch in records:
+                    out[f"{name}-{threads}-split-{n}-{k}-{chunk}"] = batch(
+                        CompleteTree(n), k, 15, 12, first_index=2**64 - 5,
+                        chunk=chunk,
+                    )
+    for n, k in plan["split_large"]:
+        split(n, k)
+        for name, batch in records:
+            out[f"{name}-{threads}-split-{n}-{k}"] = batch(CompleteTree(n), k, 15, 3)
     for budget in plan["xi_budgets"]:
         with _patched(limitdist, "_XI_CHUNK_VALUES", budget):
             for lg in plan["xi_lg"]:
