@@ -67,8 +67,9 @@ bottom subtrees in heap order, in groups that fit one piece, one sample
 on one worker at a time.  The process batch, on one worker, keeps a
 32 MB budget (``_SCRATCH_VALUES``) besides its per-tree table; the xi
 batch of :mod:`kcut.limitdist` passes its own 8 MB chunk, shared by its
-workers.  Every batch hands its freed scratch back to the system when it
-ends (:func:`_release_free_memory`).
+workers.  Every batch that may hold a whole piece hands its freed
+scratch back to the system when it ends (:func:`_release_free_memory`);
+the xi batch, held below one piece, keeps it for its next call.
 """
 
 from __future__ import annotations
@@ -414,15 +415,22 @@ class CompleteTree:
 
 # Rows drawn per sample get a second worker only where each worker takes
 # more than one chunk, so that one worker's fill overlaps another's sweep.
-# Two workers against one on 2 CPUs, k = 2 records, median of 15 or 21
-# calls: over several chunks a worker, 0.82x the time at 510 values a row
-# (n = 255, 20 000 samples) and 0.84x at 1022 (4891 samples); with one
-# chunk a worker, 1.35x at 510 values (2000 samples), and 23.6 against
-# 17.7 ns a node-sample at 2046 values (n = 1023, 580 samples) and 19.1
-# against 12.8 at 4094 (n = 2047, 280 samples).  Lanes step whole numpy
-# vectors, so two workers win on the rows they fill (best of 15): 0.60x
-# at 30 values (n = 15, 100 000 samples), 0.82x at 126 (n = 63) and 0.87x
-# at 254 (n = 127), 20 000 samples each.
+# Two workers against one on 2 CPUs, median of 7 to 21 calls.  Many
+# chunks a worker win at every length: k = 2 records 0.82x at 510 values
+# a row (n = 255, 20 000 samples), 0.84x at 1022 (4891 samples) and
+# 0.89-0.92x at 300, 510 and 1022 values over five chunks a worker; xi
+# draws at (k, r) = (1, 1), 100 000 a call, 0.69x at 328 values (n =
+# 2**40), 0.91x at 635 (2**60), 0.76x at 893 (2**100) and 0.77x at 1091
+# (2**80).  One chunk a worker loses: records 1.35x at 510 values (2000
+# samples), 23.6 against 17.7 ns a node-sample at 2046 values (n = 1023,
+# 580 samples) and 19.1 against 12.8 at 4094 (n = 2047, 280 samples).
+# Just past one chunk a worker, records still lose 1.11-1.21x at every
+# length from 300 to 4094 values (1 % more samples than are in flight)
+# and break even from about 1.5 chunks a worker, while xi draws at 328
+# values already win (0.92x).  Lanes step whole numpy vectors, so two
+# workers win on the rows they fill (best of 15): 0.60x at 30 values
+# (n = 15, 100 000 samples), 0.82x at 126 (n = 63) and 0.87x at 254
+# (n = 127), 20 000 samples each.
 def _worker_count(
     n_samples: int, in_flight: int, row_values: int, threads: int
 ) -> int:
@@ -459,14 +467,19 @@ def _release_free_memory() -> None:
     """Hand the C heap's free pages back to the system (glibc's
     ``malloc_trim``; nothing where the C library has none).
 
-    A batch's workers free their scratch, up to 8 MB each (32 MB for the
-    process batch), when it ends.  Once glibc's dynamic mmap threshold
-    has risen past such arrays they come from the heap, and a small
-    block that outlives the batch above them keeps the heap from
-    shrinking: the process then holds them to its end.  In about one run
-    of three that took the simulate benchmark's peak RSS from 64.9 to
-    72.3 MB, at random; the page faults of fresh scratch in the next
-    batch cost about 1 ms per 8 MB."""
+    A batch that may hold a whole piece of its budget (the record,
+    bottom-subtree and process batches: see :func:`_run_batch`) frees
+    up to 8 MB of scratch a worker (32 MB for the process batch) when it
+    ends.  Once glibc's dynamic mmap threshold has risen past such
+    arrays they come from the heap, and a small block that outlives the
+    batch above them keeps the heap from shrinking: the process then
+    holds them to its end.  In about one run of three that took the
+    simulate benchmark's peak RSS from 64.9 to 72.3 MB, at random; the
+    page faults of fresh scratch in the next batch cost about 1 ms per
+    8 MB.  The xi batch, whose chunk holds its rows below one piece,
+    keeps its scratch for the next call: trimming it cost about 1 200
+    page faults a 2048-draw call at ``n = 2**160`` and took the limit_law
+    benchmark's peak RSS only from 62.05 to 61.96 MB."""
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
@@ -536,9 +549,11 @@ def _run_batch(
     sample of fewer than ``_SERIAL_FILL_ROW`` values, they share one
     lock: a worker holds it while it reads a chunk's states and fills
     the chunk's rows, and sweeps without it, since each re-key holds the
-    GIL and workers that fill such rows together queue on it.  When the
-    batch ends, returns or raises, its freed scratch goes back to the
-    system (:func:`_release_free_memory`).
+    GIL and workers that fill such rows together queue on it.  When a
+    batch that may hold a whole piece (at least ``piece`` samples in
+    flight) ends, returns or raises, its freed scratch goes back to the
+    system (:func:`_release_free_memory`); a batch held below one piece,
+    as the xi batch's chunk holds it, keeps its scratch for the next.
 
     Rows of at most ``_LANE_ROW`` values are filled by lanes
     (:func:`_fill_lanes`, all of a chunk's generators stepped together)
@@ -626,7 +641,8 @@ def _run_batch(
         if n_samples:
             _on_workers(n_samples, workers, start)
     finally:
-        _release_free_memory()
+        if in_flight >= piece:  # it may hold a whole piece
+            _release_free_memory()
     return out
 
 

@@ -826,33 +826,6 @@ def test_short_rows_drawn_per_sample_fill_one_worker_at_a_time(monkeypatch) -> N
         assert len(entered) == locks, draws
 
 
-def test_rows_drawn_per_sample_thread_only_past_one_chunk_a_worker(
-    monkeypatch,
-) -> None:
-    """Long rows drawn per sample get a second worker only where each
-    worker takes more than one chunk.  k = 2 record rows of 2046 values
-    (n = 1023) come one piece of 292 a worker at a time: 580 samples
-    would give two workers one chunk each, which ran slower than one
-    worker (23.6 against 17.7 ns a node-sample on 2 CPUs), so with
-    ``KCUT_THREADS`` at 2 they start no pool; 600 samples start one.
-    The output does not change."""
-
-    class NoPool(Exception):
-        pass
-
-    def no_pool(*args, **kwargs):
-        raise NoPool
-
-    tree = CompleteTree(1023)
-    want = cutsim.simulate_records_batch(tree, 2, 6, 600, threads=1)
-    monkeypatch.setattr(cutsim, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv(cutsim.THREADS_ENV, "2")
-    got = cutsim.simulate_records_batch(tree, 2, 6, 580)
-    assert np.array_equal(got, want[:580])
-    with pytest.raises(NoPool):
-        cutsim.simulate_records_batch(tree, 2, 6, 600)
-
-
 def _spy_workers(monkeypatch) -> list[int]:
     """The worker count of every batch that runs from here on."""
     on_workers, workers = cutsim._on_workers, []
@@ -865,26 +838,31 @@ def _spy_workers(monkeypatch) -> list[int]:
     return workers
 
 
-def test_short_rows_drawn_per_sample_thread_only_past_one_chunk_a_worker(
+def test_rows_drawn_per_sample_thread_only_past_one_chunk_a_worker(
     monkeypatch,
 ) -> None:
-    """Rows drawn per sample below 1024 values follow the same rule as
-    longer ones: k = 2 record rows of 510 values (n = 255) come one piece
-    of 1174 a worker at a time, so on two workers 2348 samples are in
-    flight.  2000 samples, or 2348, run on one worker; 2349 and 20 000 on
-    two, where each takes more than one chunk.  The output is bitwise
-    equal at 1, 2 and 3 threads."""
-    tree = CompleteTree(255)
-    piece = cutsim._RECORD_VALUES // cutsim._row_scratch(2, tree.n)[0]
-    assert piece == 1174
-    want = cutsim.simulate_records_batch(tree, 2, 9, 20000, threads=1)
+    """Rows drawn per sample get a second worker only where each worker
+    takes more than one chunk, at any length.  k = 2 record rows come
+    one piece a worker at a time: 292 rows of 2046 values (n = 1023),
+    1174 of 510 (n = 255).  On two workers, as many samples as are in
+    flight (two pieces) or fewer run on one worker, since two workers
+    with one chunk each ran slower than one on 2 CPUs (23.6 against 17.7
+    ns a node-sample at n = 1023 and 580 samples, 1.35x at n = 255 and
+    2000); one sample more, and 2000 or 20 000, run on two.  The output
+    is bitwise equal at 1, 2 and 3 threads."""
+    cases = ((1023, 292, (580, 584, 585, 2000)), (255, 1174, (2000, 2348, 2349, 20000)))
     workers = _spy_workers(monkeypatch)
-    for samples, count in ((2000, 1), (2 * piece, 1), (2 * piece + 1, 2), (20000, 2)):
-        workers.clear()
-        got = cutsim.simulate_records_batch(tree, 2, 9, samples, threads=2)
-        assert workers == [count], samples
-        assert np.array_equal(got, want[:samples])
-    assert np.array_equal(cutsim.simulate_records_batch(tree, 2, 9, 20000, threads=3), want)
+    for n, piece, samples in cases:
+        tree = CompleteTree(n)
+        assert cutsim._RECORD_VALUES // cutsim._row_scratch(2, n)[0] == piece
+        want = cutsim.simulate_records_batch(tree, 2, 9, samples[-1], threads=1)
+        for count, size in zip((1, 1, 2, 2), samples):
+            workers.clear()
+            got = cutsim.simulate_records_batch(tree, 2, 9, size, threads=2)
+            assert workers == [count], (n, size)
+            assert np.array_equal(got, want[:size])
+        got = cutsim.simulate_records_batch(tree, 2, 9, samples[-1], threads=3)
+        assert np.array_equal(got, want)
 
 
 def test_records_batch_chunk_is_a_ceiling(monkeypatch) -> None:
@@ -903,28 +881,39 @@ def test_records_batch_chunk_is_a_ceiling(monkeypatch) -> None:
     assert np.array_equal(got, want)
 
 
-def test_every_batch_releases_its_scratch_once(monkeypatch) -> None:
-    """Every batch hands its freed scratch back once, when it ends: node,
-    edge, bottom-subtree (the split at 150 values), process and xi
-    batches, and a batch whose worker raises."""
+def test_batches_of_a_whole_piece_release_their_scratch_once(monkeypatch) -> None:
+    """A batch that may hold a whole piece hands its freed scratch back
+    once, when it ends: node and edge batches on one and two workers,
+    bottom-subtree (the split at 150 values) and process batches, and a
+    batch whose worker raises.  The xi batch, whose chunk holds its rows
+    below one piece, and a record batch in chunks of 7 keep theirs."""
     released = []
     monkeypatch.setattr(cutsim, "_release_free_memory", lambda: released.append(1))
     scale = limitdist.ScaleParams.from_n(1 << 40, 2)
     p = limitdist.LimitParams(1, 2, scale.gamma)
     records = (cutsim.simulate_records_batch, cutsim.simulate_edge_records_batch)
+    tree = CompleteTree(300)
+    # One sample more than a piece a worker on two workers.
+    samples = 2 * (cutsim._RECORD_VALUES // cutsim._row_scratch(2, tree.n)[0]) + 1
+    workers = _spy_workers(monkeypatch)
 
     def split(m: pytest.MonkeyPatch) -> None:
         m.setattr(cutsim, "_SPLIT_SCRATCH", 150)
         m.setattr(cutsim, "_SUBTREE_VALUES", 14)
 
-    calls = [partial(batch, CompleteTree(300), 2, 1, 40, chunk=7, threads=threads)
+    calls = [partial(batch, tree, 2, 1, samples, threads=threads)
              for batch in records for threads in (1, 2)]
-    calls += [partial(cutsim.simulate_process_batch, CompleteTree(63), 2, 1, 50),
-              partial(limitdist.xi_sampler_batch, scale, p, None, 1, 300)]
+    calls += [partial(cutsim.simulate_process_batch, CompleteTree(63), 2, 1, 50)]
     for call in calls:
         released.clear()
         call()
         assert released == [1], call
+    assert workers[:4] == [1, 2, 1, 2]
+    for call in (partial(limitdist.xi_sampler_batch, scale, p, None, 1, 300),
+                 partial(cutsim.simulate_records_batch, tree, 2, 1, 40, chunk=7)):
+        released.clear()
+        call()
+        assert released == [], call
     with monkeypatch.context() as m:
         split(m)
         for batch in records:
@@ -936,13 +925,13 @@ def test_every_batch_releases_its_scratch_once(monkeypatch) -> None:
         raise RuntimeError("sweep failed")
 
     monkeypatch.setattr(cutsim, "_sweep", fail)
-    for n, threads in ((300, 1), (300, 2), (127, 2)):
+    for n, size, threads in ((300, samples, 1), (300, samples, 2), (127, 40, 2)):
         with monkeypatch.context() as m:
             if n == 127:
                 split(m)
             released.clear()
             with pytest.raises(RuntimeError, match="sweep failed"):
-                cutsim.simulate_records_batch(CompleteTree(n), 2, 1, 40, threads=threads)
+                cutsim.simulate_records_batch(CompleteTree(n), 2, 1, size, threads=threads)
             assert released == [1], (n, threads)
 
 
