@@ -563,20 +563,77 @@ def test_exponent_continuous_in_gamma_at_block_edge() -> None:
                 assert np.max(np.abs(moved - base)) <= 1e-7, (r, k, g)
 
 
-def test_exponent_array_equals_per_element_calls() -> None:
+def test_exponent_array_equals_per_element_calls(monkeypatch) -> None:
     # One array call prices every branch (t = 0, moment-series and Filon
-    # folds, panels on both Filon routes, fold counts that differ with t)
-    # exactly as calls made one t at a time do.
+    # folds, panels on both Filon routes, fold counts that differ with t,
+    # up to the 2 000 rows of t = 1e299) exactly as calls made one t at a
+    # time do, also with the pass budget patched small, where the fold
+    # table is swept in one-row slabs and many Filon row groups.
     t = np.concatenate(
-        [[0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 32.0, 40), [700.0, 2500.0]]
+        [
+            [0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 32.0, 40),
+            [700.0, 2500.0, 1e30, 1e100, 1e299],
+        ]
     )
     for p in (LimitParams(1, 2, 0.3), LimitParams(2, 3, 0.9)):
         m = limitdist._machine(p)
-        whole = m.exponent(t)
-        assert whole.shape == t.shape
         singles = np.array([m.exponent(float(v)) for v in t])
-        assert np.array_equal(whole, singles)
-        assert m.exponent(0.0) == 0.0
+        assert np.all(np.isfinite(singles))
+        for pass_size in (limitdist._PASS_SIZE, 256):
+            monkeypatch.setattr(limitdist, "_PASS_SIZE", pass_size)
+            whole = m.exponent(t)
+            assert whole.shape == t.shape
+            assert np.array_equal(whole, singles), pass_size
+            assert m.exponent(0.0) == 0.0
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cdf_cache_build_memory_is_bounded(monkeypatch) -> None:
+    # A cold build prices the exponent at its 1 108 nodes in two Filon
+    # calls of at most a quarter pass of frequencies, then the certificate
+    # makes two more; the traced peak is the two workers' scratch and
+    # little else.  The whole fold table at once peaked at 12 MB.
+    monkeypatch.setenv("KCUT_THREADS", "2")
+    p = LimitParams(1, 2, (-math.log2(5.0)) % 1.0)
+    limitdist._machine(p)
+    limitdist.f_constant(p)
+    calls = []
+    integral = limitdist._Filon.integral
+
+    def counted(self, s, parts):
+        calls.append(s.size)
+        return integral(self, s, parts)
+
+    monkeypatch.setattr(limitdist._Filon, "integral", counted)
+    peak = _traced_peak(lambda: limitdist._cdf_cache.__wrapped__(p))
+    assert len(calls) == 4
+    assert max(calls) <= limitdist._PASS_SIZE // 4
+    assert peak <= 6 * 2**20
+
+
+def test_char_fn_memory_does_not_grow_with_t(monkeypatch) -> None:
+    # At t = 1e299 each t has about 2 000 folds against about 80 at t <=
+    # 24, but both fold tables are swept a quarter pass at a time, so the
+    # traced peaks agree (the whole table at once peaked at 215 MB against
+    # 12 MB).  The two Filon workers' block temporaries overlap by chance,
+    # which moves either peak by about 0.1 MB from run to run.
+    monkeypatch.setenv("KCUT_THREADS", "2")
+    p = LimitParams(1, 2, (-math.log2(5.0)) % 1.0)
+    limitdist._machine(p)
+    limitdist.f_constant(p)
+    small, large = (
+        _traced_peak(lambda: limitdist.char_fn(np.linspace(lo, hi, 1024), p))
+        for lo, hi in ((0.5, 24.0), (1e299, 2e299))
+    )
+    assert large <= small + 2**18
 
 
 def test_char_fn_regression_value() -> None:

@@ -21,7 +21,8 @@ def _bitwise():
 def test_bitwise_two_saves_compare_equal(tmp_path, capsys, monkeypatch) -> None:
     """Two saves of the small set hold the same arrays, bit for bit, and
     leave ``KCUT_THREADS`` as they found it; among them, record counts
-    swept by bottom subtrees.  One changed value or dtype is counted,
+    swept by bottom subtrees and the CF exponent with the pass budget
+    small.  One changed value or dtype is counted,
     and ``compare`` then exits 1."""
     bitwise = _bitwise()
     monkeypatch.delenv("KCUT_THREADS", raising=False)
@@ -35,6 +36,7 @@ def test_bitwise_two_saves_compare_equal(tmp_path, capsys, monkeypatch) -> None:
     assert any(name.startswith("xi-2-") for name in arrays)
     assert any(name.startswith("edge-2-split-") for name in arrays)
     assert any(name.startswith("experiment-") for name in arrays)
+    assert any(name.startswith("exponent-2-4096-") for name in arrays)
     first, second = sorted(name for name in arrays if name.startswith("node-"))[:2]
     arrays[first] = arrays[first].copy()
     arrays[first].flat[0] += 1

@@ -15,8 +15,10 @@ run), and the record and edge batches with their defaults at every
 ``(n, k)`` that the tests and the benchmark draw records at and by
 bottom subtrees (above the split, and with the split and the subtrees
 set small as the tests set them, in chunks of every size);
-``limit_cdf`` on ``-400:8:4097``, ``char_fn`` on a 404-point t grid
-and ``cdf_certificate`` for seven shapes; ``kcut experiment``'s
+``limit_cdf`` on ``-400:8:4097``, ``char_fn`` and the CF exponent on a
+407-point t grid up to 1e299 (the exponent also with ``_PASS_SIZE``
+small, so that its fold table is swept in many slabs and Filon row
+groups) and ``cdf_certificate`` for seven shapes; ``kcut experiment``'s
 CSV for three configurations; and ``rescale_counts``,
 ``asymptotic_mean`` and ``ScaleParams`` values.  ``--small`` saves a
 reduced set in about a second, for a smoke test.  ``compare`` counts
@@ -72,6 +74,7 @@ FULL = {
     "xi_shapes": ((1, 1), (1, 2), (2, 3)),
     "shapes": SHAPES,
     "grid_points": 4097,
+    "pass_sizes": (None, 4096),  # _PASS_SIZE of the CF exponent
     "experiments": (("node", None), ("node", 1), ("edge", 2)),
     "experiment_n": [63, 1023, 5037],
     "experiment_samples": 400,
@@ -93,6 +96,7 @@ SMALL = {
     "xi_shapes": ((1, 2),),
     "shapes": SHAPES[:1],
     "grid_points": 257,
+    "pass_sizes": (None, 4096),
     "experiments": (("node", None),),
     "experiment_n": [63],
     "experiment_samples": 100,
@@ -184,11 +188,21 @@ def _limit_law(plan: dict, threads: str, out: dict) -> None:
     from kcut import limitdist
 
     grid = np.linspace(-400.0, 8.0, plan["grid_points"])
-    t = np.concatenate([[0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 3e3, 400)])
+    t = np.concatenate(
+        [
+            [0.0, 1e-10, 3e-7, 0.004], np.geomspace(0.01, 3e3, 400),
+            [1e30, 1e100, 1e299],
+        ]
+    )
     for r, k, g in plan["shapes"]:
         p = limitdist.LimitParams(r, k, g)
         out[f"cdf-{threads}-{r}-{k}-{g}"] = limitdist.limit_cdf(grid, p)
         out[f"cf-{threads}-{r}-{k}-{g}"] = limitdist.char_fn(t, p)
+        for size in plan["pass_sizes"]:
+            with _patched(limitdist, "_PASS_SIZE", size):
+                out[f"exponent-{threads}-{size}-{r}-{k}-{g}"] = (
+                    limitdist._machine(p).exponent(t)
+                )
         cert = limitdist.cdf_certificate(p)
         out[f"cert-{threads}-{r}-{k}-{g}"] = np.array(
             [cert["cdf_err_estimate"], cert["cdf_t_max"], cert["cdf_panels"]]
